@@ -12,14 +12,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from . import __version__
 from .clt import ExperimentConfig, convergence_experiment
-from .coeffs import CoefficientTable, sample_base
-from .errors import ValidationError
+from .coeffs import MAX_LISTED_SITES, sampled_table
+from .errors import SizeLimitError, ValidationError
 from .fock import FockParams, commutator_residual, gram_matrix, vacuum_moment
 from .jw import build_jw, check_commutation, vacuum_expectation
 from .pairings import PairPartition, cross_nest, enumerate_pair_partitions
@@ -30,7 +30,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render(meta: dict[str, str], header: list[str], rows: list[list[str]], fmt: str,
+class Metadata(dict):
+    """The flat metadata of an artifact.  A missing or malformed entry is a
+    user error (a hand-edited file, say), so it raises ValidationError naming
+    the key instead of KeyError."""
+
+    def __missing__(self, key: str) -> str:
+        raise ValidationError(f"metadata has no {key!r} entry")
+
+    def number(self, key: str, kind: Callable[[str], Any] = int) -> Any:
+        raw = self[key]
+        try:
+            return kind(raw)
+        except (AttributeError, TypeError, ValueError):
+            raise ValidationError(f"metadata entry {key!r} is malformed: {raw!r}") from None
+
+
+def _int_list(text: str, sep: str = ",") -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(sep))
+
+
+def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
             text_lines: Optional[list[str]] = None) -> str:
     if fmt == "csv":
         lines = [f"# {k}: {v}" for k, v in meta.items()]
@@ -48,8 +68,8 @@ def _render(meta: dict[str, str], header: list[str], rows: list[list[str]], fmt:
 
 # ---------------------------------------------------------------- pairings
 
-def _pairings_artifact(meta: dict[str, str], fmt: str) -> str:
-    n = int(meta["n"])
+def _pairings_artifact(meta: Metadata, fmt: str) -> str:
+    n = meta.number("n")
     rows = []
     text_lines = []
     for p in enumerate_pair_partitions(n):
@@ -61,16 +81,16 @@ def _pairings_artifact(meta: dict[str, str], fmt: str) -> str:
 
 # -------------------------------------------------------------------- wick
 
-def _wick_poly(meta: dict[str, str]) -> QTPolynomial:
+def _wick_poly(meta: Metadata) -> QTPolynomial:
     if meta["kind"] == "field":
-        return wick_field(int(meta["n"]))
+        return wick_field(meta.number("n"))
     if meta["kind"] == "joint":
-        labels = tuple(int(x) for x in meta["labels"].split(";"))
+        labels = meta.number("labels", lambda text: _int_list(text, ";"))
         return wick_joint(labels, meta["eps"])
     return wick_mixed(meta["eps"])
 
 
-def _wick_artifact(meta: dict[str, str], fmt: str) -> str:
+def _wick_artifact(meta: Metadata, fmt: str) -> str:
     poly = _wick_poly(meta)
     rows = [
         [str(a), str(b), str(c)]
@@ -78,7 +98,7 @@ def _wick_artifact(meta: dict[str, str], fmt: str) -> str:
     ]
     text_lines = [str(poly)]
     if "q" in meta and "t" in meta:
-        value = poly.evaluate(float(meta["q"]), float(meta["t"]))
+        value = poly.evaluate(meta.number("q", float), meta.number("t", float))
         text_lines.append(f"value = {_fmt(value)}")
     return _render(meta, ["deg_q", "deg_t", "coeff"], rows, fmt, text_lines)
 
@@ -103,9 +123,10 @@ def _parse_fock_ops(text: str) -> list:
     return ops
 
 
-def _fock_artifact(meta: dict[str, str], fmt: str) -> str:
+def _fock_artifact(meta: Metadata, fmt: str) -> str:
     params = FockParams(
-        d=int(meta["d"]), m=int(meta["m"]), q=float(meta["q"]), t=float(meta["t"])
+        d=meta.number("d"), m=meta.number("m"),
+        q=meta.number("q", float), t=meta.number("t", float),
     )
     op = meta["op"]
     if op == "moment":
@@ -121,7 +142,7 @@ def _fock_artifact(meta: dict[str, str], fmt: str) -> str:
                 text_lines.append(f"f={f} g={g} residual={_fmt(r)}")
         return _render(meta, ["f", "g", "residual"], rows, fmt, text_lines)
     if op == "gram":
-        eigs = np.linalg.eigvalsh(gram_matrix(int(meta["degree"]), params))
+        eigs = np.linalg.eigvalsh(gram_matrix(meta.number("degree"), params))
         rows = [[str(k), _fmt(v)] for k, v in enumerate(eigs)]
         text_lines = [f"eig[{k}] = {_fmt(v)}" for k, v in enumerate(eigs)]
         return _render(meta, ["index", "eigenvalue"], rows, fmt, text_lines)
@@ -130,13 +151,19 @@ def _fock_artifact(meta: dict[str, str], fmt: str) -> str:
 
 # ------------------------------------------------------------------ coeffs
 
-def _coeffs_artifact(meta: dict[str, str], fmt: str) -> str:
-    n = int(meta["n"])
-    q, t, seed = float(meta["q"]), float(meta["t"]), int(meta["seed"])
-    base = sample_base(n, q, t, seed)
+def _chain_params(meta: Metadata) -> tuple[int, float, float, int]:
+    return (meta.number("n"), meta.number("q", float), meta.number("t", float),
+            meta.number("seed"))
+
+
+def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
+    n, q, t, seed = _chain_params(meta)
+    if "lookup" not in meta and n > MAX_LISTED_SITES:
+        raise SizeLimitError(f"listing {n} sites exceeds the {MAX_LISTED_SITES}-site cap")
+    table = sampled_table(n, q, t, seed)
     if "lookup" in meta:
         e1, e2, i, j = (x.strip() for x in meta["lookup"].split(","))
-        value = CoefficientTable(base, t).lookup(e1, e2, int(i), int(j))
+        value = table.lookup(e1, e2, int(i), int(j))
         return _render(
             meta,
             ["left", "right", "i", "j", "value"],
@@ -144,9 +171,13 @@ def _coeffs_artifact(meta: dict[str, str], fmt: str) -> str:
             fmt,
             [f"mu_({e1},{e2})({i},{j}) = {_fmt(value)}"],
         )
-    rows = [[str(i), str(j), _fmt(v)] for (i, j), v in sorted(base.items())]
-    text_lines = [f"mu({i},{j}) = {_fmt(v)}" for (i, j), v in sorted(base.items())]
-    return _render(meta, ["i", "j", "mu"], rows, fmt, text_lines)
+    # rows sorted by (i, j); pair (i, j) sits at rank (j-1)(j-2)/2 + i-1
+    i0, j0 = np.triu_indices(n, 1)
+    values = table.packed(n)[j0 * (j0 - 1) // 2 + i0].tolist()
+    pairs = zip((i0 + 1).tolist(), (j0 + 1).tolist(), map(_fmt, values))
+    if fmt == "text":
+        return _render(meta, [], [], fmt, [f"mu({i},{j}) = {v}" for i, j, v in pairs])
+    return _render(meta, ["i", "j", "mu"], [[str(i), str(j), v] for i, j, v in pairs], fmt)
 
 
 # ---------------------------------------------------------------------- jw
@@ -164,10 +195,9 @@ def _parse_sites(text: str) -> list[tuple[int, bool]]:
     return ops
 
 
-def _jw_artifact(meta: dict[str, str], fmt: str) -> str:
-    n = int(meta["n"])
-    q, t, seed = float(meta["q"]), float(meta["t"]), int(meta["seed"])
-    table = CoefficientTable(sample_base(n, q, t, seed), t)
+def _jw_artifact(meta: Metadata, fmt: str) -> str:
+    n, q, t, seed = _chain_params(meta)
+    table = sampled_table(n, q, t, seed)
     op = meta["op"]
     if op == "expectation":
         value = vacuum_expectation(_parse_sites(meta["ops"]), n, table)
@@ -209,20 +239,20 @@ def _parse_pairing(text: str) -> PairPartition:
     return PairPartition(tuple(pairs))
 
 
-def _clt_config(meta: dict[str, str]) -> ExperimentConfig:
+def _clt_config(meta: Metadata) -> ExperimentConfig:
     pairing = _parse_pairing(meta["pairing"]) if "pairing" in meta else None
     return ExperimentConfig(
         mode=meta["mode"],
         eps=meta["eps"],
-        q=float(meta["q"]),
-        t=float(meta["t"]),
-        ns=tuple(int(x) for x in meta["ns"].split(",")),
-        seed=int(meta["seed"]),
+        q=meta.number("q", float),
+        t=meta.number("t", float),
+        ns=meta.number("ns", _int_list),
+        seed=meta.number("seed"),
         pairing=pairing,
     )
 
 
-def _clt_artifact(meta: dict[str, str], fmt: str) -> str:
+def _clt_artifact(meta: Metadata, fmt: str) -> str:
     report = convergence_experiment(_clt_config(meta))
     if fmt == "csv":
         return report.to_csv()
@@ -236,7 +266,7 @@ def _clt_artifact(meta: dict[str, str], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-ARTIFACTS: dict[str, Callable[[dict[str, str], str], str]] = {
+ARTIFACTS: dict[str, Callable[[Metadata, str], str]] = {
     "pairings": _pairings_artifact,
     "wick": _wick_artifact,
     "fock": _fock_artifact,
@@ -248,13 +278,15 @@ ARTIFACTS: dict[str, Callable[[dict[str, str], str], str]] = {
 
 # ------------------------------------------------------------------- check
 
-def _parse_artifact(text: str) -> tuple[dict[str, str], str]:
+def _parse_artifact(text: str) -> tuple[Metadata, str]:
     """Extract (metadata, format) from an emitted csv or json artifact."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(text)
-        return dict(payload["metadata"]), "json"
-    meta = {}
+        if not isinstance(payload.get("metadata"), dict):
+            raise ValidationError("json artifact has no 'metadata' object; cannot re-check")
+        return Metadata(payload["metadata"]), "json"
+    meta = Metadata()
     for line in text.splitlines():
         if not line.startswith("# "):
             break
@@ -409,9 +441,9 @@ def _resolve_seed(value: Optional[int]) -> int:
         raise ValidationError(f"QTWICK_SEED={raw!r} is not an integer") from None
 
 
-def _meta_from_args(args: argparse.Namespace) -> dict[str, str]:
+def _meta_from_args(args: argparse.Namespace) -> Metadata:
     command = args.command
-    meta = {"command": command, "version": __version__}
+    meta = Metadata(command=command, version=__version__)
     if command == "pairings":
         meta["n"] = str(args.n)
     elif command == "wick":

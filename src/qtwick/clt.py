@@ -11,6 +11,7 @@ requested size and evaluate every smaller size on its restriction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,10 +19,11 @@ import numpy as np
 
 from . import __version__
 from .coeffs import (
+    MAX_TABLE_SITES,
     CoefficientTable,
     pair_limit_monomial,
     pair_pattern_is_default,
-    sample_base,
+    sampled_table,
 )
 from .errors import SizeLimitError, ValidationError
 from .pairings import PairPartition, cross_nest
@@ -110,9 +112,8 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
 def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndarray:
     """Dense [n, n] matrix of lookup(e1, e2, x, y) for 1-based x != y; the
     diagonal is filled with ones and must not be read."""
-    base = table.base_matrix(n)
-    rows, cols = np.triu_indices(n, 1)
-    u = base[rows, cols]
+    u = table.packed(n)
+    cols, rows = np.tril_indices(n, -1)  # j - 1 and i - 1, in pair-rank order
     t = table.t
     out = np.ones((n, n))
     if (e1, e2) == ("*", "*"):
@@ -227,7 +228,9 @@ class ExperimentConfig:
             c not in LETTERS for c in self.eps
         ):
             problems.append(f"eps {self.eps!r} must be a nonempty string over '1'/'*'")
-        if self.t <= 0:
+        if not (math.isfinite(self.q) and math.isfinite(self.t)):
+            problems.append(f"q and t must be finite, got q={self.q}, t={self.t}")
+        elif self.t <= 0:
             problems.append(f"need t > 0, got {self.t}")
         elif abs(self.q) > self.t:
             problems.append(f"two-point law needs |q| <= t, got q={self.q}, t={self.t}")
@@ -235,6 +238,8 @@ class ExperimentConfig:
             problems.append("ns must be a nonempty increasing list of sizes")
         elif any(n < 1 for n in self.ns) or list(self.ns) != sorted(set(self.ns)):
             problems.append(f"ns {self.ns!r} must be strictly increasing and positive")
+        elif max(self.ns) > MAX_TABLE_SITES:
+            problems.append(f"tables are capped at {MAX_TABLE_SITES} sites")
         if self.mode == "moment":
             if self.ns and max(self.ns) > MAX_SUM_SIZE:
                 problems.append(f"moments support at most {MAX_SUM_SIZE} sites")
@@ -343,7 +348,7 @@ def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
     if problems:
         raise ValidationError("; ".join(problems))
     top = max(config.ns)
-    table = CoefficientTable(sample_base(top, config.q, config.t, config.seed), config.t)
+    table = sampled_table(top, config.q, config.t, config.seed)
     target: Optional[float]
     if config.mode == "moment":
         target = wick_mixed(config.eps).evaluate(config.q, config.t)

@@ -9,36 +9,51 @@ the (*, *) entry for i < j.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPairClassError, ValidationError
+from .errors import NonPairClassError, SizeLimitError, ValidationError
 from .pairings import PairPartition, class_of, cross_nest
 from .wickpoly import LETTERS, QTPolynomial, check_eps
+
+# a sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and samples
+# in about 0.3 s; it admits the largest lambda run (3162 sites, 2 pairs)
+MAX_TABLE_SITES = 4096
+# the coeffs artifact lists one row per pair: 768 sites are 294528 rows,
+# written in about 0.8 s as csv (3 MB) and 1.5 s as json (14 MB)
+MAX_LISTED_SITES = 768
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
-    """Finalizer of the splitmix64 generator; a fixed 64-bit mixing function."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """Finalizer of the splitmix64 generator, applied in place to a uint64
+    array; numpy's uint64 arithmetic wraps mod 2^64 as the generator needs."""
+    x ^= x >> 30
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> 27
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> 31
+    return x
+
+
+def _derive_seeds(master: int, first: int, count: int) -> np.ndarray:
+    """derive_seed(master, k) for k = first, ..., first + count - 1."""
+    x = np.arange(count, dtype=np.uint64)
+    x *= np.uint64(_GAMMA)
+    x += np.uint64((master + (first + 1) * _GAMMA) & _MASK64)
+    return _splitmix64(x)
 
 
 def derive_seed(master: int, k: int) -> int:
     """Seed of sub-task k: splitmix64 applied to master + (k+1) steps of the
     golden-ratio increment.  Stable across versions and platforms."""
-    return _splitmix64((master + (k + 1) * _GAMMA) & _MASK64)
-
-
-def _uniform01(bits: int) -> float:
-    # top 53 bits -> [0, 1)
-    return (bits >> 11) * 2.0**-53
+    return int(_derive_seeds(master, k, 1)[0])
 
 
 def _pair_rank(i: int, j: int) -> int:
@@ -47,53 +62,147 @@ def _pair_rank(i: int, j: int) -> int:
     return (j - 1) * (j - 2) // 2 + (i - 1)
 
 
-def sample_base(n: int, q: float, t: float, seed: int) -> dict[tuple[int, int], float]:
-    """Draw the base coefficient for every pair i < j <= n.
+def _pair_count(n: int) -> int:
+    """Number of pairs i < j <= n, which is also the packed length of n sites."""
+    return n * (n - 1) // 2 if n > 1 else 0
 
-    Each value is +1 or -1 with P(+1) = (1 + q/t)/2, so the mean is q/t and
-    the second moment is exactly 1.  Every pair consumes its own sub-seed
-    derived from its rank, which makes the sample for a smaller n a strict
-    restriction of the sample for a larger one.
-    """
+
+def _check_scale(t: float) -> float:
+    if not math.isfinite(t):
+        raise ValidationError(f"need a finite t, got t={t}")
     if t <= 0:
         raise ValidationError("need t > 0")
+    return float(t)
+
+
+def sample_packed(n: int, q: float, t: float, seed: int) -> np.ndarray:
+    """Draw the base coefficient for every pair i < j <= n, in pair-rank order.
+
+    Each value is +1 or -1 with P(+1) = (1 + q/t)/2, so the mean is q/t and
+    the second moment is exactly 1.  The pair of rank k draws the top 53 bits
+    of derive_seed(seed, k) as a uniform on [0, 1), so every draw depends on
+    its rank alone: the sample for a smaller n is a prefix of the sample for
+    a larger one, and all draws are computed at once in uint64 arithmetic.
+    """
+    if not math.isfinite(q):
+        raise ValidationError(f"need a finite q, got q={q}")
+    _check_scale(t)
     if abs(q) > t:
         raise ValidationError(f"two-point law needs |q| <= t, got q={q}, t={t}")
     if n < 1:
         raise ValidationError("need n >= 1")
-    p_plus = 0.5 * (1.0 + q / t)
-    base = {}
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            u = _uniform01(derive_seed(seed, _pair_rank(i, j)))
-            base[(i, j)] = 1.0 if u < p_plus else -1.0
-    return base
+    if n > MAX_TABLE_SITES:
+        raise SizeLimitError(f"{n} sites exceed the {MAX_TABLE_SITES}-site table cap")
+    bits = _derive_seeds(seed, 0, _pair_count(n))
+    bits >>= 11
+    u = bits.astype(np.float64)
+    u *= 2.0**-53
+    return np.where(u < 0.5 * (1.0 + q / t), 1.0, -1.0)
+
+
+class PackedBase(Mapping):
+    """Read-only mapping {(i, j): base value} over values packed in pair-rank
+    order; it iterates in that order, j first, then i."""
+
+    def __init__(self, packed: np.ndarray):
+        self.packed = packed
+
+    def __getitem__(self, key: tuple[int, int]) -> float:
+        i, j = key
+        rank = _pair_rank(i, j)
+        if 0 < i < j and rank < self.packed.size:
+            return self.packed.item(rank)
+        raise KeyError(key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        pairs = ((i, j) for j in itertools.count(2) for i in range(1, j))
+        return itertools.islice(pairs, self.packed.size)
+
+    def __len__(self) -> int:
+        return self.packed.size
+
+
+def sample_base(n: int, q: float, t: float, seed: int) -> PackedBase:
+    """sample_packed as a read-only mapping {(i, j): value}."""
+    return PackedBase(sample_packed(n, q, t, seed))
+
+
+def _pack(base: Mapping[tuple[int, int], float]) -> np.ndarray:
+    """Base values of a hand-built table in pair-rank order, 0.0 for a pair
+    the table leaves out."""
+    for (i, j), v in base.items():
+        if not (0 < i < j):
+            raise ValidationError(f"base key ({i},{j}) must satisfy 0 < i < j")
+        if v == 0:
+            raise ValidationError(f"base value for ({i},{j}) must be nonzero")
+    packed = np.zeros(max((_pair_rank(i, j) + 1 for i, j in base), default=0))
+    for (i, j), v in base.items():
+        packed[_pair_rank(i, j)] = v
+    return packed
 
 
 class CoefficientTable:
-    """Lazy family of commutation coefficients over a base map and scale t."""
+    """Lazy family of commutation coefficients over base values and a scale t.
 
-    def __init__(self, base: dict[tuple[int, int], float], t: float):
-        if t <= 0:
-            raise ValidationError("need t > 0")
-        for (i, j), v in base.items():
-            if not (0 < i < j):
-                raise ValidationError(f"base key ({i},{j}) must satisfy 0 < i < j")
-            if v == 0:
-                raise ValidationError(f"base value for ({i},{j}) must be nonzero")
-        self._base = dict(base)
-        self.t = float(t)
+    The base values live in one float64 array indexed by pair rank, so the
+    table restricted to n sites is the prefix of length n(n-1)/2.  `base` is
+    either a mapping {(i, j): value}, which may leave pairs out, or a
+    sequence of nonzero values in pair-rank order.
+    """
+
+    def __init__(self, base: Mapping[tuple[int, int], float] | Sequence[float], t: float):
+        self.t = _check_scale(t)
+        if isinstance(base, Mapping):
+            packed = _pack(base)
+        else:
+            packed = np.array(base, dtype=np.float64)
+            if packed.ndim != 1:
+                raise ValidationError("packed base values must form a 1-d array")
+            if not packed.all():
+                raise ValidationError("packed base values must be nonzero")
+        if not np.isfinite(packed).all():
+            raise ValidationError("base values must be finite")
+        packed.flags.writeable = False
+        self._packed = packed
+        # pairs of rank below this all have a base value; ranks are j-major,
+        # so the table covers n sites exactly when n(n-1)/2 pairs fit below it
+        gaps = np.flatnonzero(packed == 0.0)
+        self._covered = int(gaps[0]) if gaps.size else packed.size
+        # the pair (i, j) has rank _row_start[j] + i
+        self._row_start = [_pair_rank(0, j) for j in range(self.max_index + 1)]
+        # Python floats for single-entry reads, built on the first one
+        self._values: list[float] | None = None
 
     @property
     def max_index(self) -> int:
-        return max((j for _, j in self._base), default=1)
+        """Largest j of any pair (i, j) with a base value; 1 for an empty table."""
+        if not self._packed.size:
+            return 1
+        return (1 + math.isqrt(8 * self._packed.size - 7)) // 2 + 1
 
     def covers(self, n: int) -> bool:
         """True when every pair i < j <= n has a base value."""
-        return all((i, j) in self._base for j in range(2, n + 1) for i in range(1, j))
+        return _pair_count(n) <= self._covered
+
+    def packed(self, n: int) -> np.ndarray:
+        """Read-only base values of every pair i < j <= n, in pair-rank order."""
+        if not self.covers(n):
+            raise ValidationError(f"table does not cover all pairs up to {n}")
+        return self._packed[:_pair_count(n)]
 
     def base_value(self, i: int, j: int) -> float:
-        return self._base[(i, j)]
+        """Base value mu(i, j) for 0 < i < j."""
+        if 0 < i < j:
+            values = self._values
+            if values is None:
+                values = self._values = self._packed.tolist()
+            try:
+                m = values[self._row_start[j] + i]
+            except IndexError:
+                m = 0.0
+            if m:
+                return m
+        raise ValidationError(f"table has no base value for pair ({i},{j})")
 
     def lookup(self, left: str, right: str, i: int, j: int) -> float:
         """Coefficient mu_{left,right}(i, j) for i != j."""
@@ -101,11 +210,7 @@ class CoefficientTable:
             raise ValueError(f"letters must be '1' or '*', got ({left!r},{right!r})")
         if i == j:
             raise ValueError("coefficients are only defined for distinct indices")
-        lo, hi = (i, j) if i < j else (j, i)
-        try:
-            m = self._base[(lo, hi)]
-        except KeyError:
-            raise ValidationError(f"table has no base value for pair ({lo},{hi})") from None
+        m = self.base_value(i, j) if i < j else self.base_value(j, i)
         if i < j:
             if left == "*":
                 return m if right == "*" else self.t * m
@@ -116,21 +221,19 @@ class CoefficientTable:
 
     def base_matrix(self, n: int) -> np.ndarray:
         """(n, n) array with entry [i-1, j-1] = base(i, j) for i < j, zeros elsewhere."""
-        if not self.covers(n):
-            raise ValidationError(f"table does not cover all pairs up to {n}")
+        values = self.packed(n)
         out = np.zeros((n, n))
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                out[i - 1, j - 1] = self._base[(i, j)]
+        # the lower triangle of out.T, row by row, is the pair-rank order
+        out.T[np.tril_indices(n, -1)] = values
         return out
 
 
-def build_table(base: dict[tuple[int, int], float], t: float) -> CoefficientTable:
+def build_table(base: Mapping[tuple[int, int], float], t: float) -> CoefficientTable:
     return CoefficientTable(base, t)
 
 
 def sampled_table(n: int, q: float, t: float, seed: int) -> CoefficientTable:
-    return CoefficientTable(sample_base(n, q, t, seed), t)
+    return CoefficientTable(sample_packed(n, q, t, seed), t)
 
 
 @dataclass(frozen=True)

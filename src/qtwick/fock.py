@@ -10,12 +10,13 @@ at a time with a q-weight for its depth and a t-weight for what sits below.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import SizeLimitError, TruncationError
+from .errors import SizeLimitError, TruncationError, ValidationError
 
 Word = tuple[int, ...]
 FockVector = dict[Word, float]
@@ -41,6 +42,8 @@ class FockParams:
             raise ValueError("need d >= 1")
         if self.m < 1:
             raise ValueError("need m >= 1")
+        if not (math.isfinite(self.q) and math.isfinite(self.t)):
+            raise ValidationError(f"q and t must be finite, got q={self.q}, t={self.t}")
         if self.t <= 0:
             raise ValueError("need t > 0")
 

@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coeffs import CoefficientTable
+from .errors import SizeLimitError
 from .wickpoly import LETTERS
+
+# check_commutation composes 4 n^2 operator pairs of n slots each; n = 48
+# takes about 2 s
+MAX_VERIFY_SITES = 48
 
 SparseState = dict[int, float]
 
@@ -180,6 +185,8 @@ class CommutationReport:
 def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12) -> CommutationReport:
     """Verify b_i^e b_j^e' = mu_{e',e}(j, i) * b_j^e' b_i^e for all i != j <= n
     and all letter pairs, comparing canonicalized monomial forms."""
+    if n > MAX_VERIFY_SITES:
+        raise SizeLimitError(f"verifying {n} sites exceeds the {MAX_VERIFY_SITES}-site cap")
     ops = {
         (site, letter): build_jw(n, site, table, adjoint=(letter == "*"))
         for site in range(1, n + 1)

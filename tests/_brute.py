@@ -89,3 +89,35 @@ def inner_product_full_sn(u, v, q: float, t: float) -> float:
         )
         total += q**inv * t ** (top - inv)
     return total
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(x: int) -> int:
+    """Finalizer of the splitmix64 generator on Python ints."""
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def derive_seed(master: int, k: int) -> int:
+    return splitmix64((master + (k + 1) * 0x9E3779B97F4A7C15) & _MASK64)
+
+
+def uniform01(bits: int) -> float:
+    # top 53 bits -> [0, 1)
+    return (bits >> 11) * 2.0**-53
+
+
+def sample_base(n: int, q: float, t: float, seed: int) -> dict[tuple[int, int], float]:
+    """One pair at a time: pair (i, j) draws from sub-seed number
+    (j-1)(j-2)/2 + i-1, looping over j, then i."""
+    p_plus = 0.5 * (1.0 + q / t)
+    base = {}
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            u = uniform01(derive_seed(seed, (j - 1) * (j - 2) // 2 + (i - 1)))
+            base[(i, j)] = 1.0 if u < p_plus else -1.0
+    return base

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,10 @@ import pytest
 
 from qtwick import FockParams, vacuum_expectation, vacuum_moment
 from qtwick.cli import main, run_check
+from qtwick.coeffs import MAX_LISTED_SITES, MAX_TABLE_SITES
+from qtwick.jw import MAX_VERIFY_SITES
+
+CHAIN = ("--q", "0.5", "--t", "1.25", "--seed", "0")
 
 
 def run(capsys, *argv):
@@ -154,6 +159,86 @@ def test_jw_dump_is_json(capsys):
     assert payload["scalar"] == 1.0
     assert len(payload["slots"]) == 2
     assert payload["slots"][0]["empty"] == [1.0, 1]
+
+
+def test_jw_dump_bytes_are_pinned(capsys):
+    # the slots carry sqrt(t) * base values of both signs
+    for site, digest in (
+        ("6*", "d1c094795e769bc4fe203034b3d1d70b4bcd45aae5d1a187d436b36bb63d1a97"),
+        ("2", "faaeb2e8b5b1f9871174b8f17184776881bf952a7fb88ef7e241525c480d0750"),
+    ):
+        code, out, _ = run(
+            capsys, "jw", "--n", "6", "--q", "-0.4", "--t", "0.8", "--seed", "4",
+            "--dump-op", site,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_coeffs_listing_cap(capsys):
+    n = str(MAX_LISTED_SITES + 1)
+    code, out, err = run(capsys, "coeffs", "--n", n, *CHAIN)
+    assert code == 2 and out == ""
+    assert f"{MAX_LISTED_SITES}-site cap" in err
+    # a lookup lists nothing; only the table cap bounds it
+    code, out, _ = run(capsys, "coeffs", "--n", n, *CHAIN, "--lookup", "*,1,1,2")
+    assert code == 0 and out.startswith("mu_(*,1)(1,2) = ")
+    code, _, err = run(
+        capsys, "coeffs", "--n", str(MAX_TABLE_SITES + 1), *CHAIN, "--lookup", "*,1,1,2"
+    )
+    assert code == 2 and f"{MAX_TABLE_SITES}-site table cap" in err
+
+
+def test_jw_caps(capsys):
+    code, out, err = run(capsys, "jw", "--n", str(MAX_VERIFY_SITES + 1), *CHAIN, "--verify")
+    assert code == 2 and out == ""
+    assert f"{MAX_VERIFY_SITES}-site cap" in err
+    code, _, err = run(capsys, "jw", "--n", str(MAX_TABLE_SITES + 1), *CHAIN, "--ops", "1,1*")
+    assert code == 2 and f"{MAX_TABLE_SITES}-site table cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("clt", "--mode", "moment", "--eps", "11**", "--q", "nan", "--t", "nan", "--ns", "10,20"),
+    ("clt", "--mode", "lambda", "--eps", "11**", "--q", "0.5", "--t", "inf", "--ns", "10",
+     "--pairing", "1-3,2-4"),
+    ("coeffs", "--n", "5", "--q", "0.5", "--t", "inf"),
+    ("coeffs", "--n", "5", "--q=-inf", "--t", "1"),
+    ("jw", "--n", "3", "--q", "nan", "--t", "1", "--ops", "1,1*"),
+    ("fock", "--d", "1", "--m", "2", "--q", "0.5", "--t", "inf", "--ops", "s1,s1"),
+])
+def test_non_finite_parameters_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_check_names_missing_or_malformed_metadata(capsys, tmp_path):
+    good = tmp_path / "coeffs.csv"
+    code, _, _ = run(capsys, "coeffs", "--n", "5", *CHAIN, "--format", "csv", "--out", str(good))
+    assert code == 0
+    text = good.read_text()
+    broken = tmp_path / "broken.csv"
+    broken.write_text(text.replace("# n: 5\n", ""))
+    code, _, err = run(capsys, "--check", str(broken))
+    assert code == 2 and "'n'" in err and "internal" not in err
+    broken.write_text(text.replace("# n: 5\n", "# n: five\n"))
+    code, _, err = run(capsys, "--check", str(broken))
+    assert code == 2 and "'n'" in err and "malformed" in err
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "clt", "--mode", "moment", "--eps", "1*", *CHAIN, "--ns", "5",
+        "--format", "json", "--out", str(report),
+    )
+    assert code == 0
+    payload = json.loads(report.read_text())
+    del payload["metadata"]["seed"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "--check", str(broken))
+    assert code == 2 and "'seed'" in err
+    broken.write_text(json.dumps({"rows": []}))
+    code, _, err = run(capsys, "--check", str(broken))
+    assert code == 2 and "metadata" in err
 
 
 def test_clt_csv_to_file_and_check(capsys, tmp_path):

@@ -158,6 +158,16 @@ def test_config_validation_specifics():
         mode="lambda", eps="1*", q=0.5, t=1.25, ns=(5,), seed=0
     )
     assert any("pairing" in p for p in missing_pairing.validate())
+    for q, t in ((float("nan"), float("nan")), (0.5, float("inf")), (float("-inf"), 1.0)):
+        non_finite = ExperimentConfig(mode="moment", eps="11**", q=q, t=t, ns=(10,), seed=0)
+        assert any("finite" in p for p in non_finite.validate())
+        with pytest.raises(ValidationError, match="finite"):
+            convergence_experiment(non_finite)
+    one_pair = ExperimentConfig(
+        mode="lambda", eps="1*", q=0.5, t=1.25, ns=(10**5,), seed=0,
+        pairing=PairPartition(((1, 2),)),
+    )
+    assert any("table" in p for p in one_pair.validate())
     q_out = ExperimentConfig(mode="moment", eps="1*", q=2.0, t=1.0, ns=(5,), seed=0)
     assert any("|q| <= t" in p for p in q_out.validate())
     tuple_cap = ExperimentConfig(

@@ -1,11 +1,15 @@
+import hashlib
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+import _brute
 from qtwick import (
     CoefficientTable,
+    SizeLimitError,
     NonPairClassError,
     PairPartition,
     QTPolynomial,
@@ -16,9 +20,10 @@ from qtwick import (
     pair_limit_monomial,
     pair_pattern_is_default,
     sample_base,
+    sample_packed,
     sampled_table,
 )
-from qtwick.coeffs import _beta_closed_form, _pair_rank
+from qtwick.coeffs import MAX_TABLE_SITES, _beta_closed_form, _pair_rank
 
 
 @pytest.fixture
@@ -98,6 +103,8 @@ def test_derive_seed_pins():
     assert derive_seed(42, 1) == 2949826092126892291
     assert derive_seed(0, 0) == 16294208416658607535
     assert derive_seed(2**64 + 5, 0) == derive_seed(5, 0)
+    for master, k in ((42, 0), (-1, 7), (2**64 + 5, 10**6), (3, 2**70)):
+        assert derive_seed(master, k) == _brute.derive_seed(master, k)
 
 
 def test_pair_rank_is_cutoff_free():
@@ -143,6 +150,112 @@ def test_sample_base_validation():
         sample_base(3, 2.0, 1.0, 1)
     with pytest.raises(ValidationError):
         sample_base(0, 0.0, 1.0, 1)
+    with pytest.raises(SizeLimitError):
+        sample_packed(MAX_TABLE_SITES + 1, 0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("q, t", [
+    (math.nan, 1.0), (0.5, math.nan), (0.5, math.inf), (-math.inf, 1.0), (math.inf, math.inf),
+])
+def test_sampler_rejects_non_finite(q, t):
+    with pytest.raises(ValidationError, match="finite"):
+        sample_packed(3, q, t, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_rejects_non_finite(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        CoefficientTable({(1, 2): 1.0}, bad)
+    with pytest.raises(ValidationError, match="finite"):
+        CoefficientTable({(1, 2): bad}, 1.0)
+    with pytest.raises(ValidationError, match="finite"):
+        CoefficientTable([bad], 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 + 5, -1])
+def test_sampler_matches_scalar_oracle(seed):
+    # bit for bit, including the degenerate laws q = +-t
+    for q, t in ((0.5, 1.25), (1.0, 1.0), (-1.0, 1.0), (-0.3, 0.9)):
+        n = 300 if (q, t) == (0.5, 1.25) else 40
+        want = _brute.sample_base(n, q, t, seed)
+        packed = sample_packed(n, q, t, seed)
+        assert packed.dtype == np.float64 and packed.shape == (n * (n - 1) // 2,)
+        assert packed.tolist() == list(want.values())
+        view = sample_base(n, q, t, seed)
+        assert list(view.items()) == list(want.items())
+        assert view == want
+
+
+def test_sampler_pin_at_2000_sites():
+    packed = sample_packed(2000, 0.5, 1.25, 42)
+    digest = hashlib.sha256(packed.tobytes()).hexdigest()
+    assert digest == "c782555055603e20d7b654d319736df4466318d998bdeb06e7367d0a8c5d26ab"
+
+
+def test_packed_table_is_prefix_stable():
+    big = sampled_table(120, 0.3, 0.9, 7)
+    for n in (1, 2, 3, 17, 60, 120):
+        small = sample_packed(n, 0.3, 0.9, 7)
+        assert np.array_equal(big.packed(n), small)
+        assert np.array_equal(sampled_table(n, 0.3, 0.9, 7).packed(n), small)
+    with pytest.raises(ValidationError):
+        big.packed(121)
+    with pytest.raises(ValueError):
+        big.packed(5)[0] = 2.0  # views of the table are read-only
+
+
+def _double_loop_matrix(table, n):
+    out = np.zeros((n, n))
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            out[i - 1, j - 1] = table.base_value(i, j)
+    return out
+
+
+def test_base_matrix_equals_double_loop():
+    rng = random.Random(8)
+    hand = build_table(
+        {(i, j): rng.uniform(0.2, 3.0) for j in range(2, 12) for i in range(1, j)}, 1.3
+    )
+    for table, n in ((sampled_table(50, 0.5, 1.25, 3), 50), (hand, 11), (hand, 7)):
+        assert np.array_equal(table.base_matrix(n), _double_loop_matrix(table, n))
+    assert table.base_matrix(1).shape == (1, 1)
+
+
+def test_hand_built_table_with_a_gap():
+    gap = build_table({(1, 2): 0.5, (2, 3): -2.0}, 1.0)
+    assert gap.covers(2) and not gap.covers(3)
+    assert gap.max_index == 3
+    assert gap.base_value(2, 3) == -2.0
+    with pytest.raises(ValidationError, match=r"\(1,3\)"):
+        gap.lookup("1", "*", 1, 3)
+    with pytest.raises(ValidationError):
+        gap.lookup("*", "*", 3, 1)
+    with pytest.raises(ValidationError):
+        gap.base_value(1, 3)
+    with pytest.raises(ValidationError):
+        gap.base_matrix(3)
+    with pytest.raises(ValidationError):
+        gap.base_value(2, 1)  # base values are stored for i < j only
+    assert build_table({}, 2.0).covers(1) and not build_table({}, 2.0).covers(2)
+
+
+def test_packed_constructor_validation():
+    table = CoefficientTable([0.5, -1.0, 2.0], 1.5)
+    assert table.covers(3) and not table.covers(4)
+    assert table.lookup("*", "1", 2, 3) == 3.0
+    with pytest.raises(ValidationError):
+        CoefficientTable([1.0, 0.0, 1.0], 1.0)
+    with pytest.raises(ValidationError):
+        CoefficientTable(np.ones((2, 2)), 1.0)
+
+
+def test_single_reads_return_python_floats():
+    for table in (sampled_table(6, 0.5, 1.25, 2), build_table({(1, 2): 0.7}, 2.0)):
+        assert type(table.base_value(1, 2)) is float
+        for e1, e2 in itertools.product("1*", repeat=2):
+            assert type(table.lookup(e1, e2, 1, 2)) is float
+            assert type(table.lookup(e1, e2, 2, 1)) is float
 
 
 def test_normal_order_examples(table):

@@ -7,6 +7,7 @@ from qtwick import (
     FockParams,
     SizeLimitError,
     TruncationError,
+    ValidationError,
     annihilate,
     commutator_residual,
     create,
@@ -35,6 +36,12 @@ def test_params_validation():
         FockParams(d=1, m=1, q=0.0, t=0.0)
     assert FockParams(d=1, m=1, q=0.3, t=0.8).hilbert
     assert not FockParams(d=1, m=1, q=0.8, t=0.8).hilbert
+
+
+@pytest.mark.parametrize("q, t", [(0.5, float("inf")), (float("nan"), 1.0), (0.5, float("nan"))])
+def test_params_reject_non_finite(q, t):
+    with pytest.raises(ValidationError, match="finite"):
+        FockParams(d=1, m=2, q=q, t=t)
 
 
 def test_create_annihilate_examples():

@@ -7,6 +7,7 @@ import pytest
 from qtwick import (
     CommutationReport,
     MonomialOperator,
+    SizeLimitError,
     build_jw,
     build_table,
     check_commutation,
@@ -15,7 +16,7 @@ from qtwick import (
     vacuum_expectation,
     vacuum_state,
 )
-from qtwick.jw import IDENTITY, LOWER, RAISE, diagonal
+from qtwick.jw import IDENTITY, LOWER, MAX_VERIFY_SITES, RAISE, diagonal
 
 TB = build_table({(1, 2): 0.7}, 2.0)
 
@@ -169,3 +170,9 @@ def test_check_commutation_flags_at_negative_tolerance():
     report = check_commutation(2, table, tolerance=-1.0)
     assert not report.ok
     assert len(report.failures) == 8
+
+
+def test_check_commutation_cap():
+    n = MAX_VERIFY_SITES + 1
+    with pytest.raises(SizeLimitError):
+        check_commutation(n, sampled_table(n, 0.5, 1.25, 0))
