@@ -17,17 +17,13 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import __version__
-from .clt import ExperimentConfig, convergence_experiment
+from .clt import ExperimentConfig, _fmt, convergence_experiment
 from .coeffs import MAX_LISTED_SITES, sampled_table
 from .errors import SizeLimitError, ValidationError
 from .fock import FockParams, commutator_residual, gram_matrix, vacuum_moment
 from .jw import build_jw, check_commutation, vacuum_expectation
 from .pairings import PairPartition, cross_nest, enumerate_pair_partitions
 from .wickpoly import QTPolynomial, wick_field, wick_joint, wick_mixed
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 class Metadata(dict):

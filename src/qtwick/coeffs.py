@@ -170,8 +170,6 @@ class CoefficientTable:
         self._covered = int(gaps[0]) if gaps.size else packed.size
         # the pair (i, j) has rank _row_start[j] + i
         self._row_start = [_pair_rank(0, j) for j in range(self.max_index + 1)]
-        # Python floats for single-entry reads, built on the first one
-        self._values: list[float] | None = None
 
     @property
     def max_index(self) -> int:
@@ -193,11 +191,8 @@ class CoefficientTable:
     def base_value(self, i: int, j: int) -> float:
         """Base value mu(i, j) for 0 < i < j."""
         if 0 < i < j:
-            values = self._values
-            if values is None:
-                values = self._values = self._packed.tolist()
             try:
-                m = values[self._row_start[j] + i]
+                m = self._packed.item(self._row_start[j] + i)
             except IndexError:
                 m = 0.0
             if m:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coeffs import CoefficientTable
+from .coeffs import CoefficientTable, _pair_rank
 from .errors import SizeLimitError
 from .wickpoly import LETTERS
 
@@ -121,13 +121,15 @@ def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> 
     """Chain element i (or its adjoint) on an n-slot chain."""
     if not 1 <= i <= n:
         raise ValueError(f"site {i} outside 1..{n}")
-    if n >= 2 and not table.covers(n):
-        raise ValueError(f"coefficient table does not cover all pairs up to {n}")
+    # mu(j, i) for j = 1..i-1 are consecutive in pair-rank order; packed(n)
+    # raises unless the table covers every pair up to n
+    first = _pair_rank(1, i)
+    column = table.packed(n)[first:first + i - 1].tolist()
     sq = math.sqrt(table.t)
     slots = []
     for j in range(1, n + 1):
         if j < i:
-            slots.append(diagonal(1.0, sq * table.base_value(j, i)))
+            slots.append(diagonal(1.0, sq * column[j - 1]))
         elif j == i:
             slots.append(RAISE if adjoint else LOWER)
         else:
@@ -135,11 +137,7 @@ def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> 
     return MonomialOperator(n, tuple(slots))
 
 
-def apply_monomial(op: MonomialOperator, state: SparseState) -> SparseState:
-    return op.apply(state)
-
-
-def vacuum_state(n: int) -> SparseState:
+def vacuum_state() -> SparseState:
     return {0: 1.0}
 
 
@@ -151,7 +149,7 @@ def vacuum_expectation(
     op_seq lists (site, adjoint) factors in product order, left to right; the
     rightmost factor acts first.
     """
-    state = vacuum_state(n)
+    state = vacuum_state()
     for site, adjoint in reversed(op_seq):
         state = build_jw(n, site, table, adjoint).apply(state)
         if not state:

@@ -1,10 +1,14 @@
 """Independent naive oracles, deliberately written along different lines than
 the library: set partitions come from restricted-growth strings and are
 filtered down to pairings, chord statistics come from interval containment,
-and the inner product sums over all of S_n without letter grouping."""
+the inner product sums over all of S_n without letter grouping, and chain
+moments walk a dict of occupation bitmasks one state and one site at a time."""
 
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -121,3 +125,68 @@ def sample_base(n: int, q: float, t: float, seed: int) -> dict[tuple[int, int], 
             u = uniform01(derive_seed(seed, (j - 1) * (j - 2) // 2 + (i - 1)))
             base[(i, j)] = 1.0 if u < p_plus else -1.0
     return base
+
+
+def _set_bits(mask: int) -> list[int]:
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def _apply_sum(
+    state: dict[int, float], letter: str, mu: np.ndarray, sq: float, n: int
+) -> dict[int, float]:
+    """One letter sum over sites 1..n on a dict {occupation bitmask: amplitude},
+    state by state and site by site, dropping keys whose sum hits 0.0."""
+    out: dict[int, float] = {}
+    if letter == "*":
+        for mask, amp in state.items():
+            bits = _set_bits(mask)
+            lead = amp * sq ** len(bits)
+            prods = np.ones(n)
+            for j in bits:
+                prods[j + 1:] *= mu[j, j + 1:]
+            for i in range(n):
+                if (mask >> i) & 1:
+                    continue
+                new = mask | (1 << i)
+                s = out.get(new, 0.0) + lead * prods[i]
+                if s == 0.0:
+                    out.pop(new, None)
+                else:
+                    out[new] = s
+    else:
+        for mask, amp in state.items():
+            bits = _set_bits(mask)
+            lead = amp * sq ** (len(bits) - 1)
+            for pos, i in enumerate(bits):
+                coeff = lead
+                for j in bits[:pos]:
+                    coeff *= mu[j, i]
+                new = mask ^ (1 << i)
+                s = out.get(new, 0.0) + coeff
+                if s == 0.0:
+                    out.pop(new, None)
+                else:
+                    out[new] = s
+    return out
+
+
+def sum_moment(n: int, eps: str, table) -> float:
+    """partial_sum_moment on a dict of bitmask states, one state and one site
+    at a time."""
+    mu = table.base_matrix(n)
+    sq = math.sqrt(table.t)
+    state = {0: 1.0}
+    for letter in reversed(eps):
+        state = _apply_sum(state, letter, mu, sq, n)
+        if not state:
+            break
+    vac = float(state.get(0, 0.0))
+    r = len(eps)
+    if r % 2 == 0:
+        return vac / float(n ** (r // 2))
+    return vac / float(n) ** (r / 2)

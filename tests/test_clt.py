@@ -1,9 +1,15 @@
 import itertools
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _brute
 from qtwick import (
+    CoefficientTable,
     ExperimentConfig,
     ExperimentReport,
     PairPartition,
@@ -17,6 +23,8 @@ from qtwick import (
     vacuum_expectation,
     wick_mixed,
 )
+from qtwick.clt import MAX_SUM_STATES, peak_popcount
+from qtwick.cli import main
 
 CROSSING = PairPartition(((1, 3), (2, 4)))
 NESTING = PairPartition(((1, 4), (2, 3)))
@@ -45,6 +53,92 @@ def test_moment_agrees_with_site_by_site_sum():
             brute += vacuum_expectation(ops, n, table)
         brute /= n ** (len(eps) // 2)
         assert partial_sum_moment(n, eps, table) == pytest.approx(brute, abs=1e-12)
+
+
+BALANCED = [
+    "".join(w)
+    for length in range(0, 9, 2)
+    for w in itertools.product("1*", repeat=length)
+    if w.count("1") == length // 2
+]
+# odd orders and unbalanced words; BALANCED already holds the words that
+# start with '*' or end with '1', whose walk dies before the last factor
+VANISHING = [
+    "1", "*", "111", "1*1", "11*", "*1*", "**", "**1*1", "1*1**", "*11**", "1*1*1*1",
+]
+
+
+@pytest.mark.parametrize("q", [1.25, -1.25, 0.0])
+def test_moment_engine_equals_dict_oracle(q):
+    # with q = +-t every base value is +1 (or every one -1) whatever the
+    # seed; with q = 0 the signs are random, sums cancel to exactly 0.0, and
+    # keys get dropped and reinserted at the end of the order
+    for n in (1, 2, 7, 30):
+        for seed in (0, 5, 11) if q == 0.0 else (0,):
+            table = sampled_table(n, q, 1.25, seed)
+            for eps in BALANCED + VANISHING:
+                got = partial_sum_moment(n, eps, table)
+                assert got == _brute.sum_moment(n, eps, table), (n, seed, eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=st.text(alphabet="1*", max_size=8).filter(lambda e: peak_popcount(e) <= 4),
+    n=st.integers(1, 24),
+    seed=st.integers(0, 2**64 - 1),
+    ratio=st.floats(-1.0, 1.0),
+    t=st.floats(0.1, 4.0),
+)
+def test_moment_engine_equals_dict_oracle_property(eps, n, seed, ratio, t):
+    table = sampled_table(n, ratio * t, t, seed)
+    assert partial_sum_moment(n, eps, table) == _brute.sum_moment(n, eps, table)
+
+
+def test_moment_engine_equals_dict_oracle_on_general_values():
+    # products of generic values round, so the order of every factor counts
+    n = 12
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        pairs = n * (n - 1) // 2
+        values = rng.uniform(0.2, 3.0, pairs) * rng.choice([-1, 1], pairs)
+        table = CoefficientTable(values, 1.7)
+        for eps in BALANCED + VANISHING:
+            assert partial_sum_moment(n, eps, table) == _brute.sum_moment(n, eps, table), eps
+
+
+def test_peak_popcount():
+    assert peak_popcount("") == 0
+    assert peak_popcount("1*") == 1
+    assert peak_popcount("111***") == 3
+    assert peak_popcount("1111****") == 4
+    assert peak_popcount("1*1*1*1*") == 1
+    assert peak_popcount("**") == 2
+    assert peak_popcount("****1") == 0  # the first factor kills the vacuum
+
+
+def test_state_cap():
+    # the largest runs of the baseline stay admitted
+    assert math.comb(200, peak_popcount("111***")) <= MAX_SUM_STATES
+    assert math.comb(100, peak_popcount("1111****")) <= MAX_SUM_STATES
+    assert math.comb(400, peak_popcount("111***")) <= MAX_SUM_STATES
+    table = sampled_table(3, 0.5, 1.25, 0)
+    with pytest.raises(SizeLimitError, match="states"):
+        partial_sum_moment(400, "1111****", table)
+    ok = ExperimentConfig(mode="moment", eps="1111****", q=0.5, t=1.25, ns=(100,), seed=0)
+    assert ok.validate() == []
+    big = ExperimentConfig(mode="moment", eps="1111****", q=0.5, t=1.25, ns=(400,), seed=0)
+    assert any("states" in p for p in big.validate())
+    with pytest.raises(ValidationError, match="states"):
+        convergence_experiment(big)
+
+
+def test_state_cap_exits_2(capsys):
+    code = main(
+        ["clt", "--mode", "moment", "--eps", "1111****", "--q", "0.5", "--t", "1.25",
+         "--ns", "400"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and "states" in err and "internal error" not in err
 
 
 def test_moment_validation():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,20 @@ def test_single_reads_return_python_floats():
         for e1, e2 in itertools.product("1*", repeat=2):
             assert type(table.lookup(e1, e2, 1, 2)) is float
             assert type(table.lookup(e1, e2, 2, 1)) is float
+
+
+def test_single_read_copies_nothing():
+    # a Python list of the 2M values would take about 80 MB
+    table = sampled_table(2048, 0.5, 1.25, 4)
+    tracemalloc.start()
+    try:
+        value = table.lookup("1", "*", 7, 2000)
+        assert table.base_value(2047, 2048) in (1.0, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 1.0 / (1.25 * table.base_value(7, 2000))
+    assert peak < 64 * 1024
 
 
 def test_normal_order_examples(table):

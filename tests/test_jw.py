@@ -14,9 +14,8 @@ from qtwick import (
     normal_order,
     sampled_table,
     vacuum_expectation,
-    vacuum_state,
 )
-from qtwick.jw import IDENTITY, LOWER, MAX_VERIFY_SITES, RAISE, diagonal
+from qtwick.jw import IDENTITY, LOWER, MAX_VERIFY_SITES, RAISE, diagonal, vacuum_state
 
 TB = build_table({(1, 2): 0.7}, 2.0)
 
@@ -47,10 +46,10 @@ def test_apply_and_compose():
     sq = math.sqrt(2.0)
     raise1 = build_jw(2, 1, TB, adjoint=True)
     raise2 = build_jw(2, 2, TB, adjoint=True)
-    assert raise1.apply(vacuum_state(2)) == {1: 1.0}
-    state = raise2.apply(raise1.apply(vacuum_state(2)))
+    assert raise1.apply(vacuum_state()) == {1: 1.0}
+    state = raise2.apply(raise1.apply(vacuum_state()))
     assert state == {3: pytest.approx(sq * 0.7)}
-    assert (raise2 @ raise1).apply(vacuum_state(2)) == {
+    assert (raise2 @ raise1).apply(vacuum_state()) == {
         3: pytest.approx(sq * 0.7)
     }
 
