@@ -22,7 +22,7 @@ from .coeffs import MAX_LISTED_SITES, sampled_table
 from .errors import SizeLimitError, ValidationError
 from .fock import FockParams, commutator_residual, gram_matrix, vacuum_moment
 from .jw import build_jw, check_commutation, vacuum_expectation
-from .pairings import PairPartition, cross_nest, enumerate_pair_partitions
+from .pairings import PairPartition, _braced, enumerate_counted_pairings
 from .wickpoly import QTPolynomial, wick_field, wick_joint, wick_mixed
 
 
@@ -65,14 +65,12 @@ def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
 # ---------------------------------------------------------------- pairings
 
 def _pairings_artifact(meta: Metadata, fmt: str) -> str:
-    n = meta.number("n")
-    rows = []
-    text_lines = []
-    for p in enumerate_pair_partitions(n):
-        rep = cross_nest(p)
-        rows.append(["; ".join(f"{w}-{z}" for w, z in p.pairs), str(rep.cross), str(rep.nest)])
-        text_lines.append(f"{p} cross={rep.cross},nest={rep.nest}")
-    return _render(meta, ["pairs", "cross", "nest"], rows, fmt, text_lines)
+    counted = enumerate_counted_pairings(meta.number("n"))
+    if fmt == "text":  # the rows would go unused, and vice versa
+        lines = [f"{_braced(pairs)} cross={cross},nest={nest}" for pairs, cross, nest in counted]
+        return _render(meta, [], [], fmt, lines)
+    rows = [["; ".join(f"{w}-{z}" for w, z in pairs), str(c), str(s)] for pairs, c, s in counted]
+    return _render(meta, ["pairs", "cross", "nest"], rows, fmt)
 
 
 # -------------------------------------------------------------------- wick

@@ -29,6 +29,8 @@ MAX_LISTED_SITES = 768
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# pairs drawn per step of sample_packed
+_SAMPLE_CHUNK = 1 << 16
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -93,11 +95,17 @@ def sample_packed(n: int, q: float, t: float, seed: int) -> np.ndarray:
         raise ValidationError("need n >= 1")
     if n > MAX_TABLE_SITES:
         raise SizeLimitError(f"{n} sites exceed the {MAX_TABLE_SITES}-site table cap")
-    bits = _derive_seeds(seed, 0, _pair_count(n))
-    bits >>= 11
-    u = bits.astype(np.float64)
-    u *= 2.0**-53
-    return np.where(u < 0.5 * (1.0 + q / t), 1.0, -1.0)
+    p_plus = 0.5 * (1.0 + q / t)
+    count = _pair_count(n)
+    out = np.empty(count)
+    # in chunks, so that the bits and uniforms of the whole table are never alive
+    for start in range(0, count, _SAMPLE_CHUNK):
+        bits = _derive_seeds(seed, start, min(_SAMPLE_CHUNK, count - start))
+        bits >>= 11
+        u = bits.astype(np.float64)
+        u *= 2.0**-53
+        out[start:start + u.size] = np.where(u < p_plus, 1.0, -1.0)
+    return out
 
 
 class PackedBase(Mapping):
@@ -147,7 +155,8 @@ class CoefficientTable:
     The base values live in one float64 array indexed by pair rank, so the
     table restricted to n sites is the prefix of length n(n-1)/2.  `base` is
     either a mapping {(i, j): value}, which may leave pairs out, or a
-    sequence of nonzero values in pair-rank order.
+    sequence of nonzero values in pair-rank order.  A float64 array that owns
+    its data is taken over without a copy and made read-only.
     """
 
     def __init__(self, base: Mapping[tuple[int, int], float] | Sequence[float], t: float):
@@ -155,7 +164,8 @@ class CoefficientTable:
         if isinstance(base, Mapping):
             packed = _pack(base)
         else:
-            packed = np.array(base, dtype=np.float64)
+            owned = isinstance(base, np.ndarray) and base.dtype == np.float64 and base.base is None
+            packed = base if owned else np.array(base, dtype=np.float64)
             if packed.ndim != 1:
                 raise ValidationError("packed base values must form a 1-d array")
             if not packed.all():

@@ -8,7 +8,6 @@ tuples to pairings.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -18,12 +17,14 @@ from .errors import SizeLimitError
 # (2n-1)!! pairings; n = 8 already means 2,027,025 of them.
 MAX_ENUMERATION_PAIRS = 8
 
+Pairs = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class PairPartition:
     """Perfect matching of {1,...,2n} in canonical (w, z) order."""
 
-    pairs: tuple[tuple[int, int], ...]
+    pairs: Pairs
 
     def __post_init__(self) -> None:
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
@@ -57,8 +58,11 @@ class PairPartition:
         return out
 
     def __str__(self) -> str:
-        inner = ",".join(f"({w},{z})" for w, z in self.pairs)
-        return "{" + inner + "}"
+        return _braced(self.pairs)
+
+
+def _braced(pairs: Pairs) -> str:
+    return "{" + ",".join(f"({w},{z})" for w, z in pairs) + "}"
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,6 @@ class CrossNestReport:
         return len(self.nestings)
 
 
-@functools.lru_cache(maxsize=65536)
 def cross_nest(partition: PairPartition) -> CrossNestReport:
     """Classify every pair of pairs as crossing, nesting, or disjoint."""
     pairs = partition.pairs
@@ -154,32 +157,47 @@ def cross_nest_counts(partition: PairPartition) -> tuple[int, int]:
     return report.cross, report.nest
 
 
+def _placements(free: tuple[int, ...], placed: Pairs = (), cross: int = 0, nest: int = 0):
+    """Yield (pairs, crossings, nestings) for every way of pairing up the
+    points `free` after the pairs `placed`, in lexicographic pair-list order.
+    Each new pair (a, b) opens at the smallest free point, so a pair (w, z)
+    placed before it has w < a: it crosses (a, b) when a < z < b and nests
+    it when z > b."""
+    if not free:
+        yield placed, cross, nest
+        return
+    a = free[0]
+    for k in range(1, len(free)):
+        b = free[k]
+        c, s = cross, nest
+        for _, z in placed:
+            if z > b:
+                s += 1
+            elif z > a:
+                c += 1
+        yield from _placements(free[1:k] + free[k + 1:], placed + ((a, b),), c, s)
+
+
 def iter_pair_partitions(n: int) -> Iterator[PairPartition]:
     """Yield all pair partitions of {1,...,2n} in lexicographic pair-list order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    def rec(free: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if not free:
-            yield ()
-            return
-        a = free[0]
-        for k in range(1, len(free)):
-            b = free[k]
-            rest = free[1:k] + free[k + 1:]
-            for tail in rec(rest):
-                yield ((a, b),) + tail
-
-    for pairs in rec(tuple(range(1, 2 * n + 1))):
+    for pairs, _, _ in _placements(tuple(range(1, 2 * n + 1))):
         yield PairPartition(pairs)
 
 
-def enumerate_pair_partitions(n: int) -> list[PairPartition]:
-    """All (2n-1)!! pair partitions of {1,...,2n}; hard-capped at n <= 8."""
+def enumerate_counted_pairings(n: int) -> list[tuple[Pairs, int, int]]:
+    """(pairs, crossings, nestings) of all (2n-1)!! pair partitions of
+    {1,...,2n}, counted while the pairs are placed; hard-capped at n <= 8."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_ENUMERATION_PAIRS:
         raise SizeLimitError(
             f"refusing to enumerate (2n-1)!! pairings for n={n} > {MAX_ENUMERATION_PAIRS}"
         )
-    return list(iter_pair_partitions(n))
+    return list(_placements(tuple(range(1, 2 * n + 1))))
+
+
+def enumerate_pair_partitions(n: int) -> list[PairPartition]:
+    """All (2n-1)!! pair partitions of {1,...,2n}; hard-capped at n <= 8."""
+    return [PairPartition(pairs) for pairs, _, _ in enumerate_counted_pairings(n)]

@@ -7,11 +7,11 @@ value looked up from the letter pattern at its two endpoints.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import SizeLimitError
-from .pairings import cross_nest_counts, iter_pair_partitions
 
 Scalar = Union[int, float, Fraction]
 
@@ -178,16 +178,52 @@ def _check_pair_count(r: int) -> None:
         )
 
 
+def _pairing_sum(eps: str, labels: tuple, cov: Mapping[tuple[str, str], Fraction]) -> QTPolynomial:
+    """Sum over the pairings of eps that join equal labels of the product of
+    cov(opener letter, closer letter) over the pairs times q^cross * t^nest.
+
+    A left-to-right DP whose state is the stack of open (letter, label)
+    items, oldest first, mapped to its exact polynomial.  A position opens an
+    item or closes the item at stack index j; the h-1-j items opened after it
+    cross the new pair and the j before it nest it, so each crossing and
+    nesting is charged once, as q^(h-1-j) * t^j.  Weights are scaled by a
+    common denominator to keep the DP in ints, and divided out at the end.
+    """
+    r = len(eps)
+    den = math.lcm(*(v.denominator for v in cov.values()))
+    cov = {key: int(v * den) for key, v in cov.items()}
+    items = list(zip(eps, labels))
+    # opening at a position helps only if some later position can close it
+    opens = [
+        any(lab == later_lab and cov.get((e, later_e)) for later_e, later_lab in items[pos + 1:])
+        for pos, (e, lab) in enumerate(items)
+    ]
+    states: dict[tuple, dict[tuple[int, int], int]] = {(): {(0, 0): 1}}
+    for pos, (e, lab) in enumerate(items):
+        nxt: dict[tuple, dict[tuple[int, int], int]] = {}
+        for stack, poly in states.items():
+            h = len(stack)
+            # (next stack, q-degree, t-degree, weight); never more open items than positions left
+            moves = [(stack + ((e, lab),), 0, 0, 1)] if opens[pos] and h < r - pos - 1 else []
+            for j, (opener, opener_lab) in enumerate(stack):
+                c = cov.get((opener, e)) if opener_lab == lab else None
+                if c:
+                    moves.append((stack[:j] + stack[j + 1:], h - 1 - j, j, c))
+            for key, dq, dt, c in moves:
+                out = nxt.setdefault(key, {})
+                for (a, b), v in poly.items():
+                    out[(a + dq, b + dt)] = out.get((a + dq, b + dt), 0) + c * v
+        states = nxt
+    scale = Fraction(1, den ** (r // 2))
+    return QTPolynomial({key: v * scale for key, v in states.get((), {}).items()})
+
+
 def wick_field(n: int) -> QTPolynomial:
     """Sum of q^cross * t^nest over all pair partitions of {1,...,2n}."""
     if n < 0:
         raise ValueError("need n >= 0")
     _check_pair_count(2 * n)
-    total = QTPolynomial.zero()
-    for p in iter_pair_partitions(n):
-        c, nst = cross_nest_counts(p)
-        total += QTPolynomial.monomial(c, nst)
-    return total
+    return _pairing_sum("1" * (2 * n), (None,) * (2 * n), {("1", "1"): Fraction(1)})
 
 
 def wick_mixed(
@@ -200,20 +236,7 @@ def wick_mixed(
     """
     check_eps(eps)
     _check_pair_count(len(eps))
-    if len(eps) % 2 == 1:
-        return QTPolynomial.zero()
-    cov_map = _normalize_covariance(cov)
-    total = QTPolynomial.zero()
-    for p in iter_pair_partitions(len(eps) // 2):
-        weight = Fraction(1)
-        for w, z in p.pairs:
-            weight *= cov_map.get((eps[w - 1], eps[z - 1]), Fraction(0))
-            if not weight:
-                break
-        if weight:
-            c, nst = cross_nest_counts(p)
-            total += QTPolynomial.monomial(c, nst, weight)
-    return total
+    return _pairing_sum(eps, (None,) * len(eps), _normalize_covariance(cov))
 
 
 def wick_joint(
@@ -230,20 +253,4 @@ def wick_joint(
             f"{len(labels)} labels but pattern of length {len(eps)}"
         )
     _check_pair_count(len(eps))
-    if len(eps) % 2 == 1:
-        return QTPolynomial.zero()
-    cov_map = _normalize_covariance(cov)
-    total = QTPolynomial.zero()
-    for p in iter_pair_partitions(len(eps) // 2):
-        weight = Fraction(1)
-        for w, z in p.pairs:
-            if labels[w - 1] != labels[z - 1]:
-                weight = Fraction(0)
-                break
-            weight *= cov_map.get((eps[w - 1], eps[z - 1]), Fraction(0))
-            if not weight:
-                break
-        if weight:
-            c, nst = cross_nest_counts(p)
-            total += QTPolynomial.monomial(c, nst, weight)
-    return total
+    return _pairing_sum(eps, labels, _normalize_covariance(cov))

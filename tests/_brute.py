@@ -4,6 +4,7 @@ filtered down to pairings, chord statistics come from interval containment,
 the inner product sums over all of S_n without letter grouping, and chain
 moments walk a dict of occupation bitmasks one state and one site at a time."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -33,13 +34,14 @@ def set_partitions_rgs(r: int):
         yield tuple(tuple(blocks[b]) for b in sorted(blocks))
 
 
-def pairings_rgs(n: int) -> list[Pairs]:
+@functools.cache
+def pairings_rgs(n: int) -> tuple[Pairs, ...]:
     """Pair partitions of 1..2n obtained by filtering all set partitions."""
     out = []
     for blocks in set_partitions_rgs(2 * n):
         if all(len(b) == 2 for b in blocks):
             out.append(tuple((b[0], b[1]) for b in blocks))
-    return out
+    return tuple(out)
 
 
 def chord_stats(pairs: Pairs) -> tuple[int, int]:

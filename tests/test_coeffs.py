@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _brute
 from qtwick import (
@@ -24,7 +26,7 @@ from qtwick import (
     sample_packed,
     sampled_table,
 )
-from qtwick.coeffs import MAX_TABLE_SITES, _beta_closed_form, _pair_rank
+from qtwick.coeffs import _SAMPLE_CHUNK, MAX_TABLE_SITES, _beta_closed_form, _pair_rank
 
 
 @pytest.fixture
@@ -203,6 +205,68 @@ def test_packed_table_is_prefix_stable():
         big.packed(121)
     with pytest.raises(ValueError):
         big.packed(5)[0] = 2.0  # views of the table are read-only
+
+
+# 363 sites hold 65703 pairs, past the sampler's first chunk of 65536
+_PAST_FIRST_CHUNK = 363
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    sizes=st.lists(st.integers(min_value=1, max_value=_PAST_FIRST_CHUNK), min_size=2, max_size=2),
+    ratio=st.floats(min_value=-1.0, max_value=1.0),
+    t=st.floats(min_value=0.01, max_value=100.0),
+)
+def test_sample_packed_restriction_property(seed, sizes, ratio, t):
+    n, m = sorted(sizes)
+    q = ratio * t
+    if abs(q) > t:  # the product can round past t
+        q = math.copysign(t, q)
+    small = sample_packed(n, q, t, seed)
+    assert np.array_equal(small, sample_packed(m, q, t, seed)[: small.size])
+
+
+def test_sampler_chunks_cover_the_table():
+    count = _PAST_FIRST_CHUNK * (_PAST_FIRST_CHUNK - 1) // 2
+    assert count > _SAMPLE_CHUNK
+    want = [_brute.uniform01(_brute.derive_seed(9, k)) < 0.5 * (1.0 + 0.2 / 1.1)
+            for k in range(_SAMPLE_CHUNK - 3, count)]
+    got = sample_packed(_PAST_FIRST_CHUNK, 0.2, 1.1, 9)[_SAMPLE_CHUNK - 3:]
+    assert got.tolist() == [1.0 if w else -1.0 for w in want]
+
+
+def test_sampled_table_holds_one_copy():
+    # the table of 2048 sites is 16.8 MB; the whole-table bits, uniforms and
+    # np.where output used to be alive together, and the table copied them
+    n = 2048
+    nbytes = 8 * n * (n - 1) // 2
+    tracemalloc.start()
+    try:
+        packed = sample_packed(n, 0.5, 1.25, 3)
+        sample_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = sampled_table(n, 0.5, 1.25, 3)
+        table_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table.packed(n), packed)
+    # one table plus about 2 MB of per-chunk temporaries; then one more table
+    # (the first is still alive) and the bool masks of the checks
+    assert sample_peak < 1.25 * nbytes
+    assert table_peak < 2.5 * nbytes
+
+
+def test_owned_array_is_taken_over():
+    packed = sample_packed(40, 0.5, 1.25, 1)
+    table = CoefficientTable(packed, 1.25)
+    assert not packed.flags.writeable
+    assert np.shares_memory(table.packed(40), packed)
+    # anything else, a view among them, is copied and left as it was
+    whole = np.ones(10)
+    view = CoefficientTable(whole[:6], 2.0)
+    whole[0] = -1.0
+    assert whole.flags.writeable and view.base_value(1, 2) == 1.0
 
 
 def _double_loop_matrix(table, n):

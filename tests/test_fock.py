@@ -22,6 +22,8 @@ from qtwick import (
     wick_joint,
 )
 
+from qtwick.fock import MAX_GRAM_WORDS, MAX_INNER_DEGREE
+
 from _brute import inner_product_full_sn
 
 P = FockParams(d=2, m=4, q=0.3, t=0.8)
@@ -108,9 +110,10 @@ def test_inner_product_bilinear_and_capped():
     u = {(1,): 2.0, (2,): -1.0}
     v = {(1,): 0.5}
     assert inner_product(u, v, P) == pytest.approx(2.0 * 0.5 * 1.0)
-    big = FockParams(d=1, m=9, q=0.5, t=1.0)
+    deg = MAX_INNER_DEGREE + 1
+    big = FockParams(d=1, m=deg, q=0.5, t=1.0)
     with pytest.raises(SizeLimitError):
-        inner_product({(1,) * 9: 1.0}, {(1,) * 9: 1.0}, big)
+        inner_product({(1,) * deg: 1.0}, {(1,) * deg: 1.0}, big)
     with pytest.raises(TruncationError):
         inner_product({(1, 1): 1.0}, {(1, 1): 1.0}, FockParams(d=1, m=1, q=0.5, t=1.0))
 
@@ -196,7 +199,64 @@ def test_gram_matrix_positive_definite_in_hilbert_regime(qt):
 
 
 def test_gram_matrix_caps():
+    deg = MAX_INNER_DEGREE + 1
     with pytest.raises(SizeLimitError):
-        gram_matrix(9, FockParams(d=1, m=9, q=0.1, t=1.0))
+        gram_matrix(deg, FockParams(d=1, m=deg, q=0.1, t=1.0))
     with pytest.raises(SizeLimitError):
-        gram_matrix(5, FockParams(d=4, m=5, q=0.1, t=1.0))
+        gram_matrix(1, FockParams(d=MAX_GRAM_WORDS + 1, m=1, q=0.1, t=1.0))
+
+
+# non-dyadic parameters, where a different summation order shows in the bits
+ORACLE_QT = [(0.3, 0.9), (-0.4, 0.7)]
+
+
+def _words(d, n):
+    return list(itertools.product(range(1, d + 1), repeat=n))
+
+
+@pytest.mark.parametrize("qt", ORACLE_QT)
+def test_gram_matrix_against_full_sn(qt):
+    q, t = qt
+    for d, n in [(1, 6), (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)]:
+        params = FockParams(d=d, m=n, q=q, t=t)
+        got = gram_matrix(n, params)
+        words = _words(d, n)
+        want = np.array([[inner_product_full_sn(u, v, q, t) for v in words] for u in words])
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("qt", ORACLE_QT)
+def test_inner_product_of_vectors_against_full_sn(qt):
+    q, t = qt
+    params = FockParams(d=3, m=5, q=q, t=t)
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 4, 5):
+        words = _words(3, n)
+        for _ in range(4):
+            picks = rng.choice(len(words), size=(2, 6))
+            coeffs = rng.uniform(-1.0, 1.0, size=(2, 6))
+            u = {words[k]: c for k, c in zip(picks[0], coeffs[0])}
+            v = {words[k]: c for k, c in zip(picks[1], coeffs[1])}
+            want = sum(
+                cu * cv * inner_product_full_sn(wu, wv, q, t)
+                for wu, cu in u.items()
+                for wv, cv in v.items()
+            )
+            assert inner_product(u, v, params) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("qt", ORACLE_QT + [(0.5, 1.25)])
+def test_annihilation_is_adjoint_to_creation_under_the_sn_oracle(qt):
+    # <c_i u, v> by the S_n sum on one side, <u, a_i v> by the library on the
+    # other; both sides by the library would hold by construction
+    q, t = qt
+    params = FockParams(d=2, m=5, q=q, t=t)
+    for n in range(0, 5):
+        for u in _words(2, n):
+            for v in _words(2, n + 1):
+                for i in (1, 2):
+                    lhs = inner_product_full_sn((i,) + u, v, q, t)
+                    rhs = inner_product({u: 1.0}, annihilate(i, {v: 1.0}, params), params)
+                    assert abs(lhs - rhs) <= 1e-12

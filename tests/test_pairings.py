@@ -10,6 +10,7 @@ from qtwick import (
     class_of,
     cross_nest,
     cross_nest_counts,
+    enumerate_counted_pairings,
     enumerate_pair_partitions,
     iter_pair_partitions,
 )
@@ -102,6 +103,18 @@ def test_counts_agree_with_interval_oracle():
     for n in range(1, 6):
         for p in enumerate_pair_partitions(n):
             assert cross_nest_counts(p) == chord_stats(p.pairs)
+
+
+def test_counted_enumeration_agrees_with_oracle():
+    for n in range(1, 7):
+        counted = enumerate_counted_pairings(n)
+        assert [pairs for pairs, _, _ in counted] == [p.pairs for p in enumerate_pair_partitions(n)]
+        for pairs, cross, nest in counted:
+            assert (cross, nest) == chord_stats(pairs)
+    with pytest.raises(SizeLimitError):
+        enumerate_counted_pairings(9)
+    with pytest.raises(ValueError):
+        enumerate_counted_pairings(0)
 
 
 def test_cross_nest_disjoint_partition_of_pairs_of_blocks():

@@ -1,11 +1,28 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtwick import QTPolynomial, poly_eval, wick_field, wick_joint, wick_mixed
+from qtwick import (
+    QTPolynomial,
+    SizeLimitError,
+    enumerate_counted_pairings,
+    poly_eval,
+    wick_field,
+    wick_joint,
+    wick_mixed,
+)
+from qtwick.cli import main
+from qtwick.wickpoly import MAX_WICK_PAIRS
 
 from _brute import wick_sum
+
+LETTER_PAIRS = [(a, b) for a in "1*" for b in "1*"]
 
 
 def test_polynomial_arithmetic():
@@ -120,3 +137,74 @@ def test_against_brute_oracle():
                 == wick_sum(eps, labels=labels, cov=cov)
             )
     assert wick_field(4).terms == wick_sum("1" * 8, cov={("1", "1"): 1})
+
+
+def _random_cov(rng):
+    return {pair: Fraction(rng.randrange(-3, 4), rng.randrange(1, 5)) for pair in LETTER_PAIRS}
+
+
+def _assert_matches_oracle(got, eps, labels=None, cov=None):
+    if eps:
+        assert got.terms == wick_sum(eps, labels=labels, cov=cov)
+    else:
+        # the empty word has the empty pairing; the oracle lists none
+        assert got == QTPolynomial.one()
+
+
+def test_every_word_up_to_eight_letters_matches_the_oracle():
+    rng = random.Random(2)
+    for r in range(9):
+        for letters in itertools.product("1*", repeat=r):
+            eps = "".join(letters)
+            labels = tuple(rng.randrange(2) for _ in eps)
+            cov = _random_cov(rng)
+            _assert_matches_oracle(wick_mixed(eps), eps)
+            _assert_matches_oracle(wick_mixed(eps, cov), eps, cov=cov)
+            _assert_matches_oracle(wick_joint(labels, eps), eps, labels=labels)
+            _assert_matches_oracle(wick_joint(labels, eps, cov), eps, labels=labels, cov=cov)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    eps=st.text(alphabet="1*", max_size=8),
+    cov=st.none() | st.dictionaries(
+        st.sampled_from(LETTER_PAIRS),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    ),
+)
+def test_pairing_sum_matches_oracle_property(data, eps, cov):
+    labels = tuple(data.draw(st.lists(st.integers(0, 2), min_size=len(eps), max_size=len(eps))))
+    _assert_matches_oracle(wick_mixed(eps, cov), eps, cov=cov)
+    _assert_matches_oracle(wick_joint(labels, eps, cov), eps, labels=labels, cov=cov)
+
+
+def test_field_matches_enumerated_counts():
+    # up to n = 6, past the oracle's reach (it filters all set partitions)
+    for n in range(1, 7):
+        counts = Counter((c, s) for _, c, s in enumerate_counted_pairings(n))
+        assert wick_field(n).terms == counts
+
+
+def test_field_identities_up_to_the_cap():
+    for n in range(MAX_WICK_PAIRS + 1):
+        f = wick_field(n)
+        assert sum(f.terms.values()) == math.prod(range(1, 2 * n, 2))
+        catalan = math.comb(2 * n, n) // (n + 1)
+        # noncrossing pairings (q = 0) and nonnesting ones (t = 0) are Catalan
+        assert sum(c for (a, _), c in f.terms.items() if a == 0) == catalan
+        assert sum(c for (_, b), c in f.terms.items() if b == 0) == catalan
+
+
+def test_pair_cap():
+    r = 2 * (MAX_WICK_PAIRS + 1)
+    with pytest.raises(SizeLimitError):
+        wick_field(MAX_WICK_PAIRS + 1)
+    with pytest.raises(SizeLimitError):
+        wick_mixed("1*" * (MAX_WICK_PAIRS + 1))
+    with pytest.raises(SizeLimitError):
+        wick_joint((0,) * r, "1" * r)
+    assert main(["wick", "--field", str(MAX_WICK_PAIRS + 1)]) == 2
+    # the worst entry point at the cap: every letter pair correlated
+    full = {pair: 1 for pair in LETTER_PAIRS}
+    assert wick_mixed("1" * (2 * MAX_WICK_PAIRS), full) == wick_field(MAX_WICK_PAIRS)
