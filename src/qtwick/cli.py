@@ -20,7 +20,9 @@ from . import __version__
 from .clt import ExperimentConfig, _fmt, convergence_experiment
 from .coeffs import MAX_LISTED_SITES, sampled_table
 from .errors import SizeLimitError, ValidationError
-from .fock import FockParams, commutator_residual, gram_matrix, vacuum_moment
+from .fock import (
+    FockParams, _check_residual_size, commutator_residual, gram_matrix, vacuum_moment,
+)
 from .jw import build_jw, check_commutation, vacuum_expectation
 from .pairings import PairPartition, _braced, enumerate_counted_pairings
 from .wickpoly import QTPolynomial, wick_field, wick_joint, wick_mixed
@@ -127,6 +129,7 @@ def _fock_artifact(meta: Metadata, fmt: str) -> str:
         value = vacuum_moment(_parse_fock_ops(meta["ops"]), params)
         return _render(meta, ["value"], [[_fmt(value)]], fmt, [f"value = {_fmt(value)}"])
     if op == "residual":
+        _check_residual_size(params, params.d**2)
         rows = []
         text_lines = []
         for f in range(1, params.d + 1):
@@ -509,14 +512,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        meta = _meta_from_args(args)
-        if args.command == "clt":
-            # the report module owns the exact csv schema
-            text = _clt_artifact(meta, args.format)
-        elif args.command == "jw" and meta.get("op") == "dump":
-            text = _jw_artifact(meta, "json")
-        else:
-            text = ARTIFACTS[args.command](meta, args.format)
+        text = ARTIFACTS[args.command](_meta_from_args(args), args.format)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

@@ -10,9 +10,11 @@ requested size and evaluate every smaller size on its restriction.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -21,12 +23,14 @@ from . import __version__
 from .coeffs import (
     MAX_TABLE_SITES,
     CoefficientTable,
+    _closed_form_factors,
+    _coefficient,
     pair_limit_monomial,
     pair_pattern_is_default,
     sampled_table,
 )
 from .errors import SizeLimitError, ValidationError
-from .pairings import PairPartition, cross_nest
+from .pairings import PairPartition
 from .wickpoly import LETTERS, check_eps, wick_mixed
 
 MAX_SUM_SIZE = 400
@@ -36,7 +40,7 @@ MAX_SUM_LENGTH = 8
 # takes 6.7 s and 326 MB, order 8 at 130 sites (11.4M) 8.5 s and 318 MB
 MAX_SUM_STATES = 12_000_000
 MAX_ESTIMATE_TUPLES = 10**7
-MAX_ESTIMATE_PAIRS = 3
+MAX_ESTIMATE_PAIRS = 4
 
 
 # the letter sum runs over candidate (state, site) pairs in chunks of about
@@ -237,37 +241,10 @@ def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndar
     diagonal is filled with ones and must not be read."""
     u = table.packed(n)
     cols, rows = np.tril_indices(n, -1)  # j - 1 and i - 1, in pair-rank order
-    t = table.t
     out = np.ones((n, n))
-    if (e1, e2) == ("*", "*"):
-        out[rows, cols] = u
-        out[cols, rows] = 1.0 / u
-    elif (e1, e2) == ("*", "1"):
-        out[rows, cols] = t * u
-        out[cols, rows] = t * u
-    elif (e1, e2) == ("1", "1"):
-        out[rows, cols] = 1.0 / u
-        out[cols, rows] = u
-    else:
-        out[rows, cols] = 1.0 / (t * u)
-        out[cols, rows] = 1.0 / (t * u)
+    out[rows, cols] = _coefficient(e1, e2, u, table.t, True)
+    out[cols, rows] = _coefficient(e1, e2, u, table.t, False)
     return out
-
-
-def _coefficient_factors(
-    pairing: PairPartition, eps: str
-) -> list[tuple[int, int, str, str]]:
-    """Factors of the closed-form coefficient product as (block a, block b,
-    letter a, letter b), meaning lookup(letter a, letter b, value_a, value_b)."""
-    block = pairing.block_of()
-    factors = []
-    report = cross_nest(pairing)
-    for _, b, c, _ in report.crossings:
-        factors.append((block[c], block[b], eps[c - 1], eps[b - 1]))
-    for _, b, c, d in report.nestings:
-        factors.append((block[d], block[c], eps[d - 1], eps[c - 1]))
-        factors.append((block[d], block[b], eps[d - 1], eps[b - 1]))
-    return factors
 
 
 def limit_coefficient_estimate(
@@ -275,7 +252,13 @@ def limit_coefficient_estimate(
 ) -> float:
     """Average over all tuples in the pairing's class (distinct values per pair,
     values up to n_sites) of the coefficient product indexed by crossings and
-    nestings, normalized by n_sites^pairs."""
+    nestings, normalized by n_sites^pairs.
+
+    The values of blocks 1..n-2 run over distinct tuples; for each, the values
+    of blocks n-1 and n span one [N, N] grid, which every factor multiplies in
+    product order as the whole matrix, a row broadcast along one axis, or a
+    scalar (a factor always runs from an earlier block to a later one).
+    """
     check_eps(eps)
     n = pairing.n
     if len(eps) != 2 * n:
@@ -292,42 +275,37 @@ def limit_coefficient_estimate(
         raise ValidationError(f"need at least {n} sites for {n} distinct values")
     if n_sites >= 2 and not table.covers(n_sites):
         raise ValidationError(f"table does not cover all pairs up to {n_sites}")
-    factors = _coefficient_factors(pairing, eps)
     if n == 1:
         return float(n_sites) / n_sites  # empty product over N tuples
-    mats = {}
-    for a, b, e1, e2 in factors:
-        if (e1, e2) not in mats:
-            mats[(e1, e2)] = _lookup_matrix(table, e1, e2, n_sites)
-    if n == 2:
-        grid = np.ones((n_sites, n_sites))
-        for a, b, e1, e2 in factors:
-            m = mats[(e1, e2)]
-            grid *= m if (a, b) == (1, 2) else m.T
-        np.fill_diagonal(grid, 0.0)
-        return float(grid.sum()) / n_sites**2
+    block = pairing.block_of()
+    mats: dict[tuple[str, str], np.ndarray] = {}
+    # each factor as (array, pick): the array, indexed by the values pick
+    # takes from the outer tuple, is the factor on the grid of blocks n-1, n
+    forms = []
+    for x, y in _closed_form_factors(pairing):
+        letters = (eps[x - 1], eps[y - 1])
+        if letters not in mats:
+            mats[letters] = _lookup_matrix(table, *letters, n_sites)
+        m = mats[letters]
+        # 0-based blocks, a < b; n-2 and n-1 are the grid axes
+        a, b = block[x] - 1, block[y] - 1
+        if a == n - 2:
+            forms.append((m, None))
+        elif b >= n - 2:  # a row of m, along grid axis b
+            forms.append((m[:, :, None] if b == n - 2 else m[:, None, :], itemgetter(a)))
+        else:
+            forms.append((m, itemgetter(a, b)))
     total = 0.0
-    for v1 in range(n_sites):
-        grid = np.ones((n_sites, n_sites))  # axes: value of block 2, block 3
-        for a, b, e1, e2 in factors:
-            m = mats[(e1, e2)]
-            if (a, b) == (2, 3):
-                grid *= m
-            elif (a, b) == (3, 2):
-                grid *= m.T
-            elif (a, b) == (1, 2):
-                grid *= m[v1, :][:, None]
-            elif (a, b) == (2, 1):
-                grid *= m[:, v1][:, None]
-            elif (a, b) == (1, 3):
-                grid *= m[v1, :][None, :]
-            else:  # (3, 1)
-                grid *= m[:, v1][None, :]
-        grid[v1, :] = 0.0
-        grid[:, v1] = 0.0
+    for outer in itertools.permutations(range(n_sites), n - 2):
+        grid = np.ones((n_sites, n_sites))
+        for arr, pick in forms:
+            grid *= arr if pick is None else arr[pick(outer)]
+        for v in outer:
+            grid[v, :] = 0.0
+            grid[:, v] = 0.0
         np.fill_diagonal(grid, 0.0)
         total += float(grid.sum())
-    return total / n_sites**3
+    return total / n_sites**n
 
 
 @dataclass(frozen=True)

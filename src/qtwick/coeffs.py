@@ -149,6 +149,16 @@ def _pack(base: Mapping[tuple[int, int], float]) -> np.ndarray:
     return packed
 
 
+def _coefficient(
+    left: str, right: str, m: float | np.ndarray, t: float, ordered: bool
+) -> float | np.ndarray:
+    """mu_{left,right}(i, j) from the base value m = mu(min, max) of the pair,
+    where ordered tells whether i < j; m may be a float or an array."""
+    if left != right:
+        return t * m if left == "*" else 1.0 / (t * m)
+    return m if (left == "*") == ordered else 1.0 / m
+
+
 class CoefficientTable:
     """Lazy family of commutation coefficients over base values and a scale t.
 
@@ -216,13 +226,7 @@ class CoefficientTable:
         if i == j:
             raise ValueError("coefficients are only defined for distinct indices")
         m = self.base_value(i, j) if i < j else self.base_value(j, i)
-        if i < j:
-            if left == "*":
-                return m if right == "*" else self.t * m
-            return 1.0 / m if right == "1" else 1.0 / (self.t * m)
-        if left == "*":
-            return 1.0 / m if right == "*" else self.t * m
-        return m if right == "1" else 1.0 / (self.t * m)
+        return _coefficient(left, right, m, self.t, i < j)
 
     def base_matrix(self, n: int) -> np.ndarray:
         """(n, n) array with entry [i-1, j-1] = base(i, j) for i < j, zeros elsewhere."""
@@ -231,10 +235,6 @@ class CoefficientTable:
         # the lower triangle of out.T, row by row, is the pair-rank order
         out.T[np.tril_indices(n, -1)] = values
         return out
-
-
-def build_table(base: Mapping[tuple[int, int], float], t: float) -> CoefficientTable:
-    return CoefficientTable(base, t)
 
 
 def sampled_table(n: int, q: float, t: float, seed: int) -> CoefficientTable:
@@ -250,19 +250,26 @@ class NormalOrderResult:
     pattern: str  # letters reordered pairwise: opener, closer, opener, closer, ...
 
 
+def _closed_form_factors(pairing: PairPartition) -> list[tuple[int, int]]:
+    """Positions (x, y) of the coefficients the reordering incurs, one factor
+    lookup(eps[x], eps[y], value[x], value[y]) each, in product order; x is
+    always in the pair that opens first."""
+    report = cross_nest(pairing)
+    # first pair's closer moves past the second pair's opener
+    factors = [(c, b) for _, b, c, _ in report.crossings]
+    for _, b, c, d in report.nestings:
+        # outer closer moves past the inner closer, then the inner opener
+        factors += [(d, c), (d, b)]
+    return factors
+
+
 def _beta_closed_form(
     values: Sequence[int], eps: str, pairing: PairPartition, table: CoefficientTable
 ) -> float:
     """Product over crossings and nestings of the coefficients the reordering incurs."""
-    report = cross_nest(pairing)
     beta = 1.0
-    for _, b, c, _ in report.crossings:
-        # first pair's closer moves past the second pair's opener
-        beta *= table.lookup(eps[c - 1], eps[b - 1], values[c - 1], values[b - 1])
-    for _, b, c, d in report.nestings:
-        # outer closer moves past the inner closer, then the inner opener
-        beta *= table.lookup(eps[d - 1], eps[c - 1], values[d - 1], values[c - 1])
-        beta *= table.lookup(eps[d - 1], eps[b - 1], values[d - 1], values[b - 1])
+    for x, y in _closed_form_factors(pairing):
+        beta *= table.lookup(eps[x - 1], eps[y - 1], values[x - 1], values[y - 1])
     return beta
 
 

@@ -28,6 +28,10 @@ FockVector = dict[Word, float]
 MAX_INNER_DEGREE = 22
 # 2048 words: 0.3 s, and 0.6 s more for the spectrum, 200 MB (4096: 5.5 s)
 MAX_GRAM_WORDS = 2048
+# letters of the words commutator_residual creates, sum_{k <= m-2} (k+1) d^k
+# per call and d^2 times that for the whole `fock --residual` table; at the
+# cap d=1 (m=512) takes 2.4 s, d=362 (m=2) 1.8 s, d >= 2 with m >= 3 0.6 s
+MAX_RESIDUAL_LETTERS = 131_072
 
 OperatorKind = Union[tuple[str, int], tuple[str]]
 
@@ -179,12 +183,26 @@ def inner_product(u: FockVector, v: FockVector, p: FockParams) -> float:
     return total
 
 
+def _check_residual_size(p: FockParams, calls: int = 1) -> None:
+    """Raise SizeLimitError when `calls` runs of commutator_residual would
+    create more than MAX_RESIDUAL_LETTERS letters."""
+    letters = 0
+    for k in range(p.m - 1):
+        letters += calls * (k + 1) * p.d**k
+        if letters > MAX_RESIDUAL_LETTERS:
+            raise SizeLimitError(
+                f"{calls} commutator residual(s) at d={p.d}, m={p.m} exceed the"
+                f" {MAX_RESIDUAL_LETTERS}-letter cap"
+            )
+
+
 def commutator_residual(f: int, g: int, p: FockParams) -> float:
     """Largest Euclidean-norm defect of the relation
     annihilate(f) create(g) - q * create(g) annihilate(f) = <f,g> * (t-number scale)
     over all basis words of degree <= m - 2."""
     _check_letter(f, p)
     _check_letter(g, p)
+    _check_residual_size(p)
     delta = 1.0 if f == g else 0.0
     worst = 0.0
     for deg in range(0, p.m - 1):

@@ -20,7 +20,9 @@ LETTERS = ("1", "*")
 # Covariance of an (element, adjoint) pair is 1; the other three patterns vanish.
 DEFAULT_COVARIANCE: dict[tuple[str, str], Fraction] = {("1", "*"): Fraction(1)}
 
-MAX_WICK_PAIRS = 8
+# worst measured: a full 4-entry covariance on "1*" * 12, whose stack states
+# grow as 2^h, 1.7-2.0 s (26 letters: 4.8-7.2 s); wick_field(12) takes 0.08 s
+MAX_WICK_PAIRS = 12
 
 
 def check_eps(eps: str) -> str:
@@ -152,10 +154,6 @@ class QTPolynomial:
 
     def __repr__(self) -> str:
         return f"QTPolynomial({self.terms!r})"
-
-
-def poly_eval(poly: QTPolynomial, q: float, t: float) -> float:
-    return poly.evaluate(q, t)
 
 
 def _normalize_covariance(

@@ -13,12 +13,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from qtwick import (
+    CoefficientTable,
     ExperimentConfig,
     FockParams,
     PairPartition,
     QTPolynomial,
     build_jw,
-    build_table,
     check_commutation,
     commutator_residual,
     convergence_experiment,
@@ -30,7 +30,6 @@ from qtwick import (
     normal_order,
     pair_pattern_is_default,
     partial_sum_moment,
-    poly_eval,
     sampled_table,
     vacuum_moment,
     wick_field,
@@ -98,7 +97,7 @@ def test_criterion_05_field_moments(capsys):
             for n in (1, 2, 3, 4):
                 params = FockParams(d=1, m=2 * n, q=q, t=t)
                 got = vacuum_moment([("field", 1)] * (2 * n), params)
-                want = poly_eval(wick_field(n), q, t)
+                want = wick_field(n).evaluate(q, t)
                 assert abs(got - want) <= 1e-9
 
 
@@ -157,7 +156,7 @@ def test_criterion_09_engine_equivalence(capsys):
         rng = random.Random(12)
         tables = [
             sampled_table(6, 0.5, 1.25, 12),
-            build_table(
+            CoefficientTable(
                 {
                     (i, j): rng.choice([1, -1]) * rng.uniform(0.3, 2.0)
                     for j in range(2, 7)

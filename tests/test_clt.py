@@ -1,6 +1,8 @@
+import hashlib
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from qtwick import (
     vacuum_expectation,
     wick_mixed,
 )
-from qtwick.clt import MAX_SUM_STATES, peak_popcount
+from qtwick.clt import MAX_ESTIMATE_PAIRS, MAX_SUM_STATES, _lookup_matrix, peak_popcount
 from qtwick.cli import main
 
 CROSSING = PairPartition(((1, 3), (2, 4)))
@@ -194,6 +196,94 @@ def test_estimate_two_pair_matches_tuple_average():
         assert got == pytest.approx(brute, rel=1e-12)
 
 
+def _generic_table(n, seed):
+    """A table of random non-unit base values, so that no product is exact."""
+    rng = random.Random(seed)
+    base = {
+        (i, j): rng.choice([1, -1]) * rng.uniform(0.2, 3.0)
+        for j in range(2, n + 1)
+        for i in range(1, j)
+    }
+    return CoefficientTable(base, rng.uniform(0.3, 2.5))
+
+
+def test_estimate_four_pair_matches_tuple_average():
+    n = 7
+    table = _generic_table(n, 8)
+    for pairs, eps in (
+        (((1, 8), (2, 7), (3, 6), (4, 5)), "1111****"),
+        (((1, 5), (2, 3), (4, 7), (6, 8)), "1*1*1**1"),
+    ):
+        pairing = PairPartition(pairs)
+        block = pairing.block_of()
+        brute = 0.0
+        for tup in itertools.permutations(range(1, n + 1), 4):
+            values = tuple(tup[block[pos] - 1] for pos in range(1, 9))
+            brute += normal_order(values, eps, table).beta
+        brute /= n**4
+        got = limit_coefficient_estimate(pairing, eps, n, table)
+        assert got == pytest.approx(brute, rel=1e-12)
+
+
+def test_lookup_matrix_equals_lookup():
+    n = 7
+    table = _generic_table(n, 4)
+    for e1, e2 in itertools.product("1*", repeat=2):
+        mat = _lookup_matrix(table, e1, e2, n)
+        for x, y in itertools.permutations(range(1, n + 1), 2):
+            assert mat[x - 1, y - 1] == table.lookup(e1, e2, x, y)
+
+
+# sha256 of the csv and json artifacts of `clt --mode lambda` runs, keyed by
+# (eps, pairing, q, t, ns, seed); they pin the estimator's float sums
+LAMBDA_PINS = {
+    ("11**", "1-3,2-4", "0.5", "1.25", "20,60", 0): (
+        "937f4201c0242a06d7502b5e9516af00f4e6f4ed52b8a1d0499f472d057ceaf5",
+        "622d02c75ee2da6b128dad1e8685229bd9dcdced6712fc7dde224fcebccc91ab",
+    ),
+    ("11**", "1-3,2-4", "0.5", "1.25", "20,60", 7): (
+        "6b2c9a51214e79edbce052d16cdb68dbe2953abf9d3d5c20309a682c1403f8ce",
+        "c8c8529a0e89ddcf60a1a036380ae0588c864905b4d35e643617d45258100b53",
+    ),
+    ("1**1", "1-4,2-3", "-0.3", "0.8", "20,60", 0): (
+        "848d01515062250f319d7bd282223352357d06a73cde54ff9f6fea9fdfd4ce87",
+        "2ba50bd34655cea04e72fa16c59bde10c0390ba8b1246197cf855a3a8ff42a06",
+    ),
+    ("1**1", "1-4,2-3", "-0.3", "0.8", "20,60", 7): (
+        "6d893c795f47c6fe9b32af64069995fe2dd18622e81221e0977419500b80463f",
+        "5991ae895b8f5ef1bc3647ff9aac9bf47c90c069111a0883dff4f67aabeec764",
+    ),
+    ("111***", "1-4,2-6,3-5", "0.5", "1.25", "10,30", 0): (
+        "601835e8823ae6add68d2792f47cb2445874c89bcdc1aafff3dccede8926708e",
+        "4adeddbd62d3a72c94c026aba329fc5588f6a348e254ee1141307bfb540b9277",
+    ),
+    ("111***", "1-4,2-6,3-5", "0.5", "1.25", "10,30", 7): (
+        "b15cf7cf08a6f00c562f345fa6ffa969f35ae828f25e1a09cfbc32fcbe25ce1f",
+        "c44a16792b5133b492cd2be045e2d96cffd6aecf440c25f939f9d1cdfc22c91e",
+    ),
+    ("1*1**1", "1-6,2-3,4-5", "-0.3", "0.8", "10,30", 0): (
+        "cc881ecd7274062e7bd18fc535548af0d5a3239e02e5e4cdad4b2390d1b180ba",
+        "0be4b2cd0808e470bab2c6487df6a1fd781ae323e9d43bd3d08e8c74dd053c1c",
+    ),
+    ("1*1**1", "1-6,2-3,4-5", "-0.3", "0.8", "10,30", 7): (
+        "17b26bbe82d9ed4a7dc0e1e6a84f1015ae3dd4db3b85a9e87bb7515531d7d52f",
+        "1bb2d824313813ee3a1c062d0a0caf3e0184b21471241b9dae81671329537cda",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", list(LAMBDA_PINS))
+def test_lambda_artifact_bytes_are_pinned(run, capsys):
+    eps, pairing, q, t, ns, seed = run
+    for fmt, want in zip(("csv", "json"), LAMBDA_PINS[run]):
+        code = main(
+            ["clt", "--mode", "lambda", "--eps", eps, "--pairing", pairing, "--q", q,
+             "--t", t, "--ns", ns, "--seed", str(seed), "--format", fmt]
+        )
+        assert code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
 def test_estimate_regression_pin():
     table = sampled_table(7, 0.5, 1.25, 3)
     got = limit_coefficient_estimate(
@@ -202,11 +292,28 @@ def test_estimate_regression_pin():
     assert got == 0.011388483965014577
 
 
+def test_estimate_generic_table_bits_are_pinned():
+    # float.hex of estimates whose factors cover all four letter pairs on a
+    # table of non-unit values, so every division form and product order shows
+    table = _generic_table(9, 5)
+    pins = (
+        (((1, 3), (2, 4)), "1**1", "0x1.39b13f8428bf8p-2"),
+        (((1, 4), (2, 3)), "*11*", "0x1.1397192c2bad8p+4"),
+        (((1, 4), (2, 6), (3, 5)), "1*1**1", "0x1.f5db6223706c4p-3"),
+        (((1, 6), (2, 5), (3, 4)), "*1*1*1", "0x1.06df308ecd27cp+0"),
+        (((1, 5), (2, 3), (4, 6)), "11**1*", "0x1.96f035fe30a89p-5"),
+    )
+    for pairs, eps, want in pins:
+        got = limit_coefficient_estimate(PairPartition(pairs), eps, 9, table)
+        assert got.hex() == want
+
+
 def test_estimate_validation():
     table = sampled_table(8, 0.5, 1.25, 0)
-    four = PairPartition(((1, 2), (3, 4), (5, 6), (7, 8)))
+    over = MAX_ESTIMATE_PAIRS + 1
+    too_many = PairPartition(tuple((2 * k + 1, 2 * k + 2) for k in range(over)))
     with pytest.raises(SizeLimitError):
-        limit_coefficient_estimate(four, "1*1*1*1*", 8, table)
+        limit_coefficient_estimate(too_many, "1*" * over, 8, table)
     with pytest.raises(ValidationError):
         limit_coefficient_estimate(CROSSING, "1*", 8, table)
     with pytest.raises(ValidationError):

@@ -17,7 +17,6 @@ from qtwick import (
     PairPartition,
     QTPolynomial,
     ValidationError,
-    build_table,
     derive_seed,
     normal_order,
     pair_limit_monomial,
@@ -31,7 +30,7 @@ from qtwick.coeffs import _SAMPLE_CHUNK, MAX_TABLE_SITES, _beta_closed_form, _pa
 
 @pytest.fixture
 def table():
-    return build_table({(1, 2): 0.7}, 2.0)
+    return CoefficientTable({(1, 2): 0.7}, 2.0)
 
 
 def test_lookup_examples(table):
@@ -54,11 +53,11 @@ def test_lookup_validation(table):
 
 def test_table_validation():
     with pytest.raises(ValidationError):
-        build_table({(1, 2): 1.0}, 0.0)
+        CoefficientTable({(1, 2): 1.0}, 0.0)
     with pytest.raises(ValidationError):
-        build_table({(2, 1): 1.0}, 1.0)
+        CoefficientTable({(2, 1): 1.0}, 1.0)
     with pytest.raises(ValidationError):
-        build_table({(1, 2): 0.0}, 1.0)
+        CoefficientTable({(1, 2): 0.0}, 1.0)
 
 
 def test_covers_and_matrix():
@@ -82,7 +81,7 @@ def test_lookup_swap_inverts(table):
             for j in range(2, n + 1)
             for i in range(1, j)
         }
-        tb = build_table(base, rng.uniform(0.3, 2.5))
+        tb = CoefficientTable(base, rng.uniform(0.3, 2.5))
         i, j = rng.sample(range(1, n + 1), 2)
         for e1 in "1*":
             for e2 in "1*":
@@ -279,7 +278,7 @@ def _double_loop_matrix(table, n):
 
 def test_base_matrix_equals_double_loop():
     rng = random.Random(8)
-    hand = build_table(
+    hand = CoefficientTable(
         {(i, j): rng.uniform(0.2, 3.0) for j in range(2, 12) for i in range(1, j)}, 1.3
     )
     for table, n in ((sampled_table(50, 0.5, 1.25, 3), 50), (hand, 11), (hand, 7)):
@@ -288,7 +287,7 @@ def test_base_matrix_equals_double_loop():
 
 
 def test_hand_built_table_with_a_gap():
-    gap = build_table({(1, 2): 0.5, (2, 3): -2.0}, 1.0)
+    gap = CoefficientTable({(1, 2): 0.5, (2, 3): -2.0}, 1.0)
     assert gap.covers(2) and not gap.covers(3)
     assert gap.max_index == 3
     assert gap.base_value(2, 3) == -2.0
@@ -302,7 +301,7 @@ def test_hand_built_table_with_a_gap():
         gap.base_matrix(3)
     with pytest.raises(ValidationError):
         gap.base_value(2, 1)  # base values are stored for i < j only
-    assert build_table({}, 2.0).covers(1) and not build_table({}, 2.0).covers(2)
+    assert CoefficientTable({}, 2.0).covers(1) and not CoefficientTable({}, 2.0).covers(2)
 
 
 def test_packed_constructor_validation():
@@ -316,7 +315,7 @@ def test_packed_constructor_validation():
 
 
 def test_single_reads_return_python_floats():
-    for table in (sampled_table(6, 0.5, 1.25, 2), build_table({(1, 2): 0.7}, 2.0)):
+    for table in (sampled_table(6, 0.5, 1.25, 2), CoefficientTable({(1, 2): 0.7}, 2.0)):
         assert type(table.base_value(1, 2)) is float
         for e1, e2 in itertools.product("1*", repeat=2):
             assert type(table.lookup(e1, e2, 1, 2)) is float
@@ -368,7 +367,7 @@ def test_normal_order_matches_closed_form_exhaustively():
         for j in range(2, 5)
         for i in range(1, j)
     }
-    tb = build_table(base, 1.7)
+    tb = CoefficientTable(base, 1.7)
     from qtwick import enumerate_pair_partitions
 
     for n in (1, 2, 3, 4):

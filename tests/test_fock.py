@@ -15,13 +15,13 @@ from qtwick import (
     gram_matrix,
     inner_product,
     number_scale,
-    poly_eval,
     vacuum,
     vacuum_moment,
     wick_field,
     wick_joint,
 )
 
+from qtwick.cli import main
 from qtwick.fock import MAX_GRAM_WORDS, MAX_INNER_DEGREE
 
 from _brute import inner_product_full_sn
@@ -124,7 +124,7 @@ def test_field_moments_match_pairing_sum(qt):
     for n in (1, 2, 3, 4):
         params = FockParams(d=1, m=2 * n, q=q, t=t)
         got = vacuum_moment([("field", 1)] * (2 * n), params)
-        want = poly_eval(wick_field(n), q, t)
+        want = wick_field(n).evaluate(q, t)
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -139,7 +139,7 @@ def test_joint_moments_match_labeled_pairing_sum():
     for labels in itertools.product((1, 2), repeat=4):
         ops = [("field", i) for i in labels]
         got = vacuum_moment(ops, params)
-        want = poly_eval(wick_joint(labels, "1111", {("1", "1"): 1}), params.q, params.t)
+        want = wick_joint(labels, "1111", {("1", "1"): 1}).evaluate(params.q, params.t)
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -158,6 +158,24 @@ def test_commutator_residual_small(qt):
     for f in (1, 2):
         for g in (1, 2):
             assert commutator_residual(f, g, params) <= 1e-12
+
+
+def test_residual_cap(capsys):
+    # one call at d=4, m=8 creates 36409 letters, the table of 16 calls 582544
+    params = FockParams(d=4, m=8, q=0.5, t=1.25)
+    assert commutator_residual(1, 2, params) <= 1e-12
+    flags = ["--q", "0.5", "--t", "1.25", "--residual"]
+    assert main(["fock", "--d", "4", "--m", "8"] + flags) == 2
+    assert main(["fock", "--d", "100000", "--m", "2"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.count("letter cap") == 2 and "internal error" not in err
+    with pytest.raises(SizeLimitError):
+        commutator_residual(1, 2, FockParams(d=4, m=10, q=0.5, t=1.25))
+    with pytest.raises(SizeLimitError):
+        commutator_residual(1, 1, FockParams(d=1, m=10**9, q=0.5, t=1.25))
+    # criterion 06 (d=3, m=6) and the benchmark's residual table (d=2, m=6) fit
+    assert main(["fock", "--d", "3", "--m", "6"] + flags) == 0
+    assert main(["fock", "--d", "2", "--m", "6"] + flags + ["--format", "csv"]) == 0
 
 
 def test_adjointness_on_basis_words():

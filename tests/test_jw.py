@@ -3,13 +3,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtwick import (
+    CoefficientTable,
     CommutationReport,
     MonomialOperator,
     SizeLimitError,
     build_jw,
-    build_table,
     check_commutation,
     normal_order,
     sampled_table,
@@ -17,7 +19,7 @@ from qtwick import (
 )
 from qtwick.jw import IDENTITY, LOWER, MAX_VERIFY_SITES, RAISE, diagonal, vacuum_state
 
-TB = build_table({(1, 2): 0.7}, 2.0)
+TB = CoefficientTable({(1, 2): 0.7}, 2.0)
 
 
 def test_build_shapes():
@@ -38,7 +40,7 @@ def test_build_validation():
         build_jw(2, 3, TB)
     with pytest.raises(ValueError):
         build_jw(3, 1, TB)  # table only covers 2 sites
-    single = build_jw(1, 1, build_table({}, 2.0))
+    single = build_jw(1, 1, CoefficientTable({}, 2.0))
     assert single.slots == (LOWER,)
 
 
@@ -132,6 +134,39 @@ def test_expectation_matches_normal_order_coefficient():
         res = normal_order(values, eps, table)
         want = res.beta if set(res.pattern[::2]) <= {"1"} and set(res.pattern[1::2]) <= {"*"} else 0.0
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+@st.composite
+def pair_class_words(draw):
+    """(values, eps, sites): a word in which each of 1-4 distinct sites out of
+    at most 16 appears twice, at shuffled positions, with random letters."""
+    pairs = draw(st.integers(1, 4))
+    n_sites = draw(st.integers(pairs, 16))
+    sites = draw(st.lists(st.integers(1, n_sites), min_size=pairs, max_size=pairs, unique=True))
+    order = draw(st.permutations(range(2 * pairs)))
+    values = [0] * (2 * pairs)
+    for k, pos in enumerate(order):
+        values[pos] = sites[k // 2]
+    eps = "".join(draw(st.lists(st.sampled_from("1*"), min_size=2 * pairs, max_size=2 * pairs)))
+    return tuple(values), eps, n_sites
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    word=pair_class_words(),
+    seed=st.integers(0, 2**64 - 1),
+    t=st.floats(0.2, 3.0),
+    ratio=st.floats(-1.0, 1.0),
+)
+def test_expectation_matches_normal_order_property(word, seed, t, ratio):
+    values, eps, n = word
+    table = sampled_table(n, ratio * t, t, seed)
+    got = vacuum_expectation([(v, e == "*") for v, e in zip(values, eps)], n, table)
+    res = normal_order(values, eps, table)
+    if res.pattern == "1*" * res.pairing.n:
+        assert got == pytest.approx(res.beta, rel=1e-10, abs=1e-12)
+    else:
+        assert got == 0.0
 
 
 def test_natural_order_factoring_exact():

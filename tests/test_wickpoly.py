@@ -12,7 +12,6 @@ from qtwick import (
     QTPolynomial,
     SizeLimitError,
     enumerate_counted_pairings,
-    poly_eval,
     wick_field,
     wick_joint,
     wick_mixed,
@@ -48,8 +47,8 @@ def test_polynomial_rejects_negative_exponents():
 def test_evaluate():
     p = QTPolynomial.one() + QTPolynomial.monomial(1, 1)
     assert p.evaluate(2, 3) == 7.0
-    assert poly_eval(wick_field(2), 0.5, 1.25) == 2.75
-    assert poly_eval(wick_mixed("11**"), 0.5, 1.25) == 1.75
+    assert wick_field(2).evaluate(0.5, 1.25) == 2.75
+    assert wick_mixed("11**").evaluate(0.5, 1.25) == 1.75
 
 
 def test_rendering():
