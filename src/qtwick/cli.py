@@ -9,6 +9,7 @@ which falls back to the QTWICK_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -428,6 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later main() call:
+    parsing leaves no state behind in it."""
+    return build_parser()
+
+
 def _resolve_seed(value: Optional[int]) -> int:
     if value is not None:
         return value
@@ -501,7 +509,7 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         if argv and not argv[0].startswith("-"):
             argv = _merge_config(argv)

@@ -24,7 +24,7 @@ from .coeffs import (
     MAX_TABLE_SITES,
     CoefficientTable,
     _closed_form_factors,
-    _coefficient,
+    _lookup_matrix,
     pair_limit_monomial,
     pair_pattern_is_default,
     sampled_table,
@@ -234,17 +234,6 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     if r % 2 == 0:
         return vac / float(n_sites ** (r // 2))
     return vac / float(n_sites) ** (r / 2)
-
-
-def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndarray:
-    """Dense [n, n] matrix of lookup(e1, e2, x, y) for 1-based x != y; the
-    diagonal is filled with ones and must not be read."""
-    u = table.packed(n)
-    cols, rows = np.tril_indices(n, -1)  # j - 1 and i - 1, in pair-rank order
-    out = np.ones((n, n))
-    out[rows, cols] = _coefficient(e1, e2, u, table.t, True)
-    out[cols, rows] = _coefficient(e1, e2, u, table.t, False)
-    return out
 
 
 def limit_coefficient_estimate(

@@ -237,6 +237,17 @@ class CoefficientTable:
         return out
 
 
+def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndarray:
+    """Dense [n, n] matrix of lookup(e1, e2, x, y) for 1-based x != y; the
+    diagonal is filled with ones and must not be read."""
+    u = table.packed(n)
+    cols, rows = np.tril_indices(n, -1)  # j - 1 and i - 1, in pair-rank order
+    out = np.ones((n, n))
+    out[rows, cols] = _coefficient(e1, e2, u, table.t, True)
+    out[cols, rows] = _coefficient(e1, e2, u, table.t, False)
+    return out
+
+
 def sampled_table(n: int, q: float, t: float, seed: int) -> CoefficientTable:
     return CoefficientTable(sample_packed(n, q, t, seed), t)
 

@@ -1,8 +1,9 @@
 """Independent naive oracles, deliberately written along different lines than
 the library: set partitions come from restricted-growth strings and are
 filtered down to pairings, chord statistics come from interval containment,
-the inner product sums over all of S_n without letter grouping, and chain
-moments walk a dict of occupation bitmasks one state and one site at a time."""
+the inner product sums over all of S_n without letter grouping, chain
+moments walk a dict of occupation bitmasks one state and one site at a time,
+and the chain's exchange relations compose whole operators slot by slot."""
 
 import functools
 import itertools
@@ -10,6 +11,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from qtwick.jw import CommutationCheck, CommutationReport, MonomialOperator, build_jw
+from qtwick.wickpoly import LETTERS
 
 Pairs = tuple[tuple[int, int], ...]
 
@@ -192,3 +196,94 @@ def sum_moment(n: int, eps: str, table) -> float:
     if r % 2 == 0:
         return vac / float(n ** (r // 2))
     return vac / float(n) ** (r / 2)
+
+
+def compose(a: MonomialOperator, b: MonomialOperator) -> MonomialOperator:
+    """Operator product a * b (b acts first), slot by slot."""
+    if a.n != b.n:
+        raise ValueError(f"width mismatch: {a.n} vs {b.n}")
+    slots = []
+    for mine, theirs in zip(a.slots, b.slots):
+        images = []
+        for bit in (0, 1):
+            first = theirs[bit]
+            if first is None:
+                images.append(None)
+                continue
+            c1, mid = first
+            second = mine[mid]
+            if second is None:
+                images.append(None)
+                continue
+            c2, out = second
+            images.append((c1 * c2, out))
+        slots.append((images[0], images[1]))
+    return MonomialOperator(a.n, tuple(slots), a.scalar * b.scalar)
+
+
+def canonical(op: MonomialOperator):
+    """Slot actions rescaled so each first surviving image has coefficient 1,
+    with the absorbed factors pushed into the scalar; None for the zero
+    operator (some slot kills both basis states)."""
+    slots = []
+    scalar = op.scalar
+    for action in op.slots:
+        lead = action[0] if action[0] is not None else action[1]
+        if lead is None:
+            return None
+        c = lead[0]
+        scalar *= c
+        slots.append(tuple(
+            None if img is None else (img[0] / c, img[1]) for img in action
+        ))
+    if scalar == 0.0:
+        return None
+    return tuple(slots), scalar
+
+
+def monomial_deviation(a: MonomialOperator, b: MonomialOperator) -> float:
+    """Largest coefficient difference between two monomials in canonical form;
+    infinity when their structure (kill pattern or bit images) differs."""
+    ca = canonical(a)
+    cb = canonical(b)
+    if ca is None or cb is None:
+        return 0.0 if ca is None and cb is None else math.inf
+    slots_a, scalar_a = ca
+    slots_b, scalar_b = cb
+    dev = abs(scalar_a - scalar_b)
+    for act_a, act_b in zip(slots_a, slots_b):
+        for img_a, img_b in zip(act_a, act_b):
+            if (img_a is None) != (img_b is None):
+                return math.inf
+            if img_a is None:
+                continue
+            if img_a[1] != img_b[1]:
+                return math.inf
+            dev = max(dev, abs(img_a[0] - img_b[0]))
+    return dev
+
+
+def check_commutation(n: int, table, tolerance: float = 1e-12) -> CommutationReport:
+    """b_i^e b_j^e' against mu_{e',e}(j, i) * b_j^e' b_i^e for all i != j <= n
+    and all letter pairs, composing both products in full."""
+    ops = {
+        (site, letter): build_jw(n, site, table, adjoint=(letter == "*"))
+        for site in range(1, n + 1)
+        for letter in LETTERS
+    }
+    report = CommutationReport(n=n, tolerance=tolerance, max_deviation=0.0)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            for e1 in LETTERS:
+                for e2 in LETTERS:
+                    lhs = compose(ops[(i, e1)], ops[(j, e2)])
+                    rhs = compose(ops[(j, e2)], ops[(i, e1)])
+                    mu = table.lookup(e2, e1, j, i)
+                    rhs = MonomialOperator(n, rhs.slots, rhs.scalar * mu)
+                    dev = monomial_deviation(lhs, rhs)
+                    report.max_deviation = max(report.max_deviation, dev)
+                    if dev > tolerance:
+                        report.failures.append(CommutationCheck(i, j, e1, e2, dev))
+    return report

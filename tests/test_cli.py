@@ -6,10 +6,14 @@ import sys
 
 import pytest
 
-from qtwick import FockParams, vacuum_expectation, vacuum_moment
-from qtwick.cli import main, run_check
+from qtwick import (
+    FockParams, SizeLimitError, enumerate_pair_partitions, vacuum_expectation, vacuum_moment,
+)
+from qtwick import cli
+from qtwick.cli import build_parser, main, run_check
 from qtwick.coeffs import MAX_LISTED_SITES, MAX_TABLE_SITES
 from qtwick.jw import MAX_VERIFY_SITES
+from qtwick.pairings import MAX_ENUMERATION_PAIRS
 
 CHAIN = ("--q", "0.5", "--t", "1.25", "--seed", "0")
 
@@ -197,6 +201,15 @@ def test_jw_caps(capsys):
     assert code == 2 and f"{MAX_TABLE_SITES}-site table cap" in err
 
 
+def test_pairings_cap(capsys):
+    n = MAX_ENUMERATION_PAIRS + 1
+    with pytest.raises(SizeLimitError):
+        enumerate_pair_partitions(n)
+    code, out, err = run(capsys, "pairings", "--n", str(n))
+    assert code == 2 and out == ""
+    assert f"n={n} > {MAX_ENUMERATION_PAIRS}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("clt", "--mode", "moment", "--eps", "11**", "--q", "nan", "--t", "nan", "--ns", "10,20"),
     ("clt", "--mode", "lambda", "--eps", "11**", "--q", "0.5", "--t", "inf", "--ns", "10",
@@ -381,6 +394,43 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "qtwick" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    jobs = [
+        ["jw", "--n", "6", *CHAIN, "--verify", "--format", "csv"],
+        ["jw", "--n", "6", *CHAIN, "--ops", "2,5,2*,5*"],
+        ["wick", "--eps", "11**", "--q", "0.5", "--t", "1.25", "--format", "json"],
+    ]
+    try:
+        with pytest.raises(SystemExit) as exc:  # two options of one exclusive group
+            main(["jw", "--n", "6", *CHAIN, "--verify", "--ops", "1,1*"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        outs = []
+        for argv in jobs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            outs.append(out)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    for argv, out in zip(jobs, outs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtwick", *argv], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == out
 
 
 def test_module_entry_point():

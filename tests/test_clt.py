@@ -25,8 +25,9 @@ from qtwick import (
     vacuum_expectation,
     wick_mixed,
 )
-from qtwick.clt import MAX_ESTIMATE_PAIRS, MAX_SUM_STATES, _lookup_matrix, peak_popcount
+from qtwick.clt import MAX_ESTIMATE_PAIRS, MAX_SUM_STATES, peak_popcount
 from qtwick.cli import main
+from qtwick.coeffs import _lookup_matrix
 
 CROSSING = PairPartition(((1, 3), (2, 4)))
 NESTING = PairPartition(((1, 4), (2, 3)))

@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _brute
 from qtwick import (
     CoefficientTable,
     CommutationReport,
@@ -51,15 +53,15 @@ def test_apply_and_compose():
     assert raise1.apply(vacuum_state()) == {1: 1.0}
     state = raise2.apply(raise1.apply(vacuum_state()))
     assert state == {3: pytest.approx(sq * 0.7)}
-    assert (raise2 @ raise1).apply(vacuum_state()) == {
+    assert _brute.compose(raise2, raise1).apply(vacuum_state()) == {
         3: pytest.approx(sq * 0.7)
     }
 
 
 def test_lowering_twice_is_zero():
     op = build_jw(2, 1, TB)
-    zero = op @ op
-    assert zero.canonical() is None
+    zero = _brute.compose(op, op)
+    assert _brute.canonical(zero) is None
     assert zero.apply({k: 1.0 for k in range(4)}) == {}
 
 
@@ -67,15 +69,15 @@ def test_monomial_validation():
     with pytest.raises(ValueError):
         MonomialOperator(2, (IDENTITY,))
     with pytest.raises(ValueError):
-        MonomialOperator(1, (IDENTITY,)) @ MonomialOperator(2, (IDENTITY, IDENTITY))
+        _brute.compose(MonomialOperator(1, (IDENTITY,)), MonomialOperator(2, (IDENTITY, IDENTITY)))
 
 
 def test_canonical_normalizes_leading_coefficient():
     op = MonomialOperator(1, (diagonal(2.0, 6.0),), scalar=0.5)
-    slots, scalar = op.canonical()
+    slots, scalar = _brute.canonical(op)
     assert scalar == 1.0
     assert slots == (((1.0, 0), (3.0, 1)),)
-    assert MonomialOperator(1, (diagonal(0.0, 0.0),)).canonical() is None
+    assert _brute.canonical(MonomialOperator(1, (diagonal(0.0, 0.0),))) is None
 
 
 def test_compose_matches_sequential_application():
@@ -89,7 +91,7 @@ def test_compose_matches_sequential_application():
     for _ in range(100):
         a, b = rng.choice(ops), rng.choice(ops)
         state = {rng.randrange(16): rng.uniform(-2, 2) for _ in range(5)}
-        combined = (a @ b).apply(state)
+        combined = _brute.compose(a, b).apply(state)
         stepwise = a.apply(b.apply(state))
         assert set(combined) == set(stepwise)
         for mask, amp in combined.items():
@@ -190,13 +192,94 @@ def test_boundedness_with_unit_base():
 
 
 def test_check_commutation_clean():
-    for n, seed, q, t in [(2, 1, 0.5, 1.25), (4, 7, -0.3, 0.9), (5, 3, 1.0, 1.0)]:
-        table = sampled_table(n, q, t, seed)
+    tables = [
+        (n, sampled_table(n, q, t, seed))
+        for n, seed, q, t in [(2, 1, 0.5, 1.25), (4, 7, -0.3, 0.9), (5, 3, 1.0, 1.0)]
+    ]
+    # generic values tell mu(i, j) from mu(j, i) = 1 / mu(i, j), which +-1
+    # tables cannot
+    rng = random.Random(23)
+    for n, t in [(2, 2.0), (5, 0.9), (8, 1.1), (8, 1.0)]:
+        base = [rng.choice([-1, 1]) * rng.uniform(0.3, 2.0) for _ in range(n * (n - 1) // 2)]
+        tables.append((n, CoefficientTable(base, t)))
+    for n, table in tables:
         report = check_commutation(n, table)
         assert isinstance(report, CommutationReport)
         assert report.ok
         assert report.max_deviation <= 1e-12
         assert report.n == n
+
+
+def test_check_commutation_zero_entry_kills_one_side():
+    # sqrt(0.25) * 5e-324 rounds to 0.0: element 2's diagonal kills the
+    # occupied bit at slot 1, so a product in which it reads that bit is zero
+    # while its reverse is not (deviation inf); t * 5e-324 is 0.0 as well, so
+    # 1 / (t * mu) is inf, which Python's float division would refuse
+    table = CoefficientTable({(1, 2): 5e-324}, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = check_commutation(2, table)
+    assert [(f.i, f.j, f.left, f.right, f.deviation) for f in report.failures] == [
+        (1, 2, "*", "1", math.inf),
+        (1, 2, "*", "*", math.inf),
+        (2, 1, "1", "1", math.inf),
+        (2, 1, "*", "1", math.inf),
+    ]
+
+
+def _report_key(report):
+    """A report as comparable values, every float by its bits."""
+    failures = [(f.i, f.j, f.left, f.right, f.deviation.hex()) for f in report.failures]
+    return report.n, report.tolerance, report.max_deviation.hex(), failures
+
+
+# the (q, t) grid of acceptance criterion 08
+CHAIN_GRID = [(0.5, 1.25), (0.3, 0.9), (1.0, 1.0), (-0.4, 0.8), (0.9, 2.0)]
+
+
+@pytest.mark.parametrize("point", range(len(CHAIN_GRID)))
+def test_check_commutation_equals_composition(point):
+    # every n up to 48, the old composed check's cap, once, at grid point
+    # n mod 5; tolerance 0 also lists the relations that hold only to
+    # rounding (sqrt(t) * sqrt(t) against t)
+    q, t = CHAIN_GRID[point]
+    for n in range(1, 49):
+        if n % len(CHAIN_GRID) == point:
+            table = sampled_table(n, q, t, n)
+            want = _brute.check_commutation(n, table, 0.0)
+            assert _report_key(check_commutation(n, table, 0.0)) == _report_key(want)
+
+
+# base values over the whole float range: 1 / (t * mu) overflows near
+# 1e-320 and the scalar products reach 1e300 * 3, where the oracle reports
+# infinite deviations
+_magnitudes = st.one_of(
+    st.floats(0.2, 3.0), st.floats(1e-320, 1e-318), st.floats(1e299, 1e300)
+)
+
+
+@st.composite
+def generic_tables(draw):
+    n = draw(st.integers(1, 12))
+    count = n * (n - 1) // 2
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=count, max_size=count))
+    sizes = draw(st.lists(_magnitudes, min_size=count, max_size=count))
+    t = draw(st.floats(0.2, 3.0))
+    return n, CoefficientTable([a * b for a, b in zip(signs, sizes)], t)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=generic_tables(),
+    tolerance=st.one_of(st.just(1e-12), st.floats(max_value=0.0, allow_nan=False)),
+)
+def test_check_commutation_matches_oracle_property(case, tolerance):
+    n, table = case
+    want = _brute.check_commutation(n, table, tolerance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = check_commutation(n, table, tolerance)
+    assert _report_key(got) == _report_key(want)
 
 
 def test_check_commutation_flags_at_negative_tolerance():
