@@ -13,20 +13,18 @@ import functools
 import json
 import os
 import sys
-from typing import Any, Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from . import __version__
-from .clt import ExperimentConfig, _fmt, convergence_experiment
-from .coeffs import MAX_LISTED_SITES, sampled_table
 from .errors import SizeLimitError, ValidationError
-from .fock import (
-    FockParams, _check_residual_size, commutator_residual, gram_matrix, vacuum_moment,
-)
-from .jw import build_jw, check_commutation, vacuum_expectation
-from .pairings import PairPartition, _braced, enumerate_counted_pairings
-from .wickpoly import QTPolynomial, wick_field, wick_joint, wick_mixed
+from .floats import _fmt
+
+# each artifact function imports the engines it runs, so a command loads
+# only those (`pairings` and `wick` never load numpy)
+if TYPE_CHECKING:
+    from .clt import ExperimentConfig
+    from .pairings import PairPartition
+    from .wickpoly import QTPolynomial
 
 
 class Metadata(dict):
@@ -68,6 +66,8 @@ def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
 # ---------------------------------------------------------------- pairings
 
 def _pairings_artifact(meta: Metadata, fmt: str) -> str:
+    from .pairings import _braced, enumerate_counted_pairings
+
     counted = enumerate_counted_pairings(meta.number("n"))
     if fmt == "text":  # the rows would go unused, and vice versa
         lines = [f"{_braced(pairs)} cross={cross},nest={nest}" for pairs, cross, nest in counted]
@@ -79,6 +79,8 @@ def _pairings_artifact(meta: Metadata, fmt: str) -> str:
 # -------------------------------------------------------------------- wick
 
 def _wick_poly(meta: Metadata) -> QTPolynomial:
+    from .wickpoly import wick_field, wick_joint, wick_mixed
+
     if meta["kind"] == "field":
         return wick_field(meta.number("n"))
     if meta["kind"] == "joint":
@@ -121,6 +123,10 @@ def _parse_fock_ops(text: str) -> list:
 
 
 def _fock_artifact(meta: Metadata, fmt: str) -> str:
+    from .fock import (
+        FockParams, _check_residual_size, commutator_residual, gram_matrix, vacuum_moment,
+    )
+
     params = FockParams(
         d=meta.number("d"), m=meta.number("m"),
         q=meta.number("q", float), t=meta.number("t", float),
@@ -140,6 +146,8 @@ def _fock_artifact(meta: Metadata, fmt: str) -> str:
                 text_lines.append(f"f={f} g={g} residual={_fmt(r)}")
         return _render(meta, ["f", "g", "residual"], rows, fmt, text_lines)
     if op == "gram":
+        import numpy as np
+
         eigs = np.linalg.eigvalsh(gram_matrix(meta.number("degree"), params))
         rows = [[str(k), _fmt(v)] for k, v in enumerate(eigs)]
         text_lines = [f"eig[{k}] = {_fmt(v)}" for k, v in enumerate(eigs)]
@@ -155,6 +163,8 @@ def _chain_params(meta: Metadata) -> tuple[int, float, float, int]:
 
 
 def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
+    from .coeffs import MAX_LISTED_SITES, sampled_table
+
     n, q, t, seed = _chain_params(meta)
     if "lookup" not in meta and n > MAX_LISTED_SITES:
         raise SizeLimitError(f"listing {n} sites exceeds the {MAX_LISTED_SITES}-site cap")
@@ -169,10 +179,8 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
             fmt,
             [f"mu_({e1},{e2})({i},{j}) = {_fmt(value)}"],
         )
-    # rows sorted by (i, j); pair (i, j) sits at rank (j-1)(j-2)/2 + i-1
-    i0, j0 = np.triu_indices(n, 1)
-    values = table.packed(n)[j0 * (j0 - 1) // 2 + i0].tolist()
-    pairs = zip((i0 + 1).tolist(), (j0 + 1).tolist(), map(_fmt, values))
+    rows_i, rows_j, values = table.upper_triangle(n)
+    pairs = zip(rows_i, rows_j, map(_fmt, values))
     if fmt == "text":
         return _render(meta, [], [], fmt, [f"mu({i},{j}) = {v}" for i, j, v in pairs])
     return _render(meta, ["i", "j", "mu"], [[str(i), str(j), v] for i, j, v in pairs], fmt)
@@ -194,6 +202,9 @@ def _parse_sites(text: str) -> list[tuple[int, bool]]:
 
 
 def _jw_artifact(meta: Metadata, fmt: str) -> str:
+    from .coeffs import sampled_table
+    from .jw import build_jw, check_commutation, vacuum_expectation
+
     n, q, t, seed = _chain_params(meta)
     table = sampled_table(n, q, t, seed)
     op = meta["op"]
@@ -227,6 +238,8 @@ def _jw_artifact(meta: Metadata, fmt: str) -> str:
 # --------------------------------------------------------------------- clt
 
 def _parse_pairing(text: str) -> PairPartition:
+    from .pairings import PairPartition
+
     pairs = []
     for token in text.replace(";", ",").split(","):
         token = token.strip()
@@ -238,6 +251,8 @@ def _parse_pairing(text: str) -> PairPartition:
 
 
 def _clt_config(meta: Metadata) -> ExperimentConfig:
+    from .clt import ExperimentConfig
+
     pairing = _parse_pairing(meta["pairing"]) if "pairing" in meta else None
     return ExperimentConfig(
         mode=meta["mode"],
@@ -251,6 +266,8 @@ def _clt_config(meta: Metadata) -> ExperimentConfig:
 
 
 def _clt_artifact(meta: Metadata, fmt: str) -> str:
+    from .clt import convergence_experiment
+
     report = convergence_experiment(_clt_config(meta))
     if fmt == "csv":
         return report.to_csv()

@@ -30,6 +30,7 @@ from .coeffs import (
     sampled_table,
 )
 from .errors import SizeLimitError, ValidationError
+from .floats import _fmt
 from .pairings import PairPartition
 from .wickpoly import LETTERS, check_eps, wick_mixed
 
@@ -429,10 +430,6 @@ class ExperimentReport:
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:

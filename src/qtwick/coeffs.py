@@ -236,6 +236,14 @@ class CoefficientTable:
         out.T[np.tril_indices(n, -1)] = values
         return out
 
+    def upper_triangle(self, n: int) -> tuple[list[int], list[int], list[float]]:
+        """Every pair i < j <= n sorted by (i, j), as three Python lists: the
+        1-based i, the 1-based j and the base value."""
+        i0, j0 = np.triu_indices(n, 1)
+        # pair (i, j) sits at rank (j-1)(j-2)/2 + i-1
+        values = self.packed(n)[j0 * (j0 - 1) // 2 + i0]
+        return (i0 + 1).tolist(), (j0 + 1).tolist(), values.tolist()
+
 
 def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndarray:
     """Dense [n, n] matrix of lookup(e1, e2, x, y) for 1-based x != y; the

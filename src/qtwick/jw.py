@@ -11,8 +11,9 @@ or to zero, so states never need dense storage.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -20,10 +21,12 @@ from .coeffs import CoefficientTable, _lookup_matrix, _pair_rank
 from .errors import SizeLimitError
 from .wickpoly import LETTERS
 
-# check_commutation forms the 4n(n-1) relation scalars as [n, n] arrays; the
-# worst case, every relation failing, builds that many CommutationChecks:
-# n = 512 takes about 2 s and peaks near 290 MB (0.1 s, 57 MB when none fail)
-MAX_VERIFY_SITES = 512
+# check_commutation forms the 4n(n-1) relation scalars as [n, n] arrays and
+# keeps the failing ones as flat indices: n = 1024 takes about 0.4 s and
+# peaks near 170 MB with every relation failing (136 MB when none fail)
+MAX_VERIFY_SITES = 1024
+# failures a report's iterator builds per step, which bounds its temporaries
+_FAILURE_CHUNK = 1 << 16
 
 SparseState = dict[int, float]
 
@@ -132,12 +135,54 @@ class CommutationCheck:
     deviation: float
 
 
+class CommutationFailures(Sequence):
+    """The failing relations of a check_commutation report, in (i, j, left,
+    right) order.  They stay flat indices into the [n, n, 2, 2] deviation
+    array; a CommutationCheck is built only for an item that is read, so the
+    length and truth of a report with millions of failures cost nothing."""
+
+    def __init__(self, devs: np.ndarray, flat: np.ndarray):
+        self._devs = devs
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return self._flat.size
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self._checks(self._flat[k]))
+        return next(self._checks(self._flat[[k]]))
+
+    def __iter__(self) -> Iterator[CommutationCheck]:
+        for start in range(0, self._flat.size, _FAILURE_CHUNK):
+            yield from self._checks(self._flat[start:start + _FAILURE_CHUNK])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} failing relations>"
+
+    def _checks(self, flat: np.ndarray) -> Iterator[CommutationCheck]:
+        i, j, a, b = np.unravel_index(flat, self._devs.shape)
+        return map(
+            CommutationCheck,
+            (i + 1).tolist(),
+            (j + 1).tolist(),
+            map(LETTERS.__getitem__, a.tolist()),
+            map(LETTERS.__getitem__, b.tolist()),
+            self._devs.ravel()[flat].tolist(),
+        )
+
+
 @dataclass
 class CommutationReport:
     n: int
     tolerance: float
     max_deviation: float
-    failures: list[CommutationCheck] = field(default_factory=list)
+    failures: Sequence[CommutationCheck] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -191,18 +236,8 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
     # i == j is no relation: nan is neither a failure nor a maximum, the way
     # max() and `>` pass over a nan deviation
     devs[np.arange(n), np.arange(n)] = np.nan
-    failing = np.nonzero(devs > tolerance)
-    report = CommutationReport(
+    return CommutationReport(
         n=n, tolerance=tolerance,
         max_deviation=float(np.fmax.reduce(devs, axis=None, initial=0.0)),
+        failures=CommutationFailures(devs, np.flatnonzero(devs > tolerance)),
     )
-    rows, cols, lefts, rights = failing
-    report.failures = list(map(
-        CommutationCheck,
-        (rows + 1).tolist(),
-        (cols + 1).tolist(),
-        map(LETTERS.__getitem__, lefts.tolist()),
-        map(LETTERS.__getitem__, rights.tolist()),
-        devs[failing].tolist(),
-    ))
-    return report

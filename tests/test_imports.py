@@ -1,0 +1,89 @@
+"""What a fresh process imports, and the package's lazily resolved exports.
+
+Each import check runs in a new interpreter, because this one has loaded
+every module already."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import qtwick
+
+# runs `python -m qtwick ARGS` and reports, on its last stderr line, whether
+# numpy was loaded by the time the process exits
+COMMAND_PROBE = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
+    "runpy.run_module('qtwick', run_name='__main__')"
+)
+
+
+def _numpy_loaded(*args: str, code: int = 0) -> bool:
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    return proc.stderr.splitlines()[-1] == "True"
+
+
+def _numpy_after_import(statement: str) -> bool:
+    probe = f"{statement}; import sys; print('numpy' in sys.modules, file=sys.stderr)"
+    return _numpy_loaded("-c", probe)
+
+
+@pytest.mark.parametrize("statement", ["import qtwick", "import qtwick.cli",
+                                       "from qtwick import cli, wick_mixed"])
+def test_import_leaves_numpy_out(statement):
+    assert not _numpy_after_import(statement)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["wick", "--eps", "11**"], 0),
+    (["wick", "--eps", "11**", "--q", "0.5", "--t", "1.25", "--format", "json"], 0),
+    (["pairings", "--n", "3"], 0),
+    (["wick", "--eps", "1x"], 2),
+    ([], 2),
+])
+def test_numpy_free_commands_leave_numpy_out(argv, code):
+    assert not _numpy_loaded("-c", COMMAND_PROBE, *argv, code=code)
+
+
+def test_a_numpy_command_loads_numpy():
+    argv = ["clt", "--mode", "moment", "--eps", "11**", "--q", "0.5", "--t", "1.25",
+            "--ns", "4,8", "--seed", "1"]
+    assert _numpy_loaded("-c", COMMAND_PROBE, *argv)
+    assert _numpy_after_import("from qtwick import sampled_table")
+
+
+# ------------------------------------------------------------ export map
+
+def test_export_map_is_all():
+    assert set(qtwick._EXPORTS) == set(qtwick.__all__) - {"__version__"}
+    assert len(qtwick.__all__) == len(set(qtwick.__all__))
+
+
+def test_every_export_is_its_defining_modules_object():
+    for name, module in qtwick._EXPORTS.items():
+        defining = importlib.import_module(f"qtwick.{module}")
+        assert getattr(qtwick, name) is getattr(defining, name), name
+
+
+def test_dir_lists_every_export():
+    assert set(qtwick.__all__) <= set(dir(qtwick))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from qtwick import *", namespace)
+    assert set(qtwick.__all__) <= set(namespace)
+    for name in qtwick.__all__:
+        assert namespace[name] is getattr(qtwick, name)
+
+
+def test_unknown_attribute_raises_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qtwick.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from qtwick import no_such_name", {})

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
+from qtwick import jw
 from qtwick import (
     CoefficientTable,
     CommutationReport,
@@ -287,6 +288,35 @@ def test_check_commutation_flags_at_negative_tolerance():
     report = check_commutation(2, table, tolerance=-1.0)
     assert not report.ok
     assert len(report.failures) == 8
+
+
+def test_failures_are_built_only_when_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a CommutationCheck was built")
+
+    n = 300
+    table = sampled_table(n, 0.5, 1.25, 1)
+    monkeypatch.setattr(jw, "CommutationCheck", refuse)
+    report = check_commutation(n, table, tolerance=-1.0)
+    assert not report.ok
+    assert len(report.failures) == 4 * n * (n - 1)
+    assert check_commutation(n, table).ok
+
+
+def test_failures_read_as_the_oracles_list(monkeypatch):
+    # a small iteration chunk, so that items cross chunk boundaries
+    monkeypatch.setattr(jw, "_FAILURE_CHUNK", 7)
+    n = 9
+    table = sampled_table(n, 0.3, 0.9, 4)
+    got = check_commutation(n, table, tolerance=-1.0).failures
+    want = _brute.check_commutation(n, table, tolerance=-1.0).failures
+    assert len(got) == len(want) == 4 * n * (n - 1)
+    assert list(got) == want
+    assert got == want and want == got and got != want[:-1]
+    assert [got[k] for k in range(len(got))] == want
+    assert got[-1] == want[-1] and got[3:40:2] == want[3:40:2]
+    with pytest.raises(IndexError):
+        got[len(got)]
 
 
 def test_check_commutation_cap():
