@@ -23,7 +23,6 @@ from .floats import _fmt
 # only those (`pairings` and `wick` never load numpy)
 if TYPE_CHECKING:
     from .clt import ExperimentConfig
-    from .pairings import PairPartition
     from .wickpoly import QTPolynomial
 
 
@@ -47,32 +46,56 @@ def _int_list(text: str, sep: str = ",") -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(sep))
 
 
+# json.dumps(indent=2) lays out a row at depth 2 as START + BETWEEN.join of
+# its encoded cells + END, with SEP between rows
+_JSON_ROW = ("[\n      ", ",\n      ", "\n    ]", ",\n    ")
+
+
 def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
-            text_lines: Optional[list[str]] = None) -> str:
-    if fmt == "csv":
-        lines = [f"# {k}: {v}" for k, v in meta.items()]
-        lines.append(",".join(header))
-        lines.extend(",".join(row) for row in rows)
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = {"metadata": meta, "header": header, "rows": rows}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text_lines: Optional[list[str]] = None, body: Optional[str] = None) -> str:
+    """The artifact: csv or json around `rows`, or `text_lines` (else the
+    rows) as text.  A listing may pass no rows and its `body` instead, the
+    rows laid out as fmt lays them out and joined (None if there are none)."""
     if fmt == "text":
-        lines = text_lines if text_lines is not None else [" ".join(r) for r in rows]
-        return "\n".join(lines) + "\n"
+        if body is None:
+            body = "\n".join(text_lines if text_lines is not None else map(" ".join, rows))
+        return body + "\n"
+    if fmt == "csv":
+        if rows:
+            body = "\n".join(map(",".join, rows))
+        lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(header)]
+        return "\n".join(lines if body is None else lines + [body]) + "\n"
+    if fmt == "json":
+        # json.dumps(payload, indent=2, sort_keys=True), but the rows (they
+        # sort last) go through the C string encoder instead of the
+        # pure-Python one that an indent selects
+        text = json.dumps({"metadata": meta, "header": header, "rows": []},
+                          indent=2, sort_keys=True)
+        if rows:
+            start, between, end, sep = _JSON_ROW
+            cell = json.encoder.encode_basestring_ascii
+            body = sep.join(start + between.join(map(cell, row)) + end if row else "[]"
+                            for row in rows)
+        return (text if body is None else text[:-len("[]\n}")] + f"[\n    {body}\n  ]\n}}") + "\n"
     raise ValidationError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------- pairings
 
 def _pairings_artifact(meta: Metadata, fmt: str) -> str:
-    from .pairings import _braced, enumerate_counted_pairings
+    from .pairings import enumerate_counted_pairings
 
-    counted = enumerate_counted_pairings(meta.number("n"))
+    n = meta.number("n")
+    counted = enumerate_counted_pairings(n)
+    # each pair (w, z) is rendered once
+    label, sep = ("({},{})", ",") if fmt == "text" else ("{}-{}", "; ")
+    points = range(1, 2 * n + 1)
+    pair = {(w, z): label.format(w, z) for w in points for z in points[w:]}
     if fmt == "text":  # the rows would go unused, and vice versa
-        lines = [f"{_braced(pairs)} cross={cross},nest={nest}" for pairs, cross, nest in counted]
+        lines = [f"{{{sep.join(map(pair.__getitem__, pairs))}}} cross={c},nest={s}"
+                 for pairs, c, s in counted]
         return _render(meta, [], [], fmt, lines)
-    rows = [["; ".join(f"{w}-{z}" for w, z in pairs), str(c), str(s)] for pairs, c, s in counted]
+    rows = [[sep.join(map(pair.__getitem__, pairs)), str(c), str(s)] for pairs, c, s in counted]
     return _render(meta, ["pairs", "cross", "nest"], rows, fmt)
 
 
@@ -104,27 +127,10 @@ def _wick_artifact(meta: Metadata, fmt: str) -> str:
 
 # -------------------------------------------------------------------- fock
 
-def _parse_fock_ops(text: str) -> list:
-    ops = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise ValidationError("empty operator token")
-        if token == "n":
-            ops.append(("number",))
-            continue
-        kind = {"c": "create", "a": "annihilate", "s": "field"}.get(token[0])
-        if kind is None or not token[1:].isdigit():
-            raise ValidationError(
-                f"bad operator token {token!r}; use c<i>, a<i>, s<i> or n"
-            )
-        ops.append((kind, int(token[1:])))
-    return ops
-
-
 def _fock_artifact(meta: Metadata, fmt: str) -> str:
     from .fock import (
-        FockParams, _check_residual_size, commutator_residual, gram_matrix, vacuum_moment,
+        FockParams, _check_residual_size, _parse_fock_ops, commutator_residual, gram_matrix,
+        vacuum_moment,
     )
 
     params = FockParams(
@@ -179,31 +185,31 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
             fmt,
             [f"mu_({e1},{e2})({i},{j}) = {_fmt(value)}"],
         )
-    rows_i, rows_j, values = table.upper_triangle(n)
-    pairs = zip(rows_i, rows_j, map(_fmt, values))
-    if fmt == "text":
-        return _render(meta, [], [], fmt, [f"mu({i},{j}) = {v}" for i, j, v in pairs])
-    return _render(meta, ["i", "j", "mu"], [[str(i), str(j), v] for i, j, v in pairs], fmt)
+    values = table.upper_triangle(n)
+    # n site indices and (sampled) two values, each rendered once: row (i, j)
+    # reads first[i] + second[j] + value[mu], as fmt lays out a row
+    if fmt == "json":
+        cell, (start, between, end, sep) = json.encoder.encode_basestring_ascii, _JSON_ROW
+        mid = between
+    else:
+        cell, end, sep = str, "", "\n"
+        start, between, mid = ("mu(", ",", ") = ") if fmt == "text" else ("", ",", ",")
+    first = [start + cell(str(i)) + between for i in range(n + 1)]
+    second = [cell(str(j)) + mid for j in range(n + 1)]
+    value = {x: cell(_fmt(x)) + end for x in set(values)}
+    rows, k = [], 0
+    for i in range(1, n):
+        cells = map(str.__add__, second[i + 1:], map(value.__getitem__, values[k:k + n - i]))
+        rows.append(first[i] + (sep + first[i]).join(cells))
+        k += n - i
+    return _render(meta, ["i", "j", "mu"], [], fmt, body=sep.join(rows) if rows else None)
 
 
 # ---------------------------------------------------------------------- jw
 
-def _parse_sites(text: str) -> list[tuple[int, bool]]:
-    ops = []
-    for token in text.split(","):
-        token = token.strip()
-        adjoint = token.endswith("*")
-        if adjoint:
-            token = token[:-1]
-        if not token.isdigit():
-            raise ValidationError(f"bad site token {token!r}; use <i> or <i>*")
-        ops.append((int(token), adjoint))
-    return ops
-
-
 def _jw_artifact(meta: Metadata, fmt: str) -> str:
     from .coeffs import sampled_table
-    from .jw import build_jw, check_commutation, vacuum_expectation
+    from .jw import _parse_sites, build_jw, check_commutation, vacuum_expectation
 
     n, q, t, seed = _chain_params(meta)
     table = sampled_table(n, q, t, seed)
@@ -237,21 +243,9 @@ def _jw_artifact(meta: Metadata, fmt: str) -> str:
 
 # --------------------------------------------------------------------- clt
 
-def _parse_pairing(text: str) -> PairPartition:
-    from .pairings import PairPartition
-
-    pairs = []
-    for token in text.replace(";", ",").split(","):
-        token = token.strip()
-        a, _, b = token.partition("-")
-        if not a.isdigit() or not b.isdigit():
-            raise ValidationError(f"bad pair token {token!r}; use w-z")
-        pairs.append((int(a), int(b)))
-    return PairPartition(tuple(pairs))
-
-
 def _clt_config(meta: Metadata) -> ExperimentConfig:
     from .clt import ExperimentConfig
+    from .pairings import _parse_pairing
 
     pairing = _parse_pairing(meta["pairing"]) if "pairing" in meta else None
     return ExperimentConfig(
@@ -273,12 +267,7 @@ def _clt_artifact(meta: Metadata, fmt: str) -> str:
         return report.to_csv()
     if fmt == "json":
         return report.to_json()
-    lines = []
-    for row in report.rows:
-        target = "none" if row.target is None else _fmt(row.target)
-        err = "none" if row.abs_err is None else _fmt(row.abs_err)
-        lines.append(f"N={row.n} value={_fmt(row.value)} target={target} abs_err={err}")
-    return "\n".join(lines) + "\n"
+    return report.to_text()
 
 
 ARTIFACTS: dict[str, Callable[[Metadata, str], str]] = {
@@ -301,15 +290,29 @@ def _parse_artifact(text: str) -> tuple[Metadata, str]:
         if not isinstance(payload.get("metadata"), dict):
             raise ValidationError("json artifact has no 'metadata' object; cannot re-check")
         return Metadata(payload["metadata"]), "json"
-    meta = Metadata()
-    for line in text.splitlines():
-        if not line.startswith("# "):
-            break
-        key, _, value = line[2:].partition(": ")
-        meta[key] = value
+    meta = _preamble(text)
     if not meta:
         raise ValidationError("file carries no metadata preamble; cannot re-check")
     return meta, "csv"
+
+
+def _preamble(text: str, size: int = 4096) -> Metadata:
+    """The leading `# key: value` lines of text, split as text.splitlines()
+    splits them, from a prefix of text that doubles from `size` until it
+    holds the first line that is not one."""
+    while True:
+        whole = size >= len(text)
+        lines = text[:size].splitlines()
+        meta = Metadata()
+        # unless whole, the last line may be cut short (or a "\r" from its "\n")
+        for line in lines if whole else lines[:-1]:
+            if not line.startswith("# "):
+                return meta
+            key, _, value = line[2:].partition(": ")
+            meta[key] = value
+        if whole:
+            return meta
+        size *= 2
 
 
 def run_check(path: str) -> str:

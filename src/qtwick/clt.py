@@ -431,6 +431,14 @@ class ExperimentReport:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+    def to_text(self) -> str:
+        lines = []
+        for row in self.rows:
+            target = "none" if row.target is None else _fmt(row.target)
+            err = "none" if row.abs_err is None else _fmt(row.abs_err)
+            lines.append(f"N={row.n} value={_fmt(row.value)} target={target} abs_err={err}")
+        return "\n".join(lines) + "\n"
+
 
 def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one experiment: a single sampled table at max(ns), each size read off

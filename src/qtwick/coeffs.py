@@ -23,9 +23,11 @@ from .wickpoly import LETTERS, QTPolynomial, check_eps
 # a sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and samples
 # in about 0.3 s; it admits the largest lambda run (3162 sites, 2 pairs)
 MAX_TABLE_SITES = 4096
-# the coeffs artifact lists one row per pair: 768 sites are 294528 rows,
-# written in about 0.8 s as csv (3 MB) and 1.5 s as json (14 MB)
-MAX_LISTED_SITES = 768
+# the coeffs artifact lists one row per pair: 1024 sites are 523776 rows.
+# In a fresh process, csv (5 MB) takes 0.4-0.6 s to write or --check and
+# peaks at 84 MB, text (8 MB) 0.4-0.6 s at 78 MB, and json (26 MB) 0.5-0.7 s
+# to write at 153 MB and 1.1-1.7 s to --check at 202 MB (json.loads)
+MAX_LISTED_SITES = 1024
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -236,13 +238,12 @@ class CoefficientTable:
         out.T[np.tril_indices(n, -1)] = values
         return out
 
-    def upper_triangle(self, n: int) -> tuple[list[int], list[int], list[float]]:
-        """Every pair i < j <= n sorted by (i, j), as three Python lists: the
-        1-based i, the 1-based j and the base value."""
+    def upper_triangle(self, n: int) -> list[float]:
+        """The base values of every pair i < j <= n sorted by (i, j), as a
+        Python list."""
         i0, j0 = np.triu_indices(n, 1)
         # pair (i, j) sits at rank (j-1)(j-2)/2 + i-1
-        values = self.packed(n)[j0 * (j0 - 1) // 2 + i0]
-        return (i0 + 1).tolist(), (j0 + 1).tolist(), values.tolist()
+        return self.packed(n)[j0 * (j0 - 1) // 2 + i0].tolist()
 
 
 def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndarray:

@@ -151,6 +151,25 @@ def apply_operator(kind: OperatorKind, v: FockVector, p: FockParams) -> FockVect
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
+def _parse_fock_ops(text: str) -> list:
+    """The operators of a `fock --ops` list: c<i>, a<i>, s<i> or n tokens."""
+    ops = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            raise ValidationError("empty operator token")
+        if token == "n":
+            ops.append(("number",))
+            continue
+        kind = {"c": "create", "a": "annihilate", "s": "field"}.get(token[0])
+        if kind is None or not token[1:].isdigit():
+            raise ValidationError(
+                f"bad operator token {token!r}; use c<i>, a<i>, s<i> or n"
+            )
+        ops.append((kind, int(token[1:])))
+    return ops
+
+
 def vacuum_moment(op_seq: Sequence[OperatorKind], p: FockParams) -> float:
     """Apply a product of operators (written left to right) to the vacuum and
     return the resulting vacuum coefficient."""

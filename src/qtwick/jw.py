@@ -17,13 +17,13 @@ from typing import Optional
 
 import numpy as np
 
-from .coeffs import CoefficientTable, _lookup_matrix, _pair_rank
-from .errors import SizeLimitError
+from .coeffs import CoefficientTable, _coefficient, _pair_rank
+from .errors import SizeLimitError, ValidationError
 from .wickpoly import LETTERS
 
 # check_commutation forms the 4n(n-1) relation scalars as [n, n] arrays and
-# keeps the failing ones as flat indices: n = 1024 takes about 0.4 s and
-# peaks near 170 MB with every relation failing (136 MB when none fail)
+# keeps the failing ones as flat indices: n = 1024 takes about 0.3 s and
+# peaks near 150 MB, whether every relation fails or none does
 MAX_VERIFY_SITES = 1024
 # failures a report's iterator builds per step, which bounds its temporaries
 _FAILURE_CHUNK = 1 << 16
@@ -106,6 +106,20 @@ def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> 
 
 def vacuum_state() -> SparseState:
     return {0: 1.0}
+
+
+def _parse_sites(text: str) -> list[tuple[int, bool]]:
+    """The (site, adjoint) factors of a `jw --ops` list of <i> or <i>* tokens."""
+    ops = []
+    for token in text.split(","):
+        token = token.strip()
+        adjoint = token.endswith("*")
+        if adjoint:
+            token = token[:-1]
+        if not token.isdigit():
+            raise ValidationError(f"bad site token {token!r}; use <i> or <i>*")
+        ops.append((int(token), adjoint))
+    return ops
 
 
 def vacuum_expectation(
@@ -206,13 +220,19 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
     """
     if n > MAX_VERIFY_SITES:
         raise SizeLimitError(f"verifying {n} sites exceeds the {MAX_VERIFY_SITES}-site cap")
-    entries = np.empty((n, n))
-    for site in range(1, n + 1):
-        entries[:, site - 1] = _occupied_entries(n, site, table)
-    # relation (i, j) sits at [i-1, j-1]: element j's entry at slot i, and
-    # element i's entry at slot j
-    at_i, at_j = entries, entries.T
     ascending = np.less.outer(np.arange(n), np.arange(n))
+    # base[i-1, j-1] = mu(min(i, j), max(i, j)), filled in pair-rank order
+    base = np.ones((n, n))
+    base[np.tril_indices(n, -1)] = table.packed(n)
+    base = np.where(ascending, base.T, base)
+    # relation (i, j) sits at [i-1, j-1]: element j's entry at slot i, and
+    # element i's entry at slot j, as _occupied_entries gives them.  Every
+    # operand is C-ordered, made from `base` by elementwise steps: at n a
+    # power of two a transposed view strides by 8n bytes, which made the
+    # steps 1.5x slower
+    sq = math.sqrt(table.t)
+    at_i = np.where(ascending, sq * base, sq)
+    at_j = np.where(ascending, sq, sq * base)
     devs = np.empty((n, n, len(LETTERS), len(LETTERS)))
     # extreme tables overflow or divide by zero here; the results follow
     # float rules, as the scalar products do
@@ -221,7 +241,9 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
             lhs_i, rhs_i = (at_i, 1.0) if e1 == "1" else (1.0, at_i)
             for b, e2 in enumerate(LETTERS):
                 lhs_j, rhs_j = (1.0, at_j) if e2 == "1" else (at_j, 1.0)
-                mu = _lookup_matrix(table, e2, e1, n).T
+                # mu_{e2,e1}(j, i); the diagonal is not read
+                mu = np.where(ascending, _coefficient(e2, e1, base, table.t, False),
+                              _coefficient(e2, e1, base, table.t, True))
                 lhs = lhs_i * lhs_j
                 rhs = np.where(ascending, mu * rhs_i * rhs_j, mu * rhs_j * rhs_i)
                 # a zero entry kills its product; on the right, mu can be
@@ -233,6 +255,7 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
                     np.where(lhs_zero & rhs_zero, 0.0, np.inf),
                     np.abs(lhs - rhs),
                 )
+                del mu, lhs, rhs  # before the next pair's arrays are made
     # i == j is no relation: nan is neither a failure nor a maximum, the way
     # max() and `>` pass over a nan deviation
     devs[np.arange(n), np.arange(n)] = np.nan

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, ValidationError
 
 # (2n-1)!! pairings: n = 7 means 135,135 of them, listed in about 2 s, and
 # n = 8 would mean 2,027,025 in 20-40 s
@@ -59,11 +59,19 @@ class PairPartition:
         return out
 
     def __str__(self) -> str:
-        return _braced(self.pairs)
+        return "{" + ",".join(f"({w},{z})" for w, z in self.pairs) + "}"
 
 
-def _braced(pairs: Pairs) -> str:
-    return "{" + ",".join(f"({w},{z})" for w, z in pairs) + "}"
+def _parse_pairing(text: str) -> PairPartition:
+    """A pairing written as w-z tokens, separated by commas or semicolons."""
+    pairs = []
+    for token in text.replace(";", ",").split(","):
+        token = token.strip()
+        a, _, b = token.partition("-")
+        if not a.isdigit() or not b.isdigit():
+            raise ValidationError(f"bad pair token {token!r}; use w-z")
+        pairs.append((int(a), int(b)))
+    return PairPartition(tuple(pairs))
 
 
 @dataclass(frozen=True)

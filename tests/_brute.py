@@ -3,15 +3,19 @@ the library: set partitions come from restricted-growth strings and are
 filtered down to pairings, chord statistics come from interval containment,
 the inner product sums over all of S_n without letter grouping, chain
 moments walk a dict of occupation bitmasks one state and one site at a time,
-and the chain's exchange relations compose whole operators slot by slot."""
+the chain's exchange relations compose whole operators slot by slot, and
+listings render one row and one cell at a time."""
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from qtwick.coeffs import sampled_table
+from qtwick.floats import _fmt
 from qtwick.jw import CommutationCheck, CommutationReport, MonomialOperator, build_jw
 from qtwick.wickpoly import LETTERS
 
@@ -287,3 +291,52 @@ def check_commutation(n: int, table, tolerance: float = 1e-12) -> CommutationRep
                     if dev > tolerance:
                         report.failures.append(CommutationCheck(i, j, e1, e2, dev))
     return report
+
+
+def render(meta, header, rows, fmt: str, text_lines=None) -> str:
+    """A csv, json or text artifact, row by row; json through json.dumps."""
+    if fmt == "csv":
+        lines = [f"# {k}: {v}" for k, v in meta.items()]
+        lines.append(",".join(header))
+        lines.extend(",".join(row) for row in rows)
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        payload = {"metadata": meta, "header": header, "rows": rows}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = text_lines if text_lines is not None else [" ".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def coeffs_listing(meta, fmt: str) -> str:
+    """The coeffs artifact without --lookup: one row per pair i < j, each
+    index and value formatted where it is read."""
+    n = int(meta["n"])
+    table = sampled_table(n, float(meta["q"]), float(meta["t"]), int(meta["seed"]))
+    rows = [
+        [str(i), str(j), _fmt(table.base_value(i, j))]
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
+    return render(meta, ["i", "j", "mu"], rows, fmt, [f"mu({i},{j}) = {v}" for i, j, v in rows])
+
+
+def pairings_listing(meta, fmt: str, counted) -> str:
+    """The pairings artifact of the (pairs, crossings, nestings) in
+    `counted`, every label formatted where it is read."""
+    text_lines = [
+        "{" + ",".join(f"({w},{z})" for w, z in pairs) + f"}} cross={c},nest={s}"
+        for pairs, c, s in counted
+    ]
+    rows = [["; ".join(f"{w}-{z}" for w, z in pairs), str(c), str(s)] for pairs, c, s in counted]
+    return render(meta, ["pairs", "cross", "nest"], rows, fmt, text_lines)
+
+
+def csv_preamble(text: str) -> dict:
+    """The `# key: value` lines that open text, from text.splitlines()."""
+    meta = {}
+    for line in text.splitlines():
+        if not line.startswith("# "):
+            break
+        key, _, value = line[2:].partition(": ")
+        meta[key] = value
+    return meta
