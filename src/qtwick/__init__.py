@@ -25,7 +25,6 @@ _MODULE_EXPORTS = {
         "cross_nest_counts",
         "enumerate_counted_pairings",
         "enumerate_pair_partitions",
-        "iter_pair_partitions",
     ),
     "wickpoly": (
         "DEFAULT_COVARIANCE",

@@ -263,11 +263,22 @@ def _clt_artifact(meta: Metadata, fmt: str) -> str:
     from .clt import convergence_experiment
 
     report = convergence_experiment(_clt_config(meta))
-    if fmt == "csv":
-        return report.to_csv()
-    if fmt == "json":
-        return report.to_json()
-    return report.to_text()
+    cfg = report.config
+    # spelled from the config (`--ns "10, 20"` reads 10,20), with the running version
+    meta = Metadata(command="clt", version=__version__, mode=cfg.mode, eps=cfg.eps, q=_fmt(cfg.q),
+                    t=_fmt(cfg.t), seed=str(cfg.seed), ns=",".join(map(str, cfg.ns)))
+    if cfg.pairing is not None:
+        meta["pairing"] = ";".join(f"{w}-{z}" for w, z in cfg.pairing.pairs)
+    header = ["N", "eps", "q", "t", "seed", "mode", "value", "target", "abs_err"]
+    if fmt == "json":  # the rows keep their numbers typed
+        rows = [dict(zip(header, (row.n, cfg.eps, cfg.q, cfg.t, cfg.seed, cfg.mode, row.value,
+                                  row.target, row.abs_err))) for row in report.rows]
+        return json.dumps({"metadata": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    rows = [[str(row.n), cfg.eps, meta["q"], meta["t"], meta["seed"], cfg.mode]
+            + ["none" if x is None else _fmt(x) for x in (row.value, row.target, row.abs_err)]
+            for row in report.rows]
+    lines = [f"N={n} value={v} target={g} abs_err={e}" for n, *_, v, g, e in rows]
+    return _render(meta, header, rows, fmt, lines)
 
 
 ARTIFACTS: dict[str, Callable[[Metadata, str], str]] = {
@@ -289,6 +300,9 @@ def _parse_artifact(text: str) -> tuple[Metadata, str]:
         payload = json.loads(text)
         if not isinstance(payload.get("metadata"), dict):
             raise ValidationError("json artifact has no 'metadata' object; cannot re-check")
+        for key, value in payload["metadata"].items():
+            if not isinstance(value, str):  # as every csv value is
+                raise ValidationError(f"metadata entry {key!r} is malformed: {value!r}")
         return Metadata(payload["metadata"]), "json"
     meta = _preamble(text)
     if not meta:
@@ -316,8 +330,11 @@ def _preamble(text: str, size: int = 4096) -> Metadata:
 
 
 def run_check(path: str) -> str:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read artifact {path}: {exc}") from None
     meta, fmt = _parse_artifact(text)
     command = meta.get("command")
     if command not in ARTIFACTS:
@@ -523,7 +540,7 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
             ns=args.ns, seed=str(_resolve_seed(args.seed)),
         )
         if args.pairing:
-            meta["pairing"] = args.pairing.replace(",", ";")
+            meta["pairing"] = args.pairing
     return meta
 
 
@@ -542,8 +559,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 2
         text = ARTIFACTS[args.command](_meta_from_args(args), args.format)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValidationError(f"cannot write {args.out}: {exc}") from None
         else:
             sys.stdout.write(text)
         return 0

@@ -5,13 +5,13 @@ The normalized sum over the first N chain elements has vacuum moments that
 approach pairing sums weighted by q^crossings * t^nestings; the estimator
 averages the closed-form coefficient product over all index tuples in one
 pairing class.  Experiments sample a single coefficient table at the largest
-requested size and evaluate every smaller size on its restriction.
+requested size and evaluate every smaller size on its restriction; they return
+rows of numbers, which the command line renders.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
 from .coeffs import (
     MAX_TABLE_SITES,
     CoefficientTable,
@@ -30,7 +29,6 @@ from .coeffs import (
     sampled_table,
 )
 from .errors import SizeLimitError, ValidationError
-from .floats import _fmt
 from .pairings import PairPartition
 from .wickpoly import LETTERS, check_eps, wick_mixed
 
@@ -371,73 +369,6 @@ class ExperimentRow:
 class ExperimentReport:
     config: ExperimentConfig
     rows: list[ExperimentRow] = field(default_factory=list)
-    version: str = __version__
-
-    def metadata(self) -> dict[str, str]:
-        cfg = self.config
-        meta = {
-            "command": "clt",
-            "version": self.version,
-            "mode": cfg.mode,
-            "eps": cfg.eps,
-            "q": _fmt(cfg.q),
-            "t": _fmt(cfg.t),
-            "seed": str(cfg.seed),
-            "ns": ",".join(str(n) for n in cfg.ns),
-        }
-        if cfg.pairing is not None:
-            meta["pairing"] = ";".join(f"{w}-{z}" for w, z in cfg.pairing.pairs)
-        return meta
-
-    def to_csv(self) -> str:
-        lines = [f"# {k}: {v}" for k, v in self.metadata().items()]
-        lines.append("N,eps,q,t,seed,mode,value,target,abs_err")
-        cfg = self.config
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        str(row.n),
-                        cfg.eps,
-                        _fmt(cfg.q),
-                        _fmt(cfg.t),
-                        str(cfg.seed),
-                        cfg.mode,
-                        _fmt(row.value),
-                        "none" if row.target is None else _fmt(row.target),
-                        "none" if row.abs_err is None else _fmt(row.abs_err),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "metadata": self.metadata(),
-            "rows": [
-                {
-                    "N": row.n,
-                    "eps": self.config.eps,
-                    "q": self.config.q,
-                    "t": self.config.t,
-                    "seed": self.config.seed,
-                    "mode": self.config.mode,
-                    "value": row.value,
-                    "target": row.target,
-                    "abs_err": row.abs_err,
-                }
-                for row in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def to_text(self) -> str:
-        lines = []
-        for row in self.rows:
-            target = "none" if row.target is None else _fmt(row.target)
-            err = "none" if row.abs_err is None else _fmt(row.abs_err)
-            lines.append(f"N={row.n} value={_fmt(row.value)} target={target} abs_err={err}")
-        return "\n".join(lines) + "\n"
 
 
 def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .errors import SizeLimitError, ValidationError
 
@@ -185,14 +185,6 @@ def _placements(free: tuple[int, ...], placed: Pairs = (), cross: int = 0, nest:
             elif z > a:
                 c += 1
         yield from _placements(free[1:k] + free[k + 1:], placed + ((a, b),), c, s)
-
-
-def iter_pair_partitions(n: int) -> Iterator[PairPartition]:
-    """Yield all pair partitions of {1,...,2n} in lexicographic pair-list order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for pairs, _, _ in _placements(tuple(range(1, 2 * n + 1))):
-        yield PairPartition(pairs)
 
 
 def enumerate_counted_pairings(n: int) -> list[tuple[Pairs, int, int]]:

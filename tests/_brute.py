@@ -4,7 +4,7 @@ filtered down to pairings, chord statistics come from interval containment,
 the inner product sums over all of S_n without letter grouping, chain
 moments walk a dict of occupation bitmasks one state and one site at a time,
 the chain's exchange relations compose whole operators slot by slot, and
-listings render one row and one cell at a time."""
+listings and clt artifacts render one row and one cell at a time."""
 
 import functools
 import itertools
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qtwick import __version__
 from qtwick.coeffs import sampled_table
 from qtwick.floats import _fmt
 from qtwick.jw import CommutationCheck, CommutationReport, MonomialOperator, build_jw
@@ -340,3 +341,59 @@ def csv_preamble(text: str) -> dict:
         key, _, value = line[2:].partition(": ")
         meta[key] = value
     return meta
+
+
+def clt_metadata(config, version: str = __version__) -> dict:
+    """The metadata of a clt artifact, spelled from its experiment config."""
+    meta = {
+        "command": "clt",
+        "version": version,
+        "mode": config.mode,
+        "eps": config.eps,
+        "q": _fmt(config.q),
+        "t": _fmt(config.t),
+        "seed": str(config.seed),
+        "ns": ",".join(str(n) for n in config.ns),
+    }
+    if config.pairing is not None:
+        meta["pairing"] = ";".join(f"{w}-{z}" for w, z in config.pairing.pairs)
+    return meta
+
+
+def clt_artifact(report, fmt: str, version: str = __version__) -> str:
+    """The clt artifact of an experiment report, row by row: csv and text by
+    hand, json through json.dumps with typed rows."""
+    cfg = report.config
+    if fmt == "json":
+        payload = {
+            "metadata": clt_metadata(cfg, version),
+            "rows": [
+                {
+                    "N": row.n,
+                    "eps": cfg.eps,
+                    "q": cfg.q,
+                    "t": cfg.t,
+                    "seed": cfg.seed,
+                    "mode": cfg.mode,
+                    "value": row.value,
+                    "target": row.target,
+                    "abs_err": row.abs_err,
+                }
+                for row in report.rows
+            ],
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = []
+    if fmt == "csv":
+        lines = [f"# {k}: {v}" for k, v in clt_metadata(cfg, version).items()]
+        lines.append("N,eps,q,t,seed,mode,value,target,abs_err")
+    for row in report.rows:
+        target = "none" if row.target is None else _fmt(row.target)
+        err = "none" if row.abs_err is None else _fmt(row.abs_err)
+        if fmt == "csv":
+            cells = (str(row.n), cfg.eps, _fmt(cfg.q), _fmt(cfg.t), str(cfg.seed), cfg.mode,
+                     _fmt(row.value), target, err)
+            lines.append(",".join(cells))
+        else:
+            lines.append(f"N={row.n} value={_fmt(row.value)} target={target} abs_err={err}")
+    return "\n".join(lines) + "\n"

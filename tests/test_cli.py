@@ -312,6 +312,53 @@ def test_check_rejects_plain_file(tmp_path, capsys):
     assert code == 2 and "metadata" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--check", "{tmp}/nonexistent.csv"),
+    ("--check", "{tmp}"),
+    ("pairings", "--n", "2", "--out", "{tmp}/nonexistent/x.csv"),
+    ("pairings", "--n", "2", "--out", "{tmp}"),
+])
+def test_a_file_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert str(tmp_path) in err and "internal" not in err
+
+
+# one json artifact of every command and op
+JSON_JOBS = [
+    ("pairings", "--n", "2"),
+    ("wick", "--eps", "11**", "--q", "0.5", "--t", "1.25"),
+    ("wick", "--eps", "1*1*", "--labels", "1,1,2,2"),
+    ("wick", "--field", "2"),
+    ("fock", "--d", "2", "--m", "3", "--q", "0.5", "--t", "1", "--ops", "a1,c1"),
+    ("fock", "--d", "2", "--m", "3", "--q", "0.5", "--t", "1", "--residual"),
+    ("fock", "--d", "2", "--m", "3", "--q", "0.5", "--t", "1", "--gram", "2"),
+    ("coeffs", "--n", "4", *CHAIN),
+    ("coeffs", "--n", "4", *CHAIN, "--lookup", "1,*,1,3"),
+    ("jw", "--n", "3", *CHAIN, "--ops", "1,1*"),
+    ("jw", "--n", "3", *CHAIN, "--verify"),
+    ("jw", "--n", "3", *CHAIN, "--dump-op", "2*"),
+    ("clt", "--mode", "moment", "--eps", "1*", *CHAIN, "--ns", "5"),
+    ("clt", "--mode", "lambda", "--eps", "11**", *CHAIN, "--ns", "5", "--pairing", "1-3,2-4"),
+]
+
+
+@pytest.mark.parametrize("argv", JSON_JOBS, ids=lambda argv: " ".join(argv))
+def test_check_rejects_non_string_json_metadata(capsys, tmp_path, argv):
+    good = tmp_path / "good.json"
+    assert run(capsys, *argv, "--format", "json", "--out", str(good))[0] == 0
+    assert run(capsys, "--check", str(good))[0] == 0
+    payload = json.loads(good.read_text())
+    broken = tmp_path / "broken.json"
+    for key in payload["metadata"]:
+        for value in (5, [payload["metadata"][key]], {key: "x"}, None):
+            edited = dict(payload, metadata={**payload["metadata"], key: value})
+            broken.write_text(json.dumps(edited, indent=2, sort_keys=True) + "\n")
+            code, out, err = run(capsys, "--check", str(broken))
+            assert code == 2 and out == "", (key, value)
+            assert repr(key) in err and "internal" not in err, (key, value, err)
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("QTWICK_SEED", "42")
     code, out_env, _ = run(

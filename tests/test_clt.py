@@ -25,6 +25,7 @@ from qtwick import (
     vacuum_expectation,
     wick_mixed,
 )
+from qtwick import cli
 from qtwick.clt import MAX_ESTIMATE_PAIRS, MAX_SUM_STATES, peak_popcount
 from qtwick.cli import main
 from qtwick.coeffs import _lookup_matrix
@@ -428,6 +429,50 @@ def test_lambda_experiment_exact_disjoint():
     assert report.rows[1].abs_err == pytest.approx(1 / 20, abs=1e-15)
 
 
+def cli_artifact(cfg: ExperimentConfig, fmt: str) -> str:
+    """The artifact `qtwick clt` writes for cfg: its flags parsed into
+    metadata as `main` parses them, then rendered."""
+    argv = ["clt", "--mode", cfg.mode, "--eps", cfg.eps, f"--q={cfg.q!r}", f"--t={cfg.t!r}",
+            "--ns", ",".join(map(str, cfg.ns)), "--seed", str(cfg.seed)]
+    if cfg.pairing is not None:
+        argv += ["--pairing", ",".join(f"{w}-{z}" for w, z in cfg.pairing.pairs)]
+    return cli._clt_artifact(cli._meta_from_args(cli._parser().parse_args(argv)), fmt)
+
+
+# (mode, eps, q, t, ns, pairing): both modes, a class with no target, extreme
+# q and t, and --ns / --pairing spelled with spaces and out of order
+CLT_GRID = [
+    ("moment", "11**", "0.5", "1.25", "10,20", None),
+    ("lambda", "11**", "0.5", "1.25", "20,60", "1-3,2-4"),
+    ("lambda", "1**1", "0.5", "1.25", "6,12", "1-3,2-4"),
+    ("lambda", "1*1*", "1e-300", "1e300", "5,9", "1-2,3-4"),
+    ("moment", "1*1*", "1e-300", "1e300", "5,9", None),
+    ("moment", "1*", "-0.25", "0.5", "10, 20", None),
+    ("lambda", "11**", "0.5", "1.25", "10, 20", "2-4, 1-3"),
+]
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json", "text"))
+def test_clt_artifact_matches_the_row_oracle(fmt, tmp_path, capsys):
+    for k, (mode, eps, q, t, ns, pairing) in enumerate(CLT_GRID):
+        for seed in ("0", "7"):
+            argv = ["clt", "--mode", mode, "--eps", eps, f"--q={q}", "--t", t, "--ns", ns,
+                    "--seed", seed, "--format", fmt]
+            argv += ["--pairing", pairing] if pairing else []
+            path = tmp_path / f"{k}-{seed}.{fmt}"
+            assert main(argv + ["--out", str(path)]) == 0
+            meta = cli._meta_from_args(cli._parser().parse_args(argv))
+            report = convergence_experiment(cli._clt_config(meta))
+            text = path.read_text(encoding="utf-8")
+            assert text == _brute.clt_artifact(report, fmt), argv
+            code = main(["--check", str(path)])
+            out, err = capsys.readouterr()
+            if fmt == "text":  # carries no metadata to re-run
+                assert code == 2 and "no metadata preamble" in err, argv
+            else:
+                assert (code, out) == (0, f"ok: {path}\n"), argv
+
+
 def test_lambda_experiment_without_default_pattern_has_no_target():
     cfg = ExperimentConfig(
         mode="lambda",
@@ -440,7 +485,7 @@ def test_lambda_experiment_without_default_pattern_has_no_target():
     )
     report = convergence_experiment(cfg)
     assert all(row.target is None and row.abs_err is None for row in report.rows)
-    csv_text = report.to_csv()
+    csv_text = cli_artifact(cfg, "csv")
     assert ",none,none" in csv_text
 
 
@@ -448,8 +493,8 @@ def test_csv_shape_and_determinism():
     cfg = ExperimentConfig(
         mode="moment", eps="11**", q=0.5, t=1.25, ns=(10, 20), seed=7
     )
-    first = convergence_experiment(cfg).to_csv()
-    second = convergence_experiment(cfg).to_csv()
+    first = cli_artifact(cfg, "csv")
+    second = cli_artifact(cfg, "csv")
     assert first == second
     lines = first.splitlines()
     assert lines[0] == "# command: clt"
@@ -464,7 +509,7 @@ def test_metadata_contents():
     cfg = ExperimentConfig(
         mode="lambda", eps="11**", q=0.5, t=1.25, ns=(5, 10), seed=3, pairing=CROSSING
     )
-    meta = convergence_experiment(cfg).metadata()
+    meta, _ = cli._parse_artifact(cli_artifact(cfg, "csv"))
     assert list(meta) == [
         "command",
         "version",
@@ -483,7 +528,7 @@ def test_metadata_contents():
 def test_json_round_trip():
     cfg = ExperimentConfig(mode="moment", eps="1*", q=0.0, t=1.0, ns=(3,), seed=0)
     report = convergence_experiment(cfg)
-    payload = json.loads(report.to_json())
+    payload = json.loads(cli_artifact(cfg, "json"))
     assert payload["metadata"]["command"] == "clt"
     assert payload["rows"][0]["value"] == 1.0
     assert payload["rows"][0]["N"] == 3
