@@ -83,20 +83,25 @@ def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
 # ---------------------------------------------------------------- pairings
 
 def _pairings_artifact(meta: Metadata, fmt: str) -> str:
-    from .pairings import enumerate_counted_pairings
+    from .pairings import _placements
 
     n = meta.number("n")
-    counted = enumerate_counted_pairings(n)
-    # each pair (w, z) is rendered once
-    label, sep = ("({},{})", ",") if fmt == "text" else ("{}-{}", "; ")
-    points = range(1, 2 * n + 1)
-    pair = {(w, z): label.format(w, z) for w in points for z in points[w:]}
-    if fmt == "text":  # the rows would go unused, and vice versa
-        lines = [f"{{{sep.join(map(pair.__getitem__, pairs))}}} cross={c},nest={s}"
-                 for pairs, c, s in counted]
-        return _render(meta, [], [], fmt, lines)
-    rows = [[sep.join(map(pair.__getitem__, pairs)), str(c), str(s)] for pairs, c, s in counted]
-    return _render(meta, ["pairs", "cross", "nest"], rows, fmt)
+    # a row is `start`, a token per pair (the last one closes the pairs cell)
+    # and one of the count strings; every cell is ascii with nothing to
+    # escape, so json only quotes it
+    if fmt == "text":
+        start, pair, last, counts, sep = "{", "({},{}),", "({},{})}} cross=", "{},nest={}", "\n"
+    elif fmt == "json":
+        row_start, between, end, sep = _JSON_ROW
+        start, pair, last = row_start + '"', "{}-{}; ", '{}-{}"' + between + '"'
+        counts = '{}"' + between + '"{}"' + end
+    else:
+        start, pair, last, counts, sep = "", "{}-{}; ", "{}-{},", "{},{}", "\n"
+    placed = _placements(n, start, pair.format, last.format)
+    most = range(n * (n - 1) // 2 + 1)
+    num = [[counts.format(c, s) for s in most] for c in most]
+    rows = [row + num[c][s] for row, c, s in placed]
+    return _render(meta, ["pairs", "cross", "nest"], [], fmt, body=sep.join(rows))
 
 
 # -------------------------------------------------------------------- wick
@@ -264,9 +269,10 @@ def _clt_artifact(meta: Metadata, fmt: str) -> str:
 
     report = convergence_experiment(_clt_config(meta))
     cfg = report.config
-    # spelled from the config (`--ns "10, 20"` reads 10,20), with the running version
-    meta = Metadata(command="clt", version=__version__, mode=cfg.mode, eps=cfg.eps, q=_fmt(cfg.q),
-                    t=_fmt(cfg.t), seed=str(cfg.seed), ns=",".join(map(str, cfg.ns)))
+    # spelled from the config (`--ns "10, 20"` reads 10,20)
+    meta = Metadata(command="clt", version=meta["version"], mode=cfg.mode, eps=cfg.eps,
+                    q=_fmt(cfg.q), t=_fmt(cfg.t), seed=str(cfg.seed),
+                    ns=",".join(map(str, cfg.ns)))
     if cfg.pairing is not None:
         meta["pairing"] = ";".join(f"{w}-{z}" for w, z in cfg.pairing.pairs)
     header = ["N", "eps", "q", "t", "seed", "mode", "value", "target", "abs_err"]
@@ -297,13 +303,17 @@ def _parse_artifact(text: str) -> tuple[Metadata, str]:
     """Extract (metadata, format) from an emitted csv or json artifact."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
-        if not isinstance(payload.get("metadata"), dict):
+        # decode only the metadata object: whatever it holds, the artifact
+        # passes only if a fresh render of it matches byte for byte
+        tag = '"metadata": '
+        at = text.find(tag)
+        meta = json.JSONDecoder().raw_decode(text, at + len(tag))[0] if at >= 0 else None
+        if not isinstance(meta, dict):
             raise ValidationError("json artifact has no 'metadata' object; cannot re-check")
-        for key, value in payload["metadata"].items():
+        for key, value in meta.items():
             if not isinstance(value, str):  # as every csv value is
                 raise ValidationError(f"metadata entry {key!r} is malformed: {value!r}")
-        return Metadata(payload["metadata"]), "json"
+        return Metadata(meta), "json"
     meta = _preamble(text)
     if not meta:
         raise ValidationError("file carries no metadata preamble; cannot re-check")
@@ -341,7 +351,11 @@ def run_check(path: str) -> str:
         raise ValidationError(f"metadata names unknown command {command!r}")
     fresh = ARTIFACTS[command](meta, fmt)
     if fresh != text:
-        raise ValidationError(f"artifact {path} does not match a fresh run of {command}")
+        why = f"artifact {path} does not match a fresh run of {command}"
+        version = meta.get("version")
+        if version is not None and version != __version__:
+            why += f"; it names version {version}, and this is version {__version__}"
+        raise ValidationError(why)
     return f"ok: {path}"
 
 

@@ -202,12 +202,12 @@ def test_jw_caps(capsys):
 
 
 def test_pairings_cap(capsys):
-    n = MAX_ENUMERATION_PAIRS + 1
     with pytest.raises(SizeLimitError):
-        enumerate_pair_partitions(n)
-    code, out, err = run(capsys, "pairings", "--n", str(n))
-    assert code == 2 and out == ""
-    assert f"n={n} > {MAX_ENUMERATION_PAIRS}" in err
+        enumerate_pair_partitions(MAX_ENUMERATION_PAIRS + 1)
+    for n in (MAX_ENUMERATION_PAIRS + 1, 10**9):  # refused before any table is built
+        code, out, err = run(capsys, "pairings", "--n", str(n))
+        assert code == 2 and out == ""
+        assert f"n={n} > {MAX_ENUMERATION_PAIRS}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -303,6 +303,38 @@ def test_check_json_artifact(capsys, tmp_path):
     )
     assert code == 0
     assert run_check(str(target)).startswith("ok:")
+
+
+def test_check_reads_only_the_json_metadata(capsys, tmp_path):
+    target = tmp_path / "pairings.json"
+    assert run(capsys, "pairings", "--n", "3", "--format", "json", "--out", str(target))[0] == 0
+    text = target.read_text()
+    # the rows are never decoded, only compared
+    target.write_text(text.replace('"rows": [', '"rows": [[', 1))
+    code, _, err = run(capsys, "--check", str(target))
+    assert code == 2 and "does not match a fresh run of pairings" in err
+    for meta, why in [('"metadata": ["pairings"]', "no 'metadata' object"),
+                      ('"metadata": {"command": "pairings", "n": 3}', "'n' is malformed")]:
+        target.write_text(json.dumps({"header": [], "rows": []}).replace('"rows"', meta + ', "rows"'))
+        code, _, err = run(capsys, "--check", str(target))
+        assert code == 2 and why in err, meta
+
+
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--n", "4", *CHAIN, "--format", "csv"),
+    ("clt", "--mode", "moment", "--eps", "11**", *CHAIN, "--ns", "5,10", "--format", "csv"),
+])
+def test_check_echoes_the_artifact_version(capsys, tmp_path, argv):
+    target = tmp_path / "old.csv"
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and f"# version: {cli.__version__}\n" in text
+    old = text.replace(f"# version: {cli.__version__}\n", "# version: 0.0.9\n")
+    target.write_text(old)
+    assert run(capsys, "--check", str(target))[:2] == (0, f"ok: {target}\n")
+    target.write_text(old[:-2] + ("7" if old[-2] != "7" else "1") + "\n")
+    code, _, err = run(capsys, "--check", str(target))
+    assert code == 2 and "does not match" in err
+    assert "version 0.0.9" in err and f"version {cli.__version__}" in err
 
 
 def test_check_rejects_plain_file(tmp_path, capsys):

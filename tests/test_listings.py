@@ -3,6 +3,8 @@ row-by-row oracle in `_brute`, and --check must keep reading and comparing
 them as before."""
 
 import json
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ import _brute
 from qtwick import cli
 from qtwick.cli import main
 from qtwick.errors import ValidationError
-from qtwick.pairings import enumerate_counted_pairings
+from qtwick.pairings import MAX_ENUMERATION_PAIRS
+from qtwick.wickpoly import wick_field
 
 FORMATS = ("csv", "text", "json")
 COEFFS_GRID = [
@@ -36,10 +39,35 @@ def test_coeffs_listing_matches_the_row_oracle(fmt):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_pairings_listing_matches_the_row_oracle(fmt):
-    for n in range(1, 7):
+    # pairings filtered from all set partitions, counted by interval containment
+    for n in range(1, 6):
         meta = _meta("pairings", "--n", str(n))
-        expected = _brute.pairings_listing(meta, fmt, enumerate_counted_pairings(n))
-        assert cli._pairings_artifact(meta, fmt) == expected, n
+        counted = [(pairs, *_brute.chord_stats(pairs)) for pairs in sorted(_brute.pairings_rgs(n))]
+        assert cli._pairings_artifact(meta, fmt) == _brute.pairings_listing(meta, fmt, counted), n
+
+
+@pytest.mark.parametrize("n", [6, MAX_ENUMERATION_PAIRS])
+def test_pairings_listing_past_the_oracle(n):
+    """Past the reach of the set-partition oracle: the csv rows are distinct
+    pairings in increasing order, (2n-1)!! of them, whose (cross, nest)
+    histogram is the pairing-sum engine's."""
+    meta = _meta("pairings", "--n", str(n))
+    lines = cli._pairings_artifact(meta, "csv").splitlines()
+    assert lines[:len(meta) + 1] == [f"# {k}: {v}" for k, v in meta.items()] + ["pairs,cross,nest"]
+    # "w-z; w-z,c,s" read as the points w, z, w, z, ... then c and s
+    rows = [tuple(map(int, line.replace("; ", ",").replace("-", ",").split(",")))
+            for line in lines[len(meta) + 1:]]
+    for row in rows:
+        points = row[:-2]
+        assert len(points) == 2 * n and sorted(points) == list(range(1, 2 * n + 1)), row
+        assert all(w < z for w, z in zip(points[::2], points[1::2])), row
+    assert all(a[:-2] < b[:-2] for a, b in zip(rows, rows[1:]))
+    assert len(rows) == math.prod(range(1, 2 * n, 2))
+    assert Counter(row[-2:] for row in rows) == wick_field(n).terms
+    if n == 6:  # the text and json layouts of those rows, row by row
+        counted = [(tuple(zip(row[:-2:2], row[1:-2:2])), *row[-2:]) for row in rows]
+        for fmt in ("text", "json"):
+            assert cli._pairings_artifact(meta, fmt) == _brute.pairings_listing(meta, fmt, counted)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -17,6 +17,7 @@ from qtwick import (
     wick_mixed,
 )
 from qtwick.cli import main
+from qtwick.pairings import MAX_ENUMERATION_PAIRS
 from qtwick.wickpoly import MAX_WICK_PAIRS
 
 from _brute import wick_sum
@@ -179,8 +180,8 @@ def test_pairing_sum_matches_oracle_property(data, eps, cov):
 
 
 def test_field_matches_enumerated_counts():
-    # up to n = 6, past the oracle's reach (it filters all set partitions)
-    for n in range(1, 7):
+    # up to the enumeration cap, past the oracle's reach (it filters all set partitions)
+    for n in range(1, MAX_ENUMERATION_PAIRS + 1):
         counts = Counter((c, s) for _, c, s in enumerate_counted_pairings(n))
         assert wick_field(n).terms == counts
 
