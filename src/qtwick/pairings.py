@@ -179,8 +179,8 @@ def _placements(n: int, prefix, token, last) -> list:
         )
     size = 2 * n
     points = range(size + 1)
-    token = [[token(w, z) for z in points] for w in points]
-    last = [[last(w, z) for z in points] for w in points]
+    tokens = [[token(w, z) for z in points] for w in points]
+    lasts = [[last(w, z) for z in points] for w in points]
     out: list = []
     append = out.append
 
@@ -192,11 +192,11 @@ def _placements(n: int, prefix, token, last) -> list:
         a, m = free[0], len(free)
         if m == 2:
             b = free[1]
-            append((prefix + last[a][b], cross + b - a - 1, nest + size - b))
+            append((prefix + lasts[a][b], cross + b - a - 1, nest + size - b))
             return
         for k in range(1, m):
             b = free[k]
-            place(free[1:k] + free[k + 1:], prefix + token[a][b], cross + b - a - k,
+            place(free[1:k] + free[k + 1:], prefix + tokens[a][b], cross + b - a - k,
                   nest + size - b - (m - 1 - k))
 
     place(tuple(range(1, size + 1)), prefix, 0, 0)
