@@ -17,7 +17,6 @@ _MODULE_EXPORTS = {
         "ValidationError",
     ),
     "pairings": (
-        "CrossNestReport",
         "PairPartition",
         "SetPartition",
         "class_of",
@@ -36,7 +35,6 @@ _MODULE_EXPORTS = {
     "fock": (
         "FockParams",
         "annihilate",
-        "apply_operator",
         "commutator_residual",
         "create",
         "field",

@@ -177,12 +177,13 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
     from .coeffs import MAX_LISTED_SITES, sampled_table
 
     n, q, t, seed = _chain_params(meta)
-    if "lookup" not in meta and n > MAX_LISTED_SITES:
-        raise SizeLimitError(f"listing {n} sites exceeds the {MAX_LISTED_SITES}-site cap")
-    table = sampled_table(n, q, t, seed)
     if "lookup" in meta:
-        e1, e2, i, j = (x.strip() for x in meta["lookup"].split(","))
-        value = table.lookup(e1, e2, int(i), int(j))
+        try:
+            e1, e2, i, j = (x.strip() for x in meta["lookup"].split(","))
+            site_i, site_j = int(i), int(j)
+        except ValueError:
+            raise ValidationError(f"--lookup {meta['lookup']!r} is not left,right,i,j") from None
+        value = sampled_table(n, q, t, seed).lookup(e1, e2, site_i, site_j)
         return _render(
             meta,
             ["left", "right", "i", "j", "value"],
@@ -190,7 +191,9 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
             fmt,
             [f"mu_({e1},{e2})({i},{j}) = {_fmt(value)}"],
         )
-    values = table.upper_triangle(n)
+    if n > MAX_LISTED_SITES:
+        raise SizeLimitError(f"listing {n} sites exceeds the {MAX_LISTED_SITES}-site cap")
+    values = sampled_table(n, q, t, seed).upper_triangle(n)
     # n site indices and (sampled) two values, each rendered once: row (i, j)
     # reads first[i] + second[j] + value[mu], as fmt lays out a row
     if fmt == "json":
@@ -297,6 +300,18 @@ ARTIFACTS: dict[str, Callable[[Metadata, str], str]] = {
 }
 
 
+def _artifact(meta: Metadata, fmt: str) -> str:
+    """The artifact of meta's command.  Finite q and t can still take a float
+    past float64's range (t**k in a weight, say): that is a user error."""
+    command = meta["command"]
+    try:
+        return ARTIFACTS[command](meta, fmt)
+    except OverflowError:
+        raise ValidationError(
+            f"{command}: the result overflows float64 at q={meta.get('q')}, t={meta.get('t')}"
+        ) from None
+
+
 # ------------------------------------------------------------------- check
 
 def _parse_artifact(text: str) -> tuple[Metadata, str]:
@@ -349,7 +364,7 @@ def run_check(path: str) -> str:
     command = meta.get("command")
     if command not in ARTIFACTS:
         raise ValidationError(f"metadata names unknown command {command!r}")
-    fresh = ARTIFACTS[command](meta, fmt)
+    fresh = _artifact(meta, fmt)
     if fresh != text:
         why = f"artifact {path} does not match a fresh run of {command}"
         version = meta.get("version")
@@ -571,7 +586,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 2
-        text = ARTIFACTS[args.command](_meta_from_args(args), args.format)
+        text = _artifact(_meta_from_args(args), args.format)
         if args.out:
             try:
                 with open(args.out, "w", encoding="utf-8", newline="") as fh:

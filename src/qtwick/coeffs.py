@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPairClassError, SizeLimitError, ValidationError
-from .pairings import PairPartition, class_of, cross_nest
+from .pairings import PairPartition, class_of, cross_nest, cross_nest_counts
 from .wickpoly import LETTERS, QTPolynomial, check_eps
 
 # a sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and samples
@@ -274,10 +274,10 @@ def _closed_form_factors(pairing: PairPartition) -> list[tuple[int, int]]:
     """Positions (x, y) of the coefficients the reordering incurs, one factor
     lookup(eps[x], eps[y], value[x], value[y]) each, in product order; x is
     always in the pair that opens first."""
-    report = cross_nest(pairing)
+    crossings, nestings = cross_nest(pairing)
     # first pair's closer moves past the second pair's opener
-    factors = [(c, b) for _, b, c, _ in report.crossings]
-    for _, b, c, d in report.nestings:
+    factors = [(c, b) for _, b, c, _ in crossings]
+    for _, b, c, d in nestings:
         # outer closer moves past the inner closer, then the inner opener
         factors += [(d, c), (d, b)]
     return factors
@@ -351,5 +351,4 @@ def pair_limit_monomial(pairing: PairPartition, eps: str) -> QTPolynomial:
         )
     if not pair_pattern_is_default(pairing, eps):
         return QTPolynomial.zero()
-    report = cross_nest(pairing)
-    return QTPolynomial.monomial(report.cross, report.nest)
+    return QTPolynomial.monomial(*cross_nest_counts(pairing))

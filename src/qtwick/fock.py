@@ -138,19 +138,6 @@ def number_scale(v: FockVector, p: FockParams) -> FockVector:
     return {w: c * p.t ** len(w) for w, c in v.items()}
 
 
-def apply_operator(kind: OperatorKind, v: FockVector, p: FockParams) -> FockVector:
-    name = kind[0]
-    if name == "create":
-        return create(kind[1], v, p)
-    if name == "annihilate":
-        return annihilate(kind[1], v, p)
-    if name == "field":
-        return field(kind[1], v, p)
-    if name == "number":
-        return number_scale(v, p)
-    raise ValueError(f"unknown operator kind {kind!r}")
-
-
 def _parse_fock_ops(text: str) -> list:
     """The operators of a `fock --ops` list: c<i>, a<i>, s<i> or n tokens."""
     ops = []
@@ -175,7 +162,17 @@ def vacuum_moment(op_seq: Sequence[OperatorKind], p: FockParams) -> float:
     return the resulting vacuum coefficient."""
     state = vacuum()
     for kind in reversed(op_seq):
-        state = apply_operator(kind, state, p)
+        name = kind[0]
+        if name == "create":
+            state = create(kind[1], state, p)
+        elif name == "annihilate":
+            state = annihilate(kind[1], state, p)
+        elif name == "field":
+            state = field(kind[1], state, p)
+        elif name == "number":
+            state = number_scale(state, p)
+        else:
+            raise ValueError(f"unknown operator kind {kind!r}")
         if not state:
             return 0.0
     return state.get((), 0.0)

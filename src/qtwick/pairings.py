@@ -44,12 +44,6 @@ class PairPartition:
     def size(self) -> int:
         return 2 * len(self.pairs)
 
-    def openers(self) -> tuple[int, ...]:
-        return tuple(w for w, _ in self.pairs)
-
-    def closers(self) -> tuple[int, ...]:
-        return tuple(z for _, z in self.pairs)
-
     def block_of(self) -> dict[int, int]:
         """Map each position to the 1-based index of its pair."""
         out: dict[int, int] = {}
@@ -92,14 +86,6 @@ class SetPartition:
     def size(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    def growth_string(self) -> tuple[int, ...]:
-        """Block index of each position, blocks numbered by first appearance."""
-        out = [0] * self.size
-        for k, block in enumerate(self.blocks):
-            for pos in block:
-                out[pos - 1] = k
-        return tuple(out)
-
     def as_pair_partition(self) -> Optional[PairPartition]:
         """The same partition as a PairPartition, or None if any block size != 2."""
         if any(len(b) != 2 for b in self.blocks):
@@ -126,29 +112,17 @@ def class_of(values: Iterable) -> SetPartition:
     return SetPartition(tuple(tuple(b) for b in where.values()))
 
 
-@dataclass(frozen=True)
-class CrossNestReport:
+Quads = tuple[tuple[int, int, int, int], ...]
+
+
+def cross_nest(partition: PairPartition) -> tuple[Quads, Quads]:
     """Crossings (w_i, w_j, z_i, z_j) and nestings (w_i, w_j, z_j, z_i).
 
-    Both kinds are recorded as position 4-tuples in increasing order; for a
-    crossing the first pair closes between the second pair's endpoints, for a
-    nesting the second pair sits strictly inside the first.
+    Every pair of pairs that is not disjoint is one or the other, recorded as
+    a position 4-tuple in increasing order: for a crossing the first pair
+    closes between the second pair's endpoints, for a nesting the second pair
+    sits strictly inside the first.
     """
-
-    crossings: tuple[tuple[int, int, int, int], ...]
-    nestings: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def cross(self) -> int:
-        return len(self.crossings)
-
-    @property
-    def nest(self) -> int:
-        return len(self.nestings)
-
-
-def cross_nest(partition: PairPartition) -> CrossNestReport:
-    """Classify every pair of pairs as crossing, nesting, or disjoint."""
     pairs = partition.pairs
     crossings = []
     nestings = []
@@ -158,12 +132,13 @@ def cross_nest(partition: PairPartition) -> CrossNestReport:
             crossings.append((w1, w2, z1, z2))
         elif z2 < z1:
             nestings.append((w1, w2, z2, z1))
-    return CrossNestReport(tuple(crossings), tuple(nestings))
+    return tuple(crossings), tuple(nestings)
 
 
 def cross_nest_counts(partition: PairPartition) -> tuple[int, int]:
-    report = cross_nest(partition)
-    return report.cross, report.nest
+    """(crossings, nestings) of a pair partition."""
+    crossings, nestings = cross_nest(partition)
+    return len(crossings), len(nestings)
 
 
 def _placements(n: int, prefix, token, last) -> list:
@@ -216,4 +191,12 @@ def enumerate_counted_pairings(n: int) -> list[tuple[Pairs, int, int]]:
 def enumerate_pair_partitions(n: int) -> list[PairPartition]:
     """All (2n-1)!! pair partitions of {1,...,2n}; hard-capped at
     n <= MAX_ENUMERATION_PAIRS."""
-    return [PairPartition(pairs) for pairs, _, _ in enumerate_counted_pairings(n)]
+    # the walk emits each pairing in canonical order already, so the objects
+    # are built without PairPartition's re-sorting and re-checking
+    new, set_field = object.__new__, object.__setattr__
+    out = []
+    for pairs, _, _ in enumerate_counted_pairings(n):
+        partition = new(PairPartition)
+        set_field(partition, "pairs", pairs)
+        out.append(partition)
+    return out

@@ -102,18 +102,9 @@ class QTPolynomial:
     def coefficient(self, q_deg: int, t_deg: int) -> Fraction:
         return self.terms.get((q_deg, t_deg), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((a + b for a, b in self.terms), default=0)
-
     def swap_variables(self) -> "QTPolynomial":
         """The polynomial with the roles of q and t exchanged."""
         return QTPolynomial({(b, a): c for (a, b), c in self.terms.items()})
-
-    def slice_q(self, q_deg: int) -> "QTPolynomial":
-        """Terms with the given q-degree, kept as a polynomial in t."""
-        return QTPolynomial(
-            {(0, b): c for (a, b), c in self.terms.items() if a == q_deg}
-        )
 
     def evaluate(self, q: float, t: float) -> float:
         """Evaluate at floats, summing terms in a fixed sorted order."""

@@ -225,6 +225,35 @@ def test_non_finite_parameters_exit_2(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("clt", "--mode", "moment", "--eps", "1111****", "--q", "0", "--t", "1e300", "--ns", "8,12"),
+    ("fock", "--d", "2", "--m", "4", "--q", "0.5", "--t", "1e300", "--gram", "3"),
+    ("fock", "--d", "2", "--m", "6", "--q", "0.5", "--t", "1e300", "--residual"),
+    ("fock", "--d", "1", "--m", "8", "--q", "0.5", "--t", "1e300", "--ops", "s1,s1,s1,s1,s1,s1"),
+])
+def test_float64_overflow_from_finite_parameters_exits_2(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: {argv[0]}: the result overflows float64 at q=" in err
+    # --check of a finite artifact whose t was edited to the same value
+    at = argv.index("--t") + 1
+    finite = tmp_path / "finite.csv"
+    code, _, _ = run(capsys, *argv[:at], "1.25", *argv[at + 1:], "--format", "csv",
+                     "--out", str(finite))
+    assert code == 0
+    edited = tmp_path / "edited.csv"
+    edited.write_text(finite.read_text().replace("# t: 1.25\n", "# t: 1e300\n"))
+    code, _, err = run(capsys, "--check", str(edited))
+    assert code == 2 and f"error: {argv[0]}: the result overflows float64" in err
+
+
+@pytest.mark.parametrize("lookup", ["1,*,2", "1,*,x,2"])
+def test_coeffs_lookup_of_the_wrong_shape_exits_2(capsys, lookup):
+    code, out, err = run(capsys, "coeffs", "--n", "4", *CHAIN, "--lookup", lookup)
+    assert code == 2 and out == ""
+    assert "left,right,i,j" in err
+
+
 def test_check_names_missing_or_malformed_metadata(capsys, tmp_path):
     good = tmp_path / "coeffs.csv"
     code, _, _ = run(capsys, "coeffs", "--n", "5", *CHAIN, "--format", "csv", "--out", str(good))

