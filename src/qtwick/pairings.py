@@ -191,12 +191,4 @@ def enumerate_counted_pairings(n: int) -> list[tuple[Pairs, int, int]]:
 def enumerate_pair_partitions(n: int) -> list[PairPartition]:
     """All (2n-1)!! pair partitions of {1,...,2n}; hard-capped at
     n <= MAX_ENUMERATION_PAIRS."""
-    # the walk emits each pairing in canonical order already, so the objects
-    # are built without PairPartition's re-sorting and re-checking
-    new, set_field = object.__new__, object.__setattr__
-    out = []
-    for pairs, _, _ in enumerate_counted_pairings(n):
-        partition = new(PairPartition)
-        set_field(partition, "pairs", pairs)
-        out.append(partition)
-    return out
+    return [PairPartition(pairs) for pairs, _, _ in enumerate_counted_pairings(n)]
