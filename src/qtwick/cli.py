@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -44,6 +45,16 @@ class Metadata(dict):
 
 def _int_list(text: str, sep: str = ",") -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(sep))
+
+
+def _finite(meta: Metadata, quantity: str, value: float) -> float:
+    """value, which finite q and t can still take past float64's range (a
+    product of many t-scaled factors, say): then a user error naming the
+    quantity, never an inf cell."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{meta['command']}: {quantity} overflows float64 "
+                              f"at q={meta.get('q')}, t={meta.get('t')}")
+    return value
 
 
 # json.dumps(indent=2) lays out a row at depth 2 as START + BETWEEN.join of
@@ -144,7 +155,8 @@ def _fock_artifact(meta: Metadata, fmt: str) -> str:
     )
     op = meta["op"]
     if op == "moment":
-        value = vacuum_moment(_parse_fock_ops(meta["ops"]), params)
+        value = _finite(meta, "the vacuum moment",
+                        vacuum_moment(_parse_fock_ops(meta["ops"]), params))
         return _render(meta, ["value"], [[_fmt(value)]], fmt, [f"value = {_fmt(value)}"])
     if op == "residual":
         _check_residual_size(params, params.d**2)
@@ -174,7 +186,9 @@ def _chain_params(meta: Metadata) -> tuple[int, float, float, int]:
 
 
 def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
-    from .coeffs import MAX_LISTED_SITES, sampled_table
+    import numpy as np
+
+    from .coeffs import MAX_LISTED_SITES, _pair_rank, sampled_table
 
     n, q, t, seed = _chain_params(meta)
     if "lookup" in meta:
@@ -183,7 +197,8 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
             site_i, site_j = int(i), int(j)
         except ValueError:
             raise ValidationError(f"--lookup {meta['lookup']!r} is not left,right,i,j") from None
-        value = sampled_table(n, q, t, seed).lookup(e1, e2, site_i, site_j)
+        value = _finite(meta, f"mu_({e1},{e2})({i},{j})",
+                        sampled_table(n, q, t, seed).lookup(e1, e2, site_i, site_j))
         return _render(
             meta,
             ["left", "right", "i", "j", "value"],
@@ -193,9 +208,10 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
         )
     if n > MAX_LISTED_SITES:
         raise SizeLimitError(f"listing {n} sites exceeds the {MAX_LISTED_SITES}-site cap")
-    values = sampled_table(n, q, t, seed).upper_triangle(n)
-    # n site indices and (sampled) two values, each rendered once: row (i, j)
-    # reads first[i] + second[j] + value[mu], as fmt lays out a row
+    packed = sampled_table(n, q, t, seed).packed(n)
+    # n site indices and the two sampled values -1.0 and +1.0, each rendered
+    # once: row (i, j) reads first[i] + cells[(mu > 0) * (n + 1) + j], as fmt
+    # lays out a row
     if fmt == "json":
         cell, (start, between, end, sep) = json.encoder.encode_basestring_ascii, _JSON_ROW
         mid = between
@@ -204,12 +220,15 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
         start, between, mid = ("mu(", ",", ") = ") if fmt == "text" else ("", ",", ",")
     first = [start + cell(str(i)) + between for i in range(n + 1)]
     second = [cell(str(j)) + mid for j in range(n + 1)]
-    value = {x: cell(_fmt(x)) + end for x in set(values)}
-    rows, k = [], 0
+    values = [cell(_fmt(x)) + end for x in (-1.0, 1.0)]
+    cells = [s + v for v in values for s in second]
+    sites = np.arange(n + 1)
+    rank1 = _pair_rank(1, sites)  # the pair (i, j) has rank rank1[j] + i - 1
+    rows = []
     for i in range(1, n):
-        cells = map(str.__add__, second[i + 1:], map(value.__getitem__, values[k:k + n - i]))
-        rows.append(first[i] + (sep + first[i]).join(cells))
-        k += n - i
+        # the cell indices of row i only: no array over all pairs stays alive
+        index = (packed[rank1[i + 1:] + (i - 1)] > 0) * (n + 1) + sites[i + 1:]
+        rows.append(first[i] + (sep + first[i]).join(map(cells.__getitem__, index.tolist())))
     return _render(meta, ["i", "j", "mu"], [], fmt, body=sep.join(rows) if rows else None)
 
 
@@ -223,7 +242,8 @@ def _jw_artifact(meta: Metadata, fmt: str) -> str:
     table = sampled_table(n, q, t, seed)
     op = meta["op"]
     if op == "expectation":
-        value = vacuum_expectation(_parse_sites(meta["ops"]), n, table)
+        value = _finite(meta, "the vacuum expectation",
+                        vacuum_expectation(_parse_sites(meta["ops"]), n, table))
         return _render(meta, ["value"], [[_fmt(value)]], fmt, [f"value = {_fmt(value)}"])
     if op == "verify":
         report = check_commutation(n, table)

@@ -24,9 +24,9 @@ from .wickpoly import LETTERS, QTPolynomial, check_eps
 # in about 0.3 s; it admits the largest lambda run (3162 sites, 2 pairs)
 MAX_TABLE_SITES = 4096
 # the coeffs artifact lists one row per pair: 1024 sites are 523776 rows.
-# In a fresh process, csv (5 MB) takes 0.4-0.6 s to write or --check and
-# peaks at 84 MB, text (8 MB) 0.4-0.6 s at 78 MB, and json (26 MB) 0.5-0.7 s
-# to write at 153 MB and 1.1-1.7 s to --check at 202 MB (json.loads)
+# In a fresh process, csv (5 MB) takes 0.36-0.42 s to write or --check and
+# peaks at 54-59 MB, text (8 MB) 0.39-0.46 s at 58 MB, and json (26 MB)
+# 0.50-0.54 s to write or --check at 132 and 181 MB
 MAX_LISTED_SITES = 1024
 
 _MASK64 = (1 << 64) - 1
@@ -190,8 +190,6 @@ class CoefficientTable:
         # so the table covers n sites exactly when n(n-1)/2 pairs fit below it
         gaps = np.flatnonzero(packed == 0.0)
         self._covered = int(gaps[0]) if gaps.size else packed.size
-        # the pair (i, j) has rank _row_start[j] + i
-        self._row_start = [_pair_rank(0, j) for j in range(self.max_index + 1)]
 
     @property
     def max_index(self) -> int:
@@ -213,10 +211,8 @@ class CoefficientTable:
     def base_value(self, i: int, j: int) -> float:
         """Base value mu(i, j) for 0 < i < j."""
         if 0 < i < j:
-            try:
-                m = self._packed.item(self._row_start[j] + i)
-            except IndexError:
-                m = 0.0
+            rank = _pair_rank(i, j)
+            m = self._packed.item(rank) if rank < self._packed.size else 0.0
             if m:
                 return m
         raise ValidationError(f"table has no base value for pair ({i},{j})")
@@ -237,13 +233,6 @@ class CoefficientTable:
         # the lower triangle of out.T, row by row, is the pair-rank order
         out.T[np.tril_indices(n, -1)] = values
         return out
-
-    def upper_triangle(self, n: int) -> list[float]:
-        """The base values of every pair i < j <= n sorted by (i, j), as a
-        Python list."""
-        i0, j0 = np.triu_indices(n, 1)
-        # pair (i, j) sits at rank (j-1)(j-2)/2 + i-1
-        return self.packed(n)[j0 * (j0 - 1) // 2 + i0].tolist()
 
 
 def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndarray:

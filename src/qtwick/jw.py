@@ -10,6 +10,7 @@ or to zero, so states never need dense storage.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -104,10 +105,6 @@ def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> 
     return MonomialOperator(n, tuple(slots))
 
 
-def vacuum_state() -> SparseState:
-    return {0: 1.0}
-
-
 def _parse_sites(text: str) -> list[tuple[int, bool]]:
     """The (site, adjoint) factors of a `jw --ops` list of <i> or <i>* tokens."""
     ops = []
@@ -128,14 +125,38 @@ def vacuum_expectation(
     """Vacuum coefficient of a product of chain elements applied to the vacuum.
 
     op_seq lists (site, adjoint) factors in product order, left to right; the
-    rightmost factor acts first.
+    rightmost factor acts first.  From the vacuum every factor keeps one
+    basis state, so the walk holds its occupied sites and one amplitude.  A
+    factor multiplies in, in ascending slot order, the occupied-bit entries
+    of the occupied slots: the factors build_jw(...).apply would take at the
+    other slots are exactly 1.0, so the bits are the same as that walk's.
     """
-    state = vacuum_state()
+    for site, _ in op_seq:
+        if not 1 <= site <= n:
+            raise ValueError(f"site {site} outside 1..{n}")
+    packed = table.packed(n)
+    sq = math.sqrt(table.t)
+    occupied: list[int] = []  # ascending
+    amp = 1.0
     for site, adjoint in reversed(op_seq):
-        state = build_jw(n, site, table, adjoint).apply(state)
-        if not state:
+        k = bisect.bisect_left(occupied, site)
+        if (k < len(occupied) and occupied[k] == site) == adjoint:
+            return 0.0  # lowers an empty slot or raises an occupied one
+        if not adjoint:
+            del occupied[k]
+        # the other occupied slots, the ladder slot `site` taking 1.0;
+        # mu(slot, site) has rank first + slot
+        first = _pair_rank(1, site) - 1
+        for slot in occupied:
+            entry = sq * packed.item(first + slot) if slot < site else sq
+            if entry == 0.0:
+                return 0.0  # diagonal() kills the occupied bit: no inf * 0
+            amp *= entry
+        if amp == 0.0:
             return 0.0
-    return state.get(0, 0.0)
+        if adjoint:
+            occupied.insert(k, site)
+    return 0.0 if occupied else amp
 
 
 @dataclass(slots=True)

@@ -3,6 +3,7 @@ the library: set partitions come from restricted-growth strings and are
 filtered down to pairings, chord statistics come from interval containment,
 the inner product sums over all of S_n without letter grouping, chain
 moments walk a dict of occupation bitmasks one state and one site at a time,
+chain vacuum walks apply whole operators over every slot,
 the chain's exchange relations compose whole operators slot by slot, and
 listings and clt artifacts render one row and one cell at a time."""
 
@@ -201,6 +202,17 @@ def sum_moment(n: int, eps: str, table) -> float:
     if r % 2 == 0:
         return vac / float(n ** (r // 2))
     return vac / float(n) ** (r / 2)
+
+
+def vacuum_expectation(op_seq, n: int, table) -> float:
+    """Vacuum coefficient of a product of chain elements, each factor built
+    over all n slots and applied to the whole state dict."""
+    state = {0: 1.0}
+    for site, adjoint in reversed(op_seq):
+        state = build_jw(n, site, table, adjoint).apply(state)
+        if not state:
+            return 0.0
+    return state.get(0, 0.0)
 
 
 def compose(a: MonomialOperator, b: MonomialOperator) -> MonomialOperator:

@@ -247,6 +247,21 @@ def test_float64_overflow_from_finite_parameters_exits_2(capsys, tmp_path, argv)
     assert code == 2 and f"error: {argv[0]}: the result overflows float64" in err
 
 
+@pytest.mark.parametrize("argv, quantity", [
+    (("coeffs", "--n", "4", "--q", "0", "--t", "1e-320", "--lookup", "1,*,2,1"),
+     "mu_(1,*)(2,1)"),
+    (("fock", "--d", "1", "--m", "200", "--q", "0.5", "--t", "1.25", "--ops", ",".join(["s1"] * 200)),
+     "the vacuum moment"),
+    (("jw", "--n", "4", "--q", "0", "--t", "1e300", "--ops", "1,2,3,3*,2*,1*"),
+     "the vacuum expectation"),
+])
+def test_a_value_past_float64_from_finite_parameters_exits_2(capsys, argv, quantity):
+    # float arithmetic that overflows gives inf, not OverflowError
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 2 and out == ""
+    assert f"error: {argv[0]}: {quantity} overflows float64 at q=" in err
+
+
 @pytest.mark.parametrize("lookup", ["1,*,2", "1,*,x,2"])
 def test_coeffs_lookup_of_the_wrong_shape_exits_2(capsys, lookup):
     code, out, err = run(capsys, "coeffs", "--n", "4", *CHAIN, "--lookup", lookup)

@@ -301,6 +301,9 @@ def test_hand_built_table_with_a_gap():
         gap.base_matrix(3)
     with pytest.raises(ValidationError):
         gap.base_value(2, 1)  # base values are stored for i < j only
+    for i, j in ((3, 4), (1, 10**9), (1, 10**30)):  # past the last stored pair
+        with pytest.raises(ValidationError, match=rf"\({i},{j}\)"):
+            gap.base_value(i, j)
     assert CoefficientTable({}, 2.0).covers(1) and not CoefficientTable({}, 2.0).covers(2)
 
 

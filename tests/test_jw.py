@@ -3,8 +3,9 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _brute
@@ -14,13 +15,14 @@ from qtwick import (
     CommutationReport,
     MonomialOperator,
     SizeLimitError,
+    ValidationError,
     build_jw,
     check_commutation,
     normal_order,
     sampled_table,
     vacuum_expectation,
 )
-from qtwick.jw import IDENTITY, LOWER, MAX_VERIFY_SITES, RAISE, diagonal, vacuum_state
+from qtwick.jw import IDENTITY, LOWER, MAX_VERIFY_SITES, RAISE, diagonal
 
 TB = CoefficientTable({(1, 2): 0.7}, 2.0)
 
@@ -51,10 +53,10 @@ def test_apply_and_compose():
     sq = math.sqrt(2.0)
     raise1 = build_jw(2, 1, TB, adjoint=True)
     raise2 = build_jw(2, 2, TB, adjoint=True)
-    assert raise1.apply(vacuum_state()) == {1: 1.0}
-    state = raise2.apply(raise1.apply(vacuum_state()))
+    assert raise1.apply({0: 1.0}) == {1: 1.0}
+    state = raise2.apply(raise1.apply({0: 1.0}))
     assert state == {3: pytest.approx(sq * 0.7)}
-    assert _brute.compose(raise2, raise1).apply(vacuum_state()) == {
+    assert _brute.compose(raise2, raise1).apply({0: 1.0}) == {
         3: pytest.approx(sq * 0.7)
     }
 
@@ -281,6 +283,68 @@ def test_check_commutation_matches_oracle_property(case, tolerance):
         warnings.simplefilter("error", RuntimeWarning)
         got = check_commutation(n, table, tolerance)
     assert _report_key(got) == _report_key(want)
+
+
+@st.composite
+def chain_walks(draw):
+    """(n, table, word): a generic table with base values over the whole
+    float range, or a sampled one, at t in 0.2..3 or at 1e-300 or 1e300; and
+    a word drawn from its rightmost factor that mostly stays alive (each
+    factor raises an empty site or lowers an occupied one, and one in ten is
+    any factor), which lowers every occupied site at the end half the time."""
+    n = draw(st.integers(1, 10))
+    t = draw(st.one_of(st.floats(0.2, 3.0), st.sampled_from((1e-300, 1e300))))
+    if draw(st.booleans()):
+        count = n * (n - 1) // 2
+        signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=count, max_size=count))
+        sizes = draw(st.lists(_magnitudes, min_size=count, max_size=count))
+        table = CoefficientTable([a * b for a, b in zip(signs, sizes)], t)
+    else:
+        table = sampled_table(n, draw(st.floats(-1.0, 1.0)) * t, t, draw(st.integers(0, 2**64 - 1)))
+    occupied, acting = set(), []  # acting order: the rightmost factor first
+    for _ in range(draw(st.integers(0, 14))):
+        site = draw(st.integers(1, n))
+        adjoint = draw(st.booleans()) if draw(st.integers(0, 9)) == 0 else site not in occupied
+        acting.append((site, adjoint))
+        if adjoint != (site in occupied):
+            occupied ^= {site}
+    if draw(st.booleans()):
+        acting += [(site, False) for site in draw(st.permutations(sorted(occupied)))]
+    return n, table, acting[::-1]
+
+
+def _up_then_down(n):
+    """Raise sites 1..n, then lower them in the same order (the word, read
+    right to left)."""
+    return [(site, False) for site in range(n, 0, -1)] + [(site, True) for site in range(n, 0, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=chain_walks())
+# at t = 1e-300 each entry is about 1e-150: raising site 3 underflows the
+# amplitude to -0.0, which must read as the killed state's 0.0
+@example(case=(3, CoefficientTable([-1.0, 1.0, 1.0], 1e-300), _up_then_down(3)))
+# the amplitude reaches inf at site 3, and site 4's entry sqrt(t) * 1e-320
+# is 0.0: a killed state, not inf * 0.0 = nan
+@example(case=(4, CoefficientTable([1e300] * 3 + [1e-320, 1.0, 1.0], 1e-300), _up_then_down(4)))
+def test_vacuum_expectation_matches_the_operator_walk_bit_for_bit(case):
+    n, table, word = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = vacuum_expectation(word, n, table)
+    with np.errstate(over="ignore"):  # build_jw's entries sqrt(t) * mu may overflow
+        want = _brute.vacuum_expectation(word, n, table)
+    assert (got.hex(), math.copysign(1.0, got)) == (want.hex(), math.copysign(1.0, want))
+
+
+def test_vacuum_expectation_rejects_a_site_outside_the_chain():
+    table = sampled_table(3, 0.5, 1.25, 0)
+    # the rightmost factor kills the vacuum before the bad site would act
+    for site in (0, 4):
+        with pytest.raises(ValueError, match=f"site {site} outside 1..3"):
+            vacuum_expectation([(site, True), (1, False)], 3, table)
+    with pytest.raises(ValidationError, match="does not cover"):
+        vacuum_expectation([(1, False), (1, True)], 4, table)
 
 
 def test_check_commutation_flags_at_negative_tolerance():

@@ -34,7 +34,11 @@ def _meta(*argv):
 def test_coeffs_listing_matches_the_row_oracle(fmt):
     for n, q, t, seed in COEFFS_GRID:
         meta = _meta("coeffs", "--n", str(n), f"--q={q}", "--t", t, "--seed", seed)
-        assert cli._coeffs_artifact(meta, fmt) == _brute.coeffs_listing(meta, fmt), (n, q, t, seed)
+        listing = cli._coeffs_artifact(meta, fmt)
+        assert listing == _brute.coeffs_listing(meta, fmt), (n, q, t, seed)
+        if fmt == "csv" and q.lstrip("-") == t:  # q = t samples +1 only, q = -t -1 only
+            mu = {line.rsplit(",", 1)[1] for line in listing.splitlines()[len(meta) + 1:]}
+            assert mu == ({"1" if q == t else "-1"} if n > 1 else set()), (n, q, t, seed)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
