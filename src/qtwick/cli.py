@@ -298,6 +298,12 @@ def _clt_artifact(meta: Metadata, fmt: str) -> str:
                     ns=",".join(map(str, cfg.ns)))
     if cfg.pairing is not None:
         meta["pairing"] = ";".join(f"{w}-{z}" for w, z in cfg.pairing.pairs)
+    quantity = "the moment" if cfg.mode == "moment" else "the estimate"
+    for row in report.rows:
+        _finite(meta, f"{quantity} at N={row.n}", row.value)
+        if row.target is not None:
+            _finite(meta, "the target", row.target)
+            _finite(meta, f"the error at N={row.n}", row.abs_err)
     header = ["N", "eps", "q", "t", "seed", "mode", "value", "target", "abs_err"]
     if fmt == "json":  # the rows keep their numbers typed
         rows = [dict(zip(header, (row.n, cfg.eps, cfg.q, cfg.t, cfg.seed, cfg.mode, row.value,

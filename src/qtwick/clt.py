@@ -215,7 +215,7 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     # up[j, i] = mu(j+1, i+1) above the diagonal and 1.0 elsewhere, so a
     # product over the rows of a set's sites leaves sites below them alone
     up = table.base_matrix(n_sites)
-    up[np.tril_indices(n_sites)] = 1.0
+    up[np.tri(n_sites, dtype=bool)] = 1.0
     sq = float(np.sqrt(table.t))
     # binom[x, j] = C(x, j) for colex ranks; no step reads past the popcount
     # the walk peaks at
@@ -243,9 +243,13 @@ def limit_coefficient_estimate(
     nestings, normalized by n_sites^pairs.
 
     The values of blocks 1..n-2 run over distinct tuples; for each, the values
-    of blocks n-1 and n span one [N, N] grid, which every factor multiplies in
-    product order as the whole matrix, a row broadcast along one axis, or a
-    scalar (a factor always runs from an earlier block to a later one).
+    of blocks n-1 and n span one [N, N] grid, the product in product order of
+    the factors on it: the whole matrix, a row broadcast along one axis, or a
+    scalar (a factor always runs from an earlier block to a later one).  The
+    leading factors that vary along at most one axis multiply as vectors, the
+    next factor forms the grid with them, and the rest multiply it in place,
+    so each cell sees the multiplications of a ones-grid times every factor
+    in turn, less the first (1.0 * x == x), in the same order.
     """
     check_eps(eps)
     n = pairing.n
@@ -270,6 +274,8 @@ def limit_coefficient_estimate(
     # each factor as (array, pick): the array, indexed by the values pick
     # takes from the outer tuple, is the factor on the grid of blocks n-1, n
     forms = []
+    # the grid axes each factor varies along
+    axes: list[set[int]] = []
     for x, y in _closed_form_factors(pairing):
         letters = (eps[x - 1], eps[y - 1])
         if letters not in mats:
@@ -279,15 +285,30 @@ def limit_coefficient_estimate(
         a, b = block[x] - 1, block[y] - 1
         if a == n - 2:
             forms.append((m, None))
+            axes.append({0, 1})
         elif b >= n - 2:  # a row of m, along grid axis b
             forms.append((m[:, :, None] if b == n - 2 else m[:, None, :], itemgetter(a)))
+            axes.append({b - (n - 2)})
         else:
             forms.append((m, itemgetter(a, b)))
+            axes.append(set())
+    # factors [0, lead) multiply as vectors; factor lead forms the grid
+    lead = 1
+    while lead < len(forms) and len(set().union(*axes[:lead + 1])) < 2:
+        lead += 1
+    grid = np.empty((n_sites, n_sites))
     total = 0.0
     for outer in itertools.permutations(range(n_sites), n - 2):
-        grid = np.ones((n_sites, n_sites))
-        for arr, pick in forms:
-            grid *= arr if pick is None else arr[pick(outer)]
+        factors = [arr if pick is None else arr[pick(outer)] for arr, pick in forms]
+        head = factors[0] if factors else 1.0
+        for f in factors[1:lead]:
+            head = head * f
+        if len(factors) > lead:
+            np.multiply(head, factors[lead], out=grid)
+        else:
+            grid[...] = head
+        for f in factors[lead + 1:]:
+            grid *= f
         for v in outer:
             grid[v, :] = 0.0
             grid[:, v] = 0.0

@@ -230,8 +230,8 @@ class CoefficientTable:
         """(n, n) array with entry [i-1, j-1] = base(i, j) for i < j, zeros elsewhere."""
         values = self.packed(n)
         out = np.zeros((n, n))
-        # the lower triangle of out.T, row by row, is the pair-rank order
-        out.T[np.tril_indices(n, -1)] = values
+        # the strict lower triangle of out.T, row by row, is the pair-rank order
+        out.T[np.tri(n, n, -1, dtype=bool)] = values
         return out
 
 
@@ -239,10 +239,11 @@ def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndar
     """Dense [n, n] matrix of lookup(e1, e2, x, y) for 1-based x != y; the
     diagonal is filled with ones and must not be read."""
     u = table.packed(n)
-    cols, rows = np.tril_indices(n, -1)  # j - 1 and i - 1, in pair-rank order
+    # row-major order of the strict lower triangle, [j-1, i-1], is pair-rank order
+    low = np.tri(n, n, -1, dtype=bool)
     out = np.ones((n, n))
-    out[rows, cols] = _coefficient(e1, e2, u, table.t, True)
-    out[cols, rows] = _coefficient(e1, e2, u, table.t, False)
+    out.T[low] = _coefficient(e1, e2, u, table.t, True)
+    out[low] = _coefficient(e1, e2, u, table.t, False)
     return out
 
 

@@ -244,7 +244,7 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
     ascending = np.less.outer(np.arange(n), np.arange(n))
     # base[i-1, j-1] = mu(min(i, j), max(i, j)), filled in pair-rank order
     base = np.ones((n, n))
-    base[np.tril_indices(n, -1)] = table.packed(n)
+    base[np.tri(n, n, -1, dtype=bool)] = table.packed(n)
     base = np.where(ascending, base.T, base)
     # relation (i, j) sits at [i-1, j-1]: element j's entry at slot i, and
     # element i's entry at slot j, as _occupied_entries gives them.  Every

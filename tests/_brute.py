@@ -4,7 +4,9 @@ filtered down to pairings, chord statistics come from interval containment,
 the inner product sums over all of S_n without letter grouping, chain
 moments walk a dict of occupation bitmasks one state and one site at a time,
 chain vacuum walks apply whole operators over every slot,
-the chain's exchange relations compose whole operators slot by slot, and
+the chain's exchange relations compose whole operators slot by slot, the
+pairing estimator multiplies a fresh ones-grid by one factor at a time over
+lookup matrices scattered through index arrays, and
 listings and clt artifacts render one row and one cell at a time."""
 
 import functools
@@ -16,9 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from qtwick import __version__
-from qtwick.coeffs import sampled_table
+from qtwick.coeffs import _closed_form_factors, _coefficient, sampled_table
 from qtwick.floats import _fmt
 from qtwick.jw import CommutationCheck, CommutationReport, MonomialOperator, build_jw
+from qtwick.pairings import PairPartition
 from qtwick.wickpoly import LETTERS
 
 Pairs = tuple[tuple[int, int], ...]
@@ -213,6 +216,49 @@ def vacuum_expectation(op_seq, n: int, table) -> float:
         if not state:
             return 0.0
     return state.get(0, 0.0)
+
+
+def lookup_matrix(table, e1: str, e2: str, n: int) -> np.ndarray:
+    """coeffs._lookup_matrix through the index arrays of the strict lower
+    triangle: two fancy-index scatters into a ones matrix."""
+    u = table.packed(n)
+    cols, rows = np.tril_indices(n, -1)  # j - 1 and i - 1, in pair-rank order
+    out = np.ones((n, n))
+    out[rows, cols] = _coefficient(e1, e2, u, table.t, True)
+    out[cols, rows] = _coefficient(e1, e2, u, table.t, False)
+    return out
+
+
+def limit_coefficient_estimate(pairing: PairPartition, eps: str, n_sites: int, table) -> float:
+    """clt.limit_coefficient_estimate without its checks: per outer tuple a
+    fresh ones-grid that every factor multiplies in place, in product order."""
+    n = pairing.n
+    if n == 1:
+        return float(n_sites) / n_sites
+    block = pairing.block_of()
+    forms = []
+    for x, y in _closed_form_factors(pairing):
+        m = lookup_matrix(table, eps[x - 1], eps[y - 1], n_sites)
+        a, b = block[x] - 1, block[y] - 1
+        if a == n - 2:
+            forms.append(lambda outer, m=m: m)
+        elif b == n - 2:
+            forms.append(lambda outer, m=m, a=a: m[outer[a], :, None])
+        elif b == n - 1:
+            forms.append(lambda outer, m=m, a=a: m[outer[a], None, :])
+        else:
+            forms.append(lambda outer, m=m, a=a, b=b: m[outer[a], outer[b]])
+    total = 0.0
+    for outer in itertools.permutations(range(n_sites), n - 2):
+        grid = np.ones((n_sites, n_sites))
+        for form in forms:
+            grid *= form(outer)
+        for v in outer:
+            grid[v, :] = 0.0
+            grid[:, v] = 0.0
+        np.fill_diagonal(grid, 0.0)
+        total += float(grid.sum())
+    return total / n_sites**n
 
 
 def compose(a: MonomialOperator, b: MonomialOperator) -> MonomialOperator:

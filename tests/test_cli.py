@@ -262,6 +262,30 @@ def test_a_value_past_float64_from_finite_parameters_exits_2(capsys, argv, quant
     assert f"error: {argv[0]}: {quantity} overflows float64 at q=" in err
 
 
+@pytest.mark.parametrize("argv, t", [
+    # two 1/(t mu) factors per tuple: the estimate is inf
+    (("--eps", "1**1", "--pairing", "1-4,2-3"), "1e-300"),
+    # products of three t-scaled factors of both signs: value and abs_err are nan
+    (("--eps", "111***", "--pairing", "1-4,2-5,3-6"), "1e200"),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_non_finite_clt_row_exits_2(capsys, tmp_path, argv, t):
+    clt = ("clt", "--mode", "lambda", *argv, "--q", "0", "--ns", "5", "--seed", "1")
+    message = "error: clt: the estimate at N=5 overflows float64 at q=0, t="
+    code, out, err = run(capsys, *clt, "--t", t, "--format", "csv")
+    assert code == 2 and out == ""
+    assert message in err
+    # --check of a finite artifact whose t was edited to the same value
+    finite = tmp_path / "finite.csv"
+    code, _, _ = run(capsys, *clt, "--t", "1.25", "--format", "csv", "--out", str(finite))
+    assert code == 0
+    edited = tmp_path / "edited.csv"
+    edited.write_text(finite.read_text().replace("# t: 1.25\n", f"# t: {t}\n"))
+    code, _, err = run(capsys, "--check", str(edited))
+    assert code == 2 and message in err
+
+
 @pytest.mark.parametrize("lookup", ["1,*,2", "1,*,x,2"])
 def test_coeffs_lookup_of_the_wrong_shape_exits_2(capsys, lookup):
     code, out, err = run(capsys, "coeffs", "--n", "4", *CHAIN, "--lookup", lookup)

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _brute
@@ -234,6 +234,55 @@ def test_lookup_matrix_equals_lookup():
         mat = _lookup_matrix(table, e1, e2, n)
         for x, y in itertools.permutations(range(1, n + 1), 2):
             assert mat[x - 1, y - 1] == table.lookup(e1, e2, x, y)
+
+
+def test_lookup_matrix_bytes_equal_the_scatter_oracle():
+    for n in range(1, 41):
+        for table in (sampled_table(n, 0.5, 1.25, n), _generic_table(n, n)):
+            for e1, e2 in itertools.product("1*", repeat=2):
+                want = _brute.lookup_matrix(table, e1, e2, n).tobytes()
+                assert _lookup_matrix(table, e1, e2, n).tobytes() == want
+
+
+@st.composite
+def estimator_cases(draw):
+    """(pairing, eps, N, table): any pairing class of at most four pairs, any
+    letters, N from the number of pairs to 12, and a table sampled at
+    q = t, -t, 0 or generic, or one whose values and t take both signs and
+    magnitudes 1e-300..1e300, so that products reach inf, 0 and nan."""
+    pairs = draw(st.integers(1, MAX_ESTIMATE_PAIRS))
+    pairing = PairPartition(draw(st.sampled_from(_brute.pairings_rgs(pairs))))
+    eps = "".join(draw(st.lists(st.sampled_from("1*"), min_size=pairing.size,
+                                max_size=pairing.size)))
+    n_sites = draw(st.integers(pairing.n, 12))
+    if draw(st.booleans()):
+        t = draw(st.floats(0.2, 3.0))
+        ratio = draw(st.one_of(st.sampled_from((1.0, -1.0, 0.0)), st.floats(-1.0, 1.0)))
+        table = sampled_table(n_sites, ratio * t, t, draw(st.integers(0, 2**64 - 1)))
+    else:
+        count = n_sites * (n_sites - 1) // 2
+        signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=count, max_size=count))
+        # mostly near 1, so that many sums stay finite and every bit shows
+        power = st.one_of(st.floats(-0.5, 0.5), st.floats(-300, 300))
+        powers = draw(st.lists(power, min_size=count, max_size=count))
+        t = 10.0 ** draw(power)
+        table = CoefficientTable([s * 10.0**p for s, p in zip(signs, powers)], t)
+    return pairing, eps, n_sites, table
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=estimator_cases())
+# a nesting of two 1/(t mu) factors at t = 1e-300 overflows to inf
+@example(case=(NESTING, "1**1", 5, sampled_table(5, 0.0, 1e-300, 1)))
+# three crossings at t = 1e200 overflow with both signs: inf - inf = nan
+@example(case=(PairPartition(((1, 4), (2, 5), (3, 6))), "111***", 5,
+               sampled_table(5, 0.0, 1e200, 1)))
+def test_estimate_matches_the_ones_grid_oracle_bit_for_bit(case):
+    pairing, eps, n_sites, table = case
+    with np.errstate(all="ignore"):
+        got = limit_coefficient_estimate(pairing, eps, n_sites, table)
+        want = _brute.limit_coefficient_estimate(pairing, eps, n_sites, table)
+    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
 
 
 # sha256 of the csv and json artifacts of `clt --mode lambda` runs, keyed by
