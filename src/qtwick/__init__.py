@@ -18,8 +18,6 @@ _MODULE_EXPORTS = {
     ),
     "pairings": (
         "PairPartition",
-        "SetPartition",
-        "class_of",
         "cross_nest",
         "cross_nest_counts",
         "enumerate_counted_pairings",

@@ -47,13 +47,17 @@ def _int_list(text: str, sep: str = ",") -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(sep))
 
 
+def _overflow(meta: Metadata, quantity: str) -> ValidationError:
+    return ValidationError(f"{meta['command']}: {quantity} overflows float64 "
+                           f"at q={meta.get('q')}, t={meta.get('t')}")
+
+
 def _finite(meta: Metadata, quantity: str, value: float) -> float:
     """value, which finite q and t can still take past float64's range (a
     product of many t-scaled factors, say): then a user error naming the
     quantity, never an inf cell."""
     if not math.isfinite(value):
-        raise ValidationError(f"{meta['command']}: {quantity} overflows float64 "
-                              f"at q={meta.get('q')}, t={meta.get('t')}")
+        raise _overflow(meta, quantity)
     return value
 
 
@@ -136,7 +140,8 @@ def _wick_artifact(meta: Metadata, fmt: str) -> str:
     ]
     text_lines = [str(poly)]
     if "q" in meta and "t" in meta:
-        value = poly.evaluate(meta.number("q", float), meta.number("t", float))
+        value = _finite(meta, "the value",
+                        poly.evaluate(meta.number("q", float), meta.number("t", float)))
         text_lines.append(f"value = {_fmt(value)}")
     return _render(meta, ["deg_q", "deg_t", "coeff"], rows, fmt, text_lines)
 
@@ -164,14 +169,18 @@ def _fock_artifact(meta: Metadata, fmt: str) -> str:
         text_lines = []
         for f in range(1, params.d + 1):
             for g in range(1, params.d + 1):
-                r = commutator_residual(f, g, params)
+                r = _finite(meta, f"the residual at f={f}, g={g}",
+                            commutator_residual(f, g, params))
                 rows.append([str(f), str(g), _fmt(r)])
                 text_lines.append(f"f={f} g={g} residual={_fmt(r)}")
         return _render(meta, ["f", "g", "residual"], rows, fmt, text_lines)
     if op == "gram":
         import numpy as np
 
-        eigs = np.linalg.eigvalsh(gram_matrix(meta.number("degree"), params))
+        gram = gram_matrix(meta.number("degree"), params)
+        if not np.isfinite(gram).all():
+            raise _overflow(meta, "the Gram matrix")
+        eigs = np.linalg.eigvalsh(gram)
         rows = [[str(k), _fmt(v)] for k, v in enumerate(eigs)]
         text_lines = [f"eig[{k}] = {_fmt(v)}" for k, v in enumerate(eigs)]
         return _render(meta, ["index", "eigenvalue"], rows, fmt, text_lines)

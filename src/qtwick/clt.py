@@ -224,11 +224,14 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
         [[math.comb(x, j) for j in range(cols)] for x in range(n_sites + 1)], dtype=np.int64
     )
     ranks, amps, k = np.zeros(1, dtype=np.int64), np.ones(1), 0
-    for letter in reversed(eps):
-        ranks, amps = _apply_sum(ranks, amps, k, letter, up, sq, binom)
-        k += 1 if letter == "*" else -1
-        if not ranks.size:
-            break
+    # extreme tables overflow here; the moment follows float rules, and the
+    # command line refuses a non-finite one
+    with np.errstate(all="ignore"):
+        for letter in reversed(eps):
+            ranks, amps = _apply_sum(ranks, amps, k, letter, up, sq, binom)
+            k += 1 if letter == "*" else -1
+            if not ranks.size:
+                break
     vac = float(amps[0]) if k == 0 and ranks.size else 0.0
     if r % 2 == 0:
         return vac / float(n_sites ** (r // 2))
@@ -269,51 +272,55 @@ def limit_coefficient_estimate(
         raise ValidationError(f"table does not cover all pairs up to {n_sites}")
     if n == 1:
         return float(n_sites) / n_sites  # empty product over N tuples
-    block = pairing.block_of()
-    mats: dict[tuple[str, str], np.ndarray] = {}
-    # each factor as (array, pick): the array, indexed by the values pick
-    # takes from the outer tuple, is the factor on the grid of blocks n-1, n
-    forms = []
-    # the grid axes each factor varies along
-    axes: list[set[int]] = []
-    for x, y in _closed_form_factors(pairing):
-        letters = (eps[x - 1], eps[y - 1])
-        if letters not in mats:
-            mats[letters] = _lookup_matrix(table, *letters, n_sites)
-        m = mats[letters]
-        # 0-based blocks, a < b; n-2 and n-1 are the grid axes
-        a, b = block[x] - 1, block[y] - 1
-        if a == n - 2:
-            forms.append((m, None))
-            axes.append({0, 1})
-        elif b >= n - 2:  # a row of m, along grid axis b
-            forms.append((m[:, :, None] if b == n - 2 else m[:, None, :], itemgetter(a)))
-            axes.append({b - (n - 2)})
-        else:
-            forms.append((m, itemgetter(a, b)))
-            axes.append(set())
-    # factors [0, lead) multiply as vectors; factor lead forms the grid
-    lead = 1
-    while lead < len(forms) and len(set().union(*axes[:lead + 1])) < 2:
-        lead += 1
-    grid = np.empty((n_sites, n_sites))
-    total = 0.0
-    for outer in itertools.permutations(range(n_sites), n - 2):
-        factors = [arr if pick is None else arr[pick(outer)] for arr, pick in forms]
-        head = factors[0] if factors else 1.0
-        for f in factors[1:lead]:
-            head = head * f
-        if len(factors) > lead:
-            np.multiply(head, factors[lead], out=grid)
-        else:
-            grid[...] = head
-        for f in factors[lead + 1:]:
-            grid *= f
-        for v in outer:
-            grid[v, :] = 0.0
-            grid[:, v] = 0.0
-        np.fill_diagonal(grid, 0.0)
-        total += float(grid.sum())
+    # extreme tables overflow or divide by zero here; the estimate follows
+    # float rules, and the command line refuses a non-finite one
+    with np.errstate(all="ignore"):
+        block = pairing.block_of()
+        mats: dict[tuple[str, str], np.ndarray] = {}
+        # each factor as (array, pick): the array, indexed by the values pick
+        # takes from the outer tuple, is the factor on the grid of blocks n-1, n
+        forms = []
+        # the grid axes each factor varies along
+        axes: list[set[int]] = []
+        for x, y in _closed_form_factors(pairing):
+            letters = (eps[x - 1], eps[y - 1])
+            if letters not in mats:
+                mats[letters] = _lookup_matrix(table, *letters, n_sites)
+            m = mats[letters]
+            # 0-based blocks, a < b; n-2 and n-1 are the grid axes
+            a, b = block[x] - 1, block[y] - 1
+            if a == n - 2:
+                forms.append((m, None))
+                axes.append({0, 1})
+            elif b >= n - 2:  # a row of m, along grid axis b
+                row = m[:, :, None] if b == n - 2 else m[:, None, :]
+                forms.append((row, itemgetter(a)))
+                axes.append({b - (n - 2)})
+            else:
+                forms.append((m, itemgetter(a, b)))
+                axes.append(set())
+        # factors [0, lead) multiply as vectors; factor lead forms the grid
+        lead = 1
+        while lead < len(forms) and len(set().union(*axes[:lead + 1])) < 2:
+            lead += 1
+        grid = np.empty((n_sites, n_sites))
+        total = 0.0
+        for outer in itertools.permutations(range(n_sites), n - 2):
+            factors = [arr if pick is None else arr[pick(outer)] for arr, pick in forms]
+            head = factors[0] if factors else 1.0
+            for f in factors[1:lead]:
+                head = head * f
+            if len(factors) > lead:
+                np.multiply(head, factors[lead], out=grid)
+            else:
+                grid[...] = head
+            for f in factors[lead + 1:]:
+                grid *= f
+            for v in outer:
+                grid[v, :] = 0.0
+                grid[:, v] = 0.0
+            np.fill_diagonal(grid, 0.0)
+            total += float(grid.sum())
     return total / n_sites**n
 
 

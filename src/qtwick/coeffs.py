@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPairClassError, SizeLimitError, ValidationError
-from .pairings import PairPartition, class_of, cross_nest, cross_nest_counts
+from .pairings import PairPartition, cross_nest, cross_nest_counts
 from .wickpoly import LETTERS, QTPolynomial, check_eps
 
 # a sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and samples
@@ -289,38 +289,23 @@ def normal_order(
     """Reorder a word whose class is a pairing into adjacent pairs, collecting
     one commutation coefficient per transposition.
 
-    Repeatedly take the leftmost remaining position and walk its partner left
-    until the two are adjacent; each element passed contributes the
-    coefficient of swapping (passed, partner) into (partner, passed).  The
-    accumulated product is cross-checked against the closed form indexed by
-    crossings and nestings, which must agree.
+    The positions holding equal values form the pairing, and the product of
+    the coefficients is the closed form indexed by its crossings and
+    nestings; tests/_brute.py keeps the transposition walk it equals.
     """
     values = tuple(values)
     check_eps(eps)
     if len(values) != len(eps):
         raise ValueError(f"{len(values)} values but pattern of length {len(eps)}")
-    partition = class_of(values)
-    pairing = partition.as_pair_partition()
-    if pairing is None:
-        raise NonPairClassError(
-            f"tuple {values!r} has class {partition}, not a perfect pairing"
-        )
-    work = [(values[k], eps[k]) for k in range(len(values))]
-    beta = 1.0
-    while work:
-        head_val, _ = work[0]
-        rest = work[1:]
-        p = next(k for k, (v, _) in enumerate(rest) if v == head_val)
-        part_val, part_eps = rest[p]
-        for passed_val, passed_eps in rest[:p]:
-            beta *= table.lookup(part_eps, passed_eps, part_val, passed_val)
-        del rest[p]
-        work = rest
-    closed = _beta_closed_form(values, eps, pairing, table)
-    if abs(beta - closed) > 1e-9 * max(1.0, abs(beta), abs(closed)):
-        raise ArithmeticError(
-            f"transposition product {beta} disagrees with crossing/nesting form {closed}"
-        )
+    if not values:
+        raise ValueError("the empty word has no pairing")
+    where: dict[int, list[int]] = {}
+    for pos, v in enumerate(values, start=1):
+        where.setdefault(v, []).append(pos)
+    if any(len(block) != 2 for block in where.values()):
+        raise NonPairClassError(f"tuple {values!r} is not a perfect pairing of its positions")
+    pairing = PairPartition(tuple(map(tuple, where.values())))
+    beta = _beta_closed_form(values, eps, pairing, table)
     pattern = "".join(eps[w - 1] + eps[z - 1] for w, z in pairing.pairs)
     return NormalOrderResult(beta=beta, pairing=pairing, pattern=pattern)
 

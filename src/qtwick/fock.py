@@ -248,15 +248,18 @@ def gram_matrix(n: int, p: FockParams) -> np.ndarray:
     count = p.d**n
     if count > MAX_GRAM_WORDS:
         raise SizeLimitError(f"{count} words of degree {n} exceed {MAX_GRAM_WORDS}")
-    gram = np.ones((1, 1))
-    for deg in range(1, n + 1):
-        block, size = p.d ** (deg - 1), p.d**deg
-        words = np.arange(size)
-        ann = np.zeros((size, size))
-        for k in range(deg):
-            low = p.d ** (deg - 1 - k)  # place value of position k
-            head, rest = np.divmod(words, low * p.d)
-            letter, tail = np.divmod(rest, low)
-            ann[letter * block + head * low + tail, words] += p.q**k * p.t ** (deg - 1 - k)
-        gram = np.vstack([gram @ ann[i * block:(i + 1) * block] for i in range(p.d)])
+    # extreme q and t overflow here; the command line refuses a non-finite
+    # matrix
+    with np.errstate(all="ignore"):
+        gram = np.ones((1, 1))
+        for deg in range(1, n + 1):
+            block, size = p.d ** (deg - 1), p.d**deg
+            words = np.arange(size)
+            ann = np.zeros((size, size))
+            for k in range(deg):
+                low = p.d ** (deg - 1 - k)  # place value of position k
+                head, rest = np.divmod(words, low * p.d)
+                letter, tail = np.divmod(rest, low)
+                ann[letter * block + head * low + tail, words] += p.q**k * p.t ** (deg - 1 - k)
+            gram = np.vstack([gram @ ann[i * block:(i + 1) * block] for i in range(p.d)])
     return np.triu(gram) + np.triu(gram, 1).T

@@ -1,16 +1,15 @@
-"""Pair partitions of {1,...,2n}, crossing/nesting statistics, and tuple classes.
+"""Pair partitions of {1,...,2n} and their crossing/nesting statistics.
 
 A pair partition (perfect matching) is stored canonically as pairs (w, z) with
-w < z, listed in increasing order of w.  Two elements of a tuple are equivalent
-when they carry the same value; the resulting set partition is what links index
-tuples to pairings.
+w < z, listed in increasing order of w.  An index tuple in which every value
+occurs exactly twice links to the pairing of its equal-value positions
+(coeffs.normal_order builds it).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
 
 from .errors import SizeLimitError, ValidationError
 
@@ -66,50 +65,6 @@ def _parse_pairing(text: str) -> PairPartition:
             raise ValidationError(f"bad pair token {token!r}; use w-z")
         pairs.append((int(a), int(b)))
     return PairPartition(tuple(pairs))
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """Set partition of {1,...,r}; blocks sorted internally and by first element."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        canon = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canon)
-        flat = sorted(x for b in canon for x in b)
-        size = sum(len(b) for b in canon)
-        if flat != list(range(1, size + 1)):
-            raise ValueError(f"blocks {self.blocks!r} do not partition 1..{size}")
-
-    @property
-    def size(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def as_pair_partition(self) -> Optional[PairPartition]:
-        """The same partition as a PairPartition, or None if any block size != 2."""
-        if any(len(b) != 2 for b in self.blocks):
-            return None
-        return PairPartition(self.blocks)  # type: ignore[arg-type]
-
-    def __str__(self) -> str:
-        inner = ",".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
-        return "{" + inner + "}"
-
-
-def class_of(values: Iterable) -> SetPartition:
-    """Group positions 1..r of a tuple by equal values.
-
-    Only value coincidences matter, never the values themselves, so any
-    injective relabeling of the values yields the same partition.
-    """
-    values = tuple(values)
-    if not values:
-        raise ValueError("empty tuple has no partition")
-    where: dict = {}
-    for pos, v in enumerate(values, start=1):
-        where.setdefault(v, []).append(pos)
-    return SetPartition(tuple(tuple(b) for b in where.values()))
 
 
 Quads = tuple[tuple[int, int, int, int], ...]

@@ -3,11 +3,13 @@ the library: set partitions come from restricted-growth strings and are
 filtered down to pairings, chord statistics come from interval containment,
 the inner product sums over all of S_n without letter grouping, chain
 moments walk a dict of occupation bitmasks one state and one site at a time,
-chain vacuum walks apply whole operators over every slot,
-the chain's exchange relations compose whole operators slot by slot, the
-pairing estimator multiplies a fresh ones-grid by one factor at a time over
-lookup matrices scattered through index arrays, and
-listings and clt artifacts render one row and one cell at a time."""
+chain vacuum walks apply whole operators over every slot, normal ordering
+walks each partner left one transposition at a time instead of reading
+crossings and nestings, the chain's exchange relations compose whole
+operators slot by slot, the pairing estimator multiplies a fresh ones-grid
+by one factor at a time over lookup matrices scattered through index
+arrays, and listings and clt artifacts render one row and one cell at a
+time."""
 
 import functools
 import itertools
@@ -216,6 +218,25 @@ def vacuum_expectation(op_seq, n: int, table) -> float:
         if not state:
             return 0.0
     return state.get(0, 0.0)
+
+
+def transposition_beta(values, eps: str, table) -> float:
+    """Normal-ordering coefficient of a pair-class word, by transpositions:
+    repeatedly take the leftmost remaining position and walk its partner left
+    until the two are adjacent; each element passed contributes the
+    coefficient of swapping (passed, partner) into (partner, passed)."""
+    work = [(values[k], eps[k]) for k in range(len(values))]
+    beta = 1.0
+    while work:
+        head_val, _ = work[0]
+        rest = work[1:]
+        p = next(k for k, (v, _) in enumerate(rest) if v == head_val)
+        part_val, part_eps = rest[p]
+        for passed_val, passed_eps in rest[:p]:
+            beta *= table.lookup(part_eps, passed_eps, part_val, passed_val)
+        del rest[p]
+        work = rest
+    return beta
 
 
 def lookup_matrix(table, e1: str, e2: str, n: int) -> np.ndarray:

@@ -37,10 +37,9 @@ from qtwick import (
     wick_mixed,
 )
 from qtwick.cli import Metadata, _clt_artifact
-from qtwick.coeffs import _beta_closed_form
 from qtwick.fock import annihilate, create
 
-from _brute import clt_metadata, wick_sum
+from _brute import clt_metadata, transposition_beta, wick_sum
 
 
 @contextmanager
@@ -191,8 +190,8 @@ def test_criterion_09_engine_equivalence(capsys):
                         for eps_bits in itertools.product("1*", repeat=2 * n):
                             eps = "".join(eps_bits)
                             res = normal_order(values, eps, table)
-                            closed = _beta_closed_form(values, eps, pairing, table)
-                            assert abs(res.beta - closed) <= 1e-9 * max(1.0, abs(closed))
+                            walk = transposition_beta(values, eps, table)
+                            assert abs(res.beta - walk) <= 1e-9 * max(1.0, abs(walk))
                             want = (
                                 res.beta
                                 if pair_pattern_is_default(pairing, eps)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -254,12 +255,26 @@ def test_float64_overflow_from_finite_parameters_exits_2(capsys, tmp_path, argv)
      "the vacuum moment"),
     (("jw", "--n", "4", "--q", "0", "--t", "1e300", "--ops", "1,2,3,3*,2*,1*"),
      "the vacuum expectation"),
+    (("fock", "--d", "2", "--m", "5", "--q", "1e100", "--t", "1e-20", "--residual"),
+     "the residual at f=1, g=1"),
+    (("wick", "--eps", "11**", "--q", "1e308", "--t", "1e308"), "the value"),
+    (("fock", "--d", "2", "--m", "6", "--q", "0.5", "--t", "1e150", "--gram", "3"),
+     "the Gram matrix"),
+    (("clt", "--mode", "lambda", "--eps", "111***", "--pairing", "1-4,2-5,3-6", "--q", "0",
+      "--t", "1e200", "--ns", "5", "--seed", "1"), "the estimate at N=5"),
+    (("clt", "--mode", "lambda", "--eps", "1**1", "--pairing", "1-4,2-3", "--q", "0",
+      "--t", "1e-320", "--ns", "5", "--seed", "1"), "the estimate at N=5"),
 ])
 def test_a_value_past_float64_from_finite_parameters_exits_2(capsys, argv, quantity):
-    # float arithmetic that overflows gives inf, not OverflowError
-    code, out, err = run(capsys, *argv, "--format", "csv")
+    # float arithmetic that overflows gives inf, not OverflowError; the error
+    # line is all a user sees, no numpy warning beside it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 2 and out == ""
-    assert f"error: {argv[0]}: {quantity} overflows float64 at q=" in err
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith(f"error: {argv[0]}: {quantity} overflows float64 at q=")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, t", [
@@ -268,8 +283,6 @@ def test_a_value_past_float64_from_finite_parameters_exits_2(capsys, argv, quant
     # products of three t-scaled factors of both signs: value and abs_err are nan
     (("--eps", "111***", "--pairing", "1-4,2-5,3-6"), "1e200"),
 ])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_a_non_finite_clt_row_exits_2(capsys, tmp_path, argv, t):
     clt = ("clt", "--mode", "lambda", *argv, "--q", "0", "--ns", "5", "--seed", "1")
     message = "error: clt: the estimate at N=5 overflows float64 at q=0, t="

@@ -19,7 +19,6 @@ from qtwick import (
     ValidationError,
     convergence_experiment,
     limit_coefficient_estimate,
-    normal_order,
     partial_sum_moment,
     sampled_table,
     vacuum_expectation,
@@ -178,7 +177,7 @@ def test_estimate_matches_tuple_average():
     brute = 0.0
     for tup in itertools.permutations(range(1, n + 1), 3):
         values = tuple(tup[block[pos] - 1] for pos in range(1, 7))
-        brute += normal_order(values, eps, table).beta
+        brute += _brute.transposition_beta(values, eps, table)
     brute /= n**3
     got = limit_coefficient_estimate(pairing, eps, n, table)
     assert got == pytest.approx(brute, rel=1e-12)
@@ -192,7 +191,7 @@ def test_estimate_two_pair_matches_tuple_average():
         brute = 0.0
         for tup in itertools.permutations(range(1, n + 1), 2):
             values = tuple(tup[block[pos] - 1] for pos in range(1, 5))
-            brute += normal_order(values, eps, table).beta
+            brute += _brute.transposition_beta(values, eps, table)
         brute /= n**2
         got = limit_coefficient_estimate(pairing, eps, n, table)
         assert got == pytest.approx(brute, rel=1e-12)
@@ -221,7 +220,7 @@ def test_estimate_four_pair_matches_tuple_average():
         brute = 0.0
         for tup in itertools.permutations(range(1, n + 1), 4):
             values = tuple(tup[block[pos] - 1] for pos in range(1, 9))
-            brute += normal_order(values, eps, table).beta
+            brute += _brute.transposition_beta(values, eps, table)
         brute /= n**4
         got = limit_coefficient_estimate(pairing, eps, n, table)
         assert got == pytest.approx(brute, rel=1e-12)

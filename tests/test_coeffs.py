@@ -25,7 +25,7 @@ from qtwick import (
     sample_packed,
     sampled_table,
 )
-from qtwick.coeffs import _SAMPLE_CHUNK, MAX_TABLE_SITES, _beta_closed_form, _pair_rank
+from qtwick.coeffs import _SAMPLE_CHUNK, MAX_TABLE_SITES, _pair_rank
 
 
 @pytest.fixture
@@ -361,6 +361,8 @@ def test_normal_order_trivial_cases(table):
         normal_order((1, 2, 1), "111", table)
     with pytest.raises(ValueError):
         normal_order((1, 1), "1", table)
+    with pytest.raises(ValueError):
+        normal_order((), "", table)
 
 
 def test_normal_order_matches_closed_form_exhaustively():
@@ -380,11 +382,10 @@ def test_normal_order_matches_closed_form_exhaustively():
             values = tuple(labels[block[pos] - 1] for pos in range(1, 2 * n + 1))
             for eps_bits in itertools.product("1*", repeat=2 * n):
                 eps = "".join(eps_bits)
-                # normal_order itself raises if the transposition product and
-                # the crossing/nesting closed form drift apart
+                # the crossing/nesting closed form against the walk it replaces
                 r = normal_order(values, eps, tb)
-                closed = _beta_closed_form(values, eps, p, tb)
-                assert r.beta == pytest.approx(closed, rel=1e-9)
+                walk = _brute.transposition_beta(values, eps, tb)
+                assert r.beta == pytest.approx(walk, rel=1e-9)
                 assert r.pairing == p
 
 

@@ -1,13 +1,10 @@
 import itertools
-import random
 
 import pytest
 
 from qtwick import (
     PairPartition,
-    SetPartition,
     SizeLimitError,
-    class_of,
     cross_nest,
     cross_nest_counts,
     enumerate_counted_pairings,
@@ -128,35 +125,3 @@ def test_extreme_counts_unique_at_n_three():
     assert counts.count((3, 0)) == 1
     assert counts.count((0, 3)) == 1
     assert counts.count((2, 1)) >= 1
-
-
-def test_class_of_example():
-    sp = class_of((7, 7, 2, 7, 2, 9))
-    assert sp.blocks == ((1, 2, 4), (3, 5), (6,))
-    assert str(sp) == "{{1,2,4},{3,5},{6}}"
-
-
-def test_class_of_relabel_invariance():
-    rng = random.Random(7)
-    for _ in range(50):
-        r = rng.randrange(1, 9)
-        values = [rng.randrange(4) for _ in range(r)]
-        relabel = {v: chr(97 + i * 2) for i, v in enumerate(dict.fromkeys(values))}
-        assert class_of(values) == class_of([relabel[v] for v in values])
-
-
-def test_class_of_rejects_empty():
-    with pytest.raises(ValueError):
-        class_of(())
-
-
-def test_pair_class_round_trip():
-    sp = class_of((3, 5, 3, 5))
-    assert sp.blocks == ((1, 3), (2, 4))
-    p = sp.as_pair_partition()
-    assert p is not None and p.pairs == ((1, 3), (2, 4))
-    assert class_of((7, 7, 2, 7, 2, 9)).as_pair_partition() is None
-    # every enumerated pairing survives the round trip through blocks
-    for p in enumerate_pair_partitions(3):
-        sp = SetPartition(p.pairs)
-        assert sp.as_pair_partition() == p
