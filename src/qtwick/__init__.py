@@ -51,6 +51,7 @@ _MODULE_EXPORTS = {
         "pair_pattern_is_default",
         "sample_base",
         "sample_packed",
+        "sample_ranks",
         "sampled_table",
     ),
     "jw": (

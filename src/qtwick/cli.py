@@ -197,7 +197,7 @@ def _chain_params(meta: Metadata) -> tuple[int, float, float, int]:
 def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
     import numpy as np
 
-    from .coeffs import MAX_LISTED_SITES, _pair_rank, sampled_table
+    from .coeffs import MAX_LISTED_SITES, _pair_rank, _sampled_lookup, sampled_table
 
     n, q, t, seed = _chain_params(meta)
     if "lookup" in meta:
@@ -207,7 +207,7 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
         except ValueError:
             raise ValidationError(f"--lookup {meta['lookup']!r} is not left,right,i,j") from None
         value = _finite(meta, f"mu_({e1},{e2})({i},{j})",
-                        sampled_table(n, q, t, seed).lookup(e1, e2, site_i, site_j))
+                        _sampled_lookup(e1, e2, site_i, site_j, n, q, t, seed))
         return _render(
             meta,
             ["left", "right", "i", "j", "value"],
@@ -245,17 +245,16 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
 
 def _jw_artifact(meta: Metadata, fmt: str) -> str:
     from .coeffs import sampled_table
-    from .jw import _parse_sites, build_jw, check_commutation, vacuum_expectation
+    from .jw import _sampled_element, _sampled_expectation, check_commutation
 
     n, q, t, seed = _chain_params(meta)
-    table = sampled_table(n, q, t, seed)
     op = meta["op"]
     if op == "expectation":
         value = _finite(meta, "the vacuum expectation",
-                        vacuum_expectation(_parse_sites(meta["ops"]), n, table))
+                        _sampled_expectation(meta["ops"], n, q, t, seed))
         return _render(meta, ["value"], [[_fmt(value)]], fmt, [f"value = {_fmt(value)}"])
     if op == "verify":
-        report = check_commutation(n, table)
+        report = check_commutation(n, sampled_table(n, q, t, seed))
         rows = [[str(report.n), _fmt(report.max_deviation), str(len(report.failures))]]
         text_lines = [
             f"sites = {report.n}",
@@ -264,9 +263,7 @@ def _jw_artifact(meta: Metadata, fmt: str) -> str:
         ]
         return _render(meta, ["n", "max_deviation", "failures"], rows, fmt, text_lines)
     if op == "dump":
-        site = meta["site"]
-        adjoint = site.endswith("*")
-        operator = build_jw(n, int(site.rstrip("*")), table, adjoint=adjoint)
+        operator = _sampled_element(meta["site"], n, q, t, seed)
         slots = []
         for action in operator.slots:
             slots.append({

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +20,10 @@ from .errors import NonPairClassError, SizeLimitError, ValidationError
 from .pairings import PairPartition, cross_nest, cross_nest_counts
 from .wickpoly import LETTERS, QTPolynomial, check_eps
 
-# a sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and samples
-# in about 0.3 s; it admits the largest lambda run (3162 sites, 2 pairs)
+# a whole sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and
+# samples in 0.11-0.14 s; it admits the largest lambda run (3162 sites, 2
+# pairs).  A command that reads a few pairs draws only those (sample_ranks),
+# at a cost that does not grow with n; the cap still bounds its n
 MAX_TABLE_SITES = 4096
 # the coeffs artifact lists one row per pair: 1024 sites are 523776 rows.
 # In a fresh process, csv (5 MB) takes 0.36-0.42 s to write or --check and
@@ -46,18 +48,19 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _derive_seeds(master: int, first: int, count: int) -> np.ndarray:
-    """derive_seed(master, k) for k = first, ..., first + count - 1."""
-    x = np.arange(count, dtype=np.uint64)
-    x *= np.uint64(_GAMMA)
-    x += np.uint64((master + (first + 1) * _GAMMA) & _MASK64)
-    return _splitmix64(x)
+def _derive_seeds(master: int, ranks: np.ndarray) -> np.ndarray:
+    """derive_seed(master, k) for each k of a uint64 array of ranks, computed
+    in place: every step writes into `ranks`, as a fresh array per step
+    would cost a page fault per page at the sampler's chunk size."""
+    ranks *= np.uint64(_GAMMA)
+    ranks += np.uint64((master + _GAMMA) & _MASK64)
+    return _splitmix64(ranks)
 
 
 def derive_seed(master: int, k: int) -> int:
     """Seed of sub-task k: splitmix64 applied to master + (k+1) steps of the
     golden-ratio increment.  Stable across versions and platforms."""
-    return int(_derive_seeds(master, k, 1)[0])
+    return int(_derive_seeds(master, np.array([k & _MASK64], dtype=np.uint64))[0])
 
 
 def _pair_rank(i: int, j: int) -> int:
@@ -79,6 +82,47 @@ def _check_scale(t: float) -> float:
     return float(t)
 
 
+def _two_point(q: float, t: float) -> float:
+    """P(+1) of the two-point law with mean q/t, after checking q and t."""
+    if not math.isfinite(q):
+        raise ValidationError(f"need a finite q, got q={q}")
+    _check_scale(t)
+    if abs(q) > t:
+        raise ValidationError(f"two-point law needs |q| <= t, got q={q}, t={t}")
+    return 0.5 * (1.0 + q / t)
+
+
+def _table_law(n: int, q: float, t: float) -> float:
+    """P(+1) of a sampled n-site table, after the checks sample_packed makes:
+    q and t first, then n.  A command that draws only some pairs of the
+    table makes them too, so that it refuses what sampling the table would."""
+    p_plus = _two_point(q, t)
+    if n < 1:
+        raise ValidationError("need n >= 1")
+    if n > MAX_TABLE_SITES:
+        raise SizeLimitError(f"{n} sites exceed the {MAX_TABLE_SITES}-site table cap")
+    return p_plus
+
+
+def _draw(ranks: np.ndarray, seed: int, p_plus: float) -> np.ndarray:
+    """Base values of the pairs of a uint64 array of ranks, which it
+    overwrites: the pair of rank k is +1 when the top 53 bits of
+    derive_seed(seed, k), as a uniform on [0, 1), fall below p_plus, and -1
+    otherwise."""
+    bits = _derive_seeds(seed, ranks)
+    bits >>= 11
+    u = bits.astype(np.float64)
+    u *= 2.0**-53
+    return np.where(u < p_plus, 1.0, -1.0)
+
+
+def sample_ranks(ranks: Sequence[int] | np.ndarray, q: float, t: float, seed: int) -> np.ndarray:
+    """Draw the base coefficients of the pairs of the given ranks, in the
+    order given: the same values sample_packed draws at those ranks, at a
+    cost that does not grow with the size of the table."""
+    return _draw(np.array(ranks, dtype=np.uint64), seed, _two_point(q, t))
+
+
 def sample_packed(n: int, q: float, t: float, seed: int) -> np.ndarray:
     """Draw the base coefficient for every pair i < j <= n, in pair-rank order.
 
@@ -86,27 +130,20 @@ def sample_packed(n: int, q: float, t: float, seed: int) -> np.ndarray:
     the second moment is exactly 1.  The pair of rank k draws the top 53 bits
     of derive_seed(seed, k) as a uniform on [0, 1), so every draw depends on
     its rank alone: the sample for a smaller n is a prefix of the sample for
-    a larger one, and all draws are computed at once in uint64 arithmetic.
+    a larger one, and sample_ranks draws any subset with the same bits.
     """
-    if not math.isfinite(q):
-        raise ValidationError(f"need a finite q, got q={q}")
-    _check_scale(t)
-    if abs(q) > t:
-        raise ValidationError(f"two-point law needs |q| <= t, got q={q}, t={t}")
-    if n < 1:
-        raise ValidationError("need n >= 1")
-    if n > MAX_TABLE_SITES:
-        raise SizeLimitError(f"{n} sites exceed the {MAX_TABLE_SITES}-site table cap")
-    p_plus = 0.5 * (1.0 + q / t)
+    p_plus = _table_law(n, q, t)
     count = _pair_count(n)
     out = np.empty(count)
-    # in chunks, so that the bits and uniforms of the whole table are never alive
+    # in chunks, so that the bits and uniforms of the whole table are never
+    # alive.  `chunk` holds each chunk's values until the next chunk is drawn:
+    # the allocator then reuses the freed temporaries of a chunk instead of
+    # returning them to the system and faulting them back in (at 4096 sites,
+    # 0.22 s against 0.11-0.13 s on a 2-core Xeon host)
     for start in range(0, count, _SAMPLE_CHUNK):
-        bits = _derive_seeds(seed, start, min(_SAMPLE_CHUNK, count - start))
-        bits >>= 11
-        u = bits.astype(np.float64)
-        u *= 2.0**-53
-        out[start:start + u.size] = np.where(u < p_plus, 1.0, -1.0)
+        stop = min(start + _SAMPLE_CHUNK, count)
+        chunk = _draw(np.arange(start, stop, dtype=np.uint64), seed, p_plus)
+        out[start:stop] = chunk
     return out
 
 
@@ -161,6 +198,40 @@ def _coefficient(
     return m if (left == "*") == ordered else 1.0 / m
 
 
+def _base_value(i: int, j: int, base_at: Callable[[int], float]) -> float:
+    """Base value mu(i, j) for 0 < i < j, where base_at(rank) reads the base
+    value of a pair rank, or 0.0 for a pair without one."""
+    if 0 < i < j:
+        m = base_at(_pair_rank(i, j))
+        if m:
+            return m
+    raise ValidationError(f"table has no base value for pair ({i},{j})")
+
+
+def _lookup(
+    left: str, right: str, i: int, j: int, t: float, base_at: Callable[[int], float]
+) -> float:
+    """Coefficient mu_{left,right}(i, j) for i != j over base_at, as
+    _base_value reads it: the checks and the value of CoefficientTable.lookup."""
+    if left not in LETTERS or right not in LETTERS:
+        raise ValueError(f"letters must be '1' or '*', got ({left!r},{right!r})")
+    if i == j:
+        raise ValueError("coefficients are only defined for distinct indices")
+    m = _base_value(i, j, base_at) if i < j else _base_value(j, i, base_at)
+    return _coefficient(left, right, m, t, i < j)
+
+
+def _sampled_lookup(
+    left: str, right: str, i: int, j: int, n: int, q: float, t: float, seed: int
+) -> float:
+    """sampled_table(n, q, t, seed).lookup(left, right, i, j), refused where
+    and as that would be, but drawing only the one pair it reads."""
+    _table_law(n, q, t)
+    count = _pair_count(n)
+    return _lookup(left, right, i, j, t,
+                   lambda rank: sample_ranks([rank], q, t, seed).item() if rank < count else 0.0)
+
+
 class CoefficientTable:
     """Lazy family of commutation coefficients over base values and a scale t.
 
@@ -175,6 +246,8 @@ class CoefficientTable:
         self.t = _check_scale(t)
         if isinstance(base, Mapping):
             packed = _pack(base)
+            gaps = np.flatnonzero(packed == 0.0)
+            covered = int(gaps[0]) if gaps.size else packed.size
         else:
             owned = isinstance(base, np.ndarray) and base.dtype == np.float64 and base.base is None
             packed = base if owned else np.array(base, dtype=np.float64)
@@ -182,14 +255,14 @@ class CoefficientTable:
                 raise ValidationError("packed base values must form a 1-d array")
             if not packed.all():
                 raise ValidationError("packed base values must be nonzero")
+            covered = packed.size
         if not np.isfinite(packed).all():
             raise ValidationError("base values must be finite")
         packed.flags.writeable = False
         self._packed = packed
         # pairs of rank below this all have a base value; ranks are j-major,
         # so the table covers n sites exactly when n(n-1)/2 pairs fit below it
-        gaps = np.flatnonzero(packed == 0.0)
-        self._covered = int(gaps[0]) if gaps.size else packed.size
+        self._covered = covered
 
     @property
     def max_index(self) -> int:
@@ -208,23 +281,16 @@ class CoefficientTable:
             raise ValidationError(f"table does not cover all pairs up to {n}")
         return self._packed[:_pair_count(n)]
 
+    def _base_at(self, rank: int) -> float:
+        return self._packed.item(rank) if rank < self._packed.size else 0.0
+
     def base_value(self, i: int, j: int) -> float:
         """Base value mu(i, j) for 0 < i < j."""
-        if 0 < i < j:
-            rank = _pair_rank(i, j)
-            m = self._packed.item(rank) if rank < self._packed.size else 0.0
-            if m:
-                return m
-        raise ValidationError(f"table has no base value for pair ({i},{j})")
+        return _base_value(i, j, self._base_at)
 
     def lookup(self, left: str, right: str, i: int, j: int) -> float:
         """Coefficient mu_{left,right}(i, j) for i != j."""
-        if left not in LETTERS or right not in LETTERS:
-            raise ValueError(f"letters must be '1' or '*', got ({left!r},{right!r})")
-        if i == j:
-            raise ValueError("coefficients are only defined for distinct indices")
-        m = self.base_value(i, j) if i < j else self.base_value(j, i)
-        return _coefficient(left, right, m, self.t, i < j)
+        return _lookup(left, right, i, j, self.t, self._base_at)
 
     def base_matrix(self, n: int) -> np.ndarray:
         """(n, n) array with entry [i-1, j-1] = base(i, j) for i < j, zeros elsewhere."""

@@ -11,6 +11,7 @@ or to zero, so states never need dense storage.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coeffs import CoefficientTable, _coefficient, _pair_rank
+from .coeffs import CoefficientTable, _coefficient, _pair_rank, _table_law, sample_ranks
 from .errors import SizeLimitError, ValidationError
 from .wickpoly import LETTERS
 
@@ -80,29 +81,47 @@ class MonomialOperator:
         return out
 
 
-def _occupied_entries(n: int, site: int, table: CoefficientTable) -> np.ndarray:
-    """Occupied-bit entries of chain element `site`'s diagonal factors at
-    slots 1..n: sqrt(t) * mu(k, site) at slot k < site and sqrt(t) at k > site.
-    Slot `site` holds the ladder factor; its entry is not read."""
-    # mu(k, site) for k = 1..site-1 are consecutive in pair-rank order;
-    # packed(n) raises unless the table covers every pair up to n
-    first = _pair_rank(1, site)
-    sq = math.sqrt(table.t)
-    out = np.full(n, sq)
-    np.multiply(sq, table.packed(n)[first:first + site - 1], out=out[:site - 1])
-    return out
+def _check_site(site: int, n: int) -> None:
+    if not 1 <= site <= n:
+        raise ValueError(f"site {site} outside 1..{n}")
 
 
-def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> MonomialOperator:
-    """Chain element i (or its adjoint) on an n-slot chain."""
-    if not 1 <= i <= n:
-        raise ValueError(f"site {i} outside 1..{n}")
-    entries = _occupied_entries(n, i, table).tolist()
+def _chain_element(
+    n: int, i: int, column: np.ndarray, t: float, adjoint: bool
+) -> MonomialOperator:
+    """build_jw over column = mu(1, i), ..., mu(i-1, i).  The occupied-bit
+    entry of the diagonal factor at slot k is sqrt(t) * mu(k, i) for k < i
+    and sqrt(t) for k > i; slot i holds the ladder factor."""
+    sq = math.sqrt(t)
+    entries = np.full(n, sq)
+    np.multiply(sq, column, out=entries[:i - 1])
+    entries = entries.tolist()
     # one action per distinct entry: a sampled table has at most three
     actions = {x: diagonal(1.0, x) for x in set(entries)}
     slots = list(map(actions.__getitem__, entries))
     slots[i - 1] = RAISE if adjoint else LOWER
     return MonomialOperator(n, tuple(slots))
+
+
+def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> MonomialOperator:
+    """Chain element i (or its adjoint) on an n-slot chain."""
+    _check_site(i, n)
+    # mu(k, i) for k = 1..i-1 are consecutive in pair-rank order;
+    # packed(n) raises unless the table covers every pair up to n
+    first = _pair_rank(1, i)
+    return _chain_element(n, i, table.packed(n)[first:first + i - 1], table.t, adjoint)
+
+
+def _sampled_element(site: str, n: int, q: float, t: float, seed: int) -> MonomialOperator:
+    """`jw --dump-op`: build_jw of a site token <i> or <i>* over
+    sampled_table(n, q, t, seed), refused where and as that would be, but
+    drawing only mu(1, i), ..., mu(i-1, i)."""
+    _table_law(n, q, t)
+    i = int(site.rstrip("*"))
+    _check_site(i, n)
+    first = _pair_rank(1, i)
+    column = sample_ranks(np.arange(first, first + i - 1), q, t, seed)
+    return _chain_element(n, i, column, t, site.endswith("*"))
 
 
 def _parse_sites(text: str) -> list[tuple[int, bool]]:
@@ -119,44 +138,95 @@ def _parse_sites(text: str) -> list[tuple[int, bool]]:
     return ops
 
 
+def _vacuum_walk(
+    op_seq: Sequence[tuple[int, bool]], n: int
+) -> Optional[tuple[list[int], list[tuple[int, int]]]]:
+    """The occupancy walk of vacuum_expectation, which reads no coefficient.
+
+    From the vacuum every factor keeps one basis state, so the walk holds the
+    occupied sites alone.  It returns None when a factor lowers an empty
+    slot or raises an occupied one, or when the word leaves a slot occupied:
+    the vacuum coefficient is then 0.0.  Otherwise it returns the ranks of
+    the base values mu(slot, site) the factors read, in read order, and for
+    each factor, rightmost first, how many of those it reads and how many
+    occupied slots lie above its site.
+    """
+    for site, _ in op_seq:
+        _check_site(site, n)
+    occupied: list[int] = []  # ascending
+    ranks: list[int] = []
+    factors: list[tuple[int, int]] = []
+    for site, adjoint in reversed(op_seq):
+        k = bisect.bisect_left(occupied, site)
+        if (k < len(occupied) and occupied[k] == site) == adjoint:
+            return None
+        if not adjoint:
+            del occupied[k]
+        # the other occupied slots: below `site` they read mu(slot, site), of
+        # rank first + slot; above it they read no coefficient
+        first = _pair_rank(1, site) - 1
+        ranks += [first + slot for slot in occupied[:k]]
+        factors.append((k, len(occupied) - k))
+        if adjoint:
+            occupied.insert(k, site)
+    return None if occupied else (ranks, factors)
+
+
+def _vacuum_product(factors: list[tuple[int, int]], base: list[float], t: float) -> float:
+    """The vacuum coefficient of a word whose walk survives, from the base
+    values of the ranks the walk read, in read order.
+
+    A factor multiplies in, in ascending slot order, the occupied-bit entries
+    of the occupied slots: sqrt(t) * mu(slot, site) below its site and
+    sqrt(t) above it.  The factors build_jw(...).apply would take at the
+    other slots are exactly 1.0, so the bits are the same as that walk's.
+    """
+    sq = math.sqrt(t)
+    amp = 1.0
+    values = iter(base)
+    for below, above in factors:
+        for m in itertools.islice(values, below):
+            entry = sq * m
+            if entry == 0.0:
+                return 0.0  # diagonal() kills the occupied bit: no inf * 0
+            amp *= entry
+        for _ in range(above):
+            amp *= sq
+        if amp == 0.0:
+            return 0.0
+    return amp
+
+
+def _sampled_expectation(ops: str, n: int, q: float, t: float, seed: int) -> float:
+    """`jw --ops`: vacuum_expectation of the factors listed in `ops` over
+    sampled_table(n, q, t, seed), refused where and as that would be, but
+    drawing each distinct pair the walk reads once and no other."""
+    _table_law(n, q, t)
+    walk = _vacuum_walk(_parse_sites(ops), n)
+    if walk is None:
+        return 0.0
+    ranks, factors = walk
+    distinct, read = np.unique(np.array(ranks, dtype=np.int64), return_inverse=True)
+    return _vacuum_product(factors, sample_ranks(distinct, q, t, seed)[read].tolist(), t)
+
+
 def vacuum_expectation(
     op_seq: Sequence[tuple[int, bool]], n: int, table: CoefficientTable
 ) -> float:
     """Vacuum coefficient of a product of chain elements applied to the vacuum.
 
     op_seq lists (site, adjoint) factors in product order, left to right; the
-    rightmost factor acts first.  From the vacuum every factor keeps one
-    basis state, so the walk holds its occupied sites and one amplitude.  A
-    factor multiplies in, in ascending slot order, the occupied-bit entries
-    of the occupied slots: the factors build_jw(...).apply would take at the
-    other slots are exactly 1.0, so the bits are the same as that walk's.
+    rightmost factor acts first.  The occupancy walk (_vacuum_walk) finds the
+    base values the factors read, and only those enter the product
+    (_vacuum_product); tests/_brute.py keeps the walk that applies
+    build_jw(...) over all n slots.
     """
-    for site, _ in op_seq:
-        if not 1 <= site <= n:
-            raise ValueError(f"site {site} outside 1..{n}")
+    walk = _vacuum_walk(op_seq, n)
     packed = table.packed(n)
-    sq = math.sqrt(table.t)
-    occupied: list[int] = []  # ascending
-    amp = 1.0
-    for site, adjoint in reversed(op_seq):
-        k = bisect.bisect_left(occupied, site)
-        if (k < len(occupied) and occupied[k] == site) == adjoint:
-            return 0.0  # lowers an empty slot or raises an occupied one
-        if not adjoint:
-            del occupied[k]
-        # the other occupied slots, the ladder slot `site` taking 1.0;
-        # mu(slot, site) has rank first + slot
-        first = _pair_rank(1, site) - 1
-        for slot in occupied:
-            entry = sq * packed.item(first + slot) if slot < site else sq
-            if entry == 0.0:
-                return 0.0  # diagonal() kills the occupied bit: no inf * 0
-            amp *= entry
-        if amp == 0.0:
-            return 0.0
-        if adjoint:
-            occupied.insert(k, site)
-    return 0.0 if occupied else amp
+    if walk is None:
+        return 0.0
+    ranks, factors = walk
+    return _vacuum_product(factors, packed[ranks].tolist(), table.t)
 
 
 @dataclass(slots=True)
@@ -246,7 +316,7 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
     base = table.base_matrix(n)
     base += base.T
     # relation (i, j) sits at [i-1, j-1]: element j's entry at slot i, and
-    # element i's entry at slot j, as _occupied_entries gives them.  Every
+    # element i's entry at slot j, as _chain_element gives them.  Every
     # operand is C-ordered, made from `base` by elementwise steps: at n a
     # power of two a transposed view strides by 8n bytes, which made the
     # steps 1.5x slower

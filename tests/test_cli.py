@@ -1,19 +1,23 @@
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import _brute
 from qtwick import (
     FockParams, SizeLimitError, enumerate_pair_partitions, vacuum_expectation, vacuum_moment,
 )
-from qtwick import cli
+from qtwick import build_jw, cli, coeffs, sampled_table
 from qtwick.cli import build_parser, main, run_check
 from qtwick.coeffs import MAX_LISTED_SITES, MAX_TABLE_SITES
-from qtwick.jw import MAX_VERIFY_SITES
+from qtwick.floats import _fmt
+from qtwick.jw import MAX_VERIFY_SITES, _parse_sites, _vacuum_walk
 from qtwick.pairings import MAX_ENUMERATION_PAIRS
 
 CHAIN = ("--q", "0.5", "--t", "1.25", "--seed", "0")
@@ -304,6 +308,140 @@ def test_coeffs_lookup_of_the_wrong_shape_exits_2(capsys, lookup):
     code, out, err = run(capsys, "coeffs", "--n", "4", *CHAIN, "--lookup", lookup)
     assert code == 2 and out == ""
     assert "left,right,i,j" in err
+
+
+_LAW = ("--q", "0.5", "--t", "1.25")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("jw", "--n", "5000", *_LAW, "--ops", "1,1*"), "5000 sites exceed the 4096-site table cap"),
+    (("jw", "--n", "0", *_LAW, "--ops", "1,1*"), "need n >= 1"),
+    (("jw", "--n", "10", "--q", "2", "--t", "1.25", "--ops", "1,1*"),
+     "two-point law needs |q| <= t, got q=2.0, t=1.25"),
+    # a word killed before it reads a pair is refused all the same
+    (("jw", "--n", "10", "--q", "2", "--t", "1.25", "--ops", "1"),
+     "two-point law needs |q| <= t, got q=2.0, t=1.25"),
+    (("jw", "--n", "5000", *_LAW, "--ops", "1"), "5000 sites exceed the 4096-site table cap"),
+    (("jw", "--n", "10", *_LAW, "--ops", "11,11*"), "site 11 outside 1..10"),
+    (("jw", "--n", "10", *_LAW, "--dump-op", "11"), "site 11 outside 1..10"),
+    (("jw", "--n", "10", "--q", "2", "--t", "1.25", "--dump-op", "11"),
+     "two-point law needs |q| <= t, got q=2.0, t=1.25"),
+    (("coeffs", "--n", "10", *_LAW, "--lookup", "1,*,3,11"),
+     "table has no base value for pair (3,11)"),
+    (("coeffs", "--n", "10", *_LAW, "--lookup", "1,*,3,3"),
+     "coefficients are only defined for distinct indices"),
+    (("coeffs", "--n", "10", *_LAW, "--lookup", "x,*,3,4"),
+     "letters must be '1' or '*', got ('x','*')"),
+    (("coeffs", "--n", "4", "--q", "0", "--t", "1e-320", "--lookup", "1,*,2,1"),
+     "coeffs: mu_(1,*)(2,1) overflows float64 at q=0, t=9.9998886718268301e-321"),
+    (("coeffs", "--n", "5000", *_LAW, "--lookup", "1,*,3,11"),
+     "5000 sites exceed the 4096-site table cap"),
+])
+def test_chain_refusals_keep_their_message_and_precedence(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {line}\n"
+
+
+def _table_words(rng, n):
+    """jw --ops words on n sites: pair-class words, which a random mark
+    mostly kills, nested words, which survive, and words on sites 1 and n."""
+    words = []
+    for pairs in (1, 2, 3, 4):
+        if pairs <= n:
+            sites = rng.sample(range(1, n + 1), pairs)
+            tokens = [f"{s}*" if rng.getrandbits(1) else str(s) for s in sites for _ in (0, 1)]
+            rng.shuffle(tokens)
+            words.append(",".join(tokens))
+            down = sites[:]
+            rng.shuffle(down)
+            words.append(",".join([str(s) for s in down] + [f"{s}*" for s in reversed(sites)]))
+    words += [f"{n},1,{n}*,1*", f"1,{n},1*,{n}*", f"1,{n},{n}*,1*", f"{n}*", "1"]
+    return words
+
+
+def _meta(*argv):
+    return cli._meta_from_args(cli._parser().parse_args(list(argv)))
+
+
+def _full_table_artifact(argv, fmt):
+    """The artifact of a jw --ops, jw --dump-op or coeffs --lookup run from
+    the library over the whole sampled table, or the error line it exits with."""
+    meta = _meta(*argv)
+    n, q, t, seed = int(meta["n"]), float(meta["q"]), float(meta["t"]), int(meta["seed"])
+    table = sampled_table(n, q, t, seed)
+    if "site" in meta:
+        op = build_jw(n, int(meta["site"].rstrip("*")), table, meta["site"].endswith("*"))
+        slots = [{"empty": None if a[0] is None else list(a[0]),
+                  "occupied": None if a[1] is None else list(a[1])} for a in op.slots]
+        payload = {"metadata": meta, "scalar": op.scalar, "slots": slots}
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if "ops" in meta:
+        quantity, header = "the vacuum expectation", "value"
+        value = vacuum_expectation(_parse_sites(meta["ops"]), n, table)
+    else:
+        e1, e2, i, j = meta["lookup"].split(",")
+        quantity, header = f"mu_({e1},{e2})({i},{j})", None
+        value = table.lookup(e1, e2, int(i), int(j))
+    if not math.isfinite(value):
+        return f"error: {meta['command']}: {quantity} overflows float64 at q={meta['q']}, t={meta['t']}\n"
+    if header is None:
+        return _brute.render(meta, ["left", "right", "i", "j", "value"], [[e1, e2, i, j, _fmt(value)]],
+                             fmt, [f"{quantity} = {_fmt(value)}"])
+    return _brute.render(meta, [header], [[_fmt(value)]], fmt, [f"value = {_fmt(value)}"])
+
+
+@pytest.mark.parametrize("q, t", [
+    ("0.5", "1.25"), ("-0.4", "0.8"), ("1", "1"), ("-1", "1"),
+    ("0", "1e-320"),  # 1/(t mu) overflows, sqrt(t) products underflow
+    ("0", "1e300"),  # sqrt(t) products overflow
+])
+def test_chain_commands_write_the_full_table_bytes(capsys, q, t):
+    rng = random.Random(f"{q},{t}")
+    for n in (1, 2, 9, 40):
+        chain = ("--n", str(n), f"--q={q}", "--t", t, "--seed", str(rng.randrange(-5, 2**65)))
+        jobs = [("jw", *chain, "--ops", word) for word in _table_words(rng, n)]
+        jobs += [("jw", *chain, "--dump-op", f"{site}{mark}")
+                 for site in {1, n, rng.randint(1, n)} for mark in ("", "*")]
+        if n > 1:
+            pairs = {(1, n), (n, 1), tuple(rng.sample(range(1, n + 1), 2))}
+            jobs += [("coeffs", *chain, "--lookup", f"{e1},{e2},{i},{j}")
+                     for e1 in "1*" for e2 in "1*" for i, j in pairs]
+        for argv in jobs:
+            for fmt in ("csv", "json", "text"):  # a dump is json in every format
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                want = _full_table_artifact(argv, fmt)
+                assert (out if code == 0 else err) == want, argv
+
+
+def test_a_chain_word_draws_only_the_pairs_it_reads(capsys, monkeypatch):
+    drawn = []
+    real_draw = coeffs._draw
+
+    def counting_draw(ranks, seed, p_plus):
+        drawn.append(ranks.size)
+        return real_draw(ranks, seed, p_plus)
+
+    def no_whole_table(*args):
+        raise AssertionError("sample_packed called")
+
+    monkeypatch.setattr(coeffs, "_draw", counting_draw)
+    monkeypatch.setattr(coeffs, "sample_packed", no_whole_table)
+    n = MAX_TABLE_SITES
+    rng = random.Random(15)
+    sites = rng.sample(range(1, n + 1), 40)
+    word = ",".join([str(s) for s in sites] + [f"{s}*" for s in reversed(sites)])
+    walk = _vacuum_walk(_parse_sites(word), n)
+    assert walk is not None
+    code, out, _ = run(capsys, "jw", "--n", str(n), *CHAIN, "--ops", word)
+    assert code == 0 and out.startswith("value = ")
+    assert drawn == [len(set(walk[0]))] and 0 < drawn[0] < len(walk[0])
+    drawn.clear()
+    code, _, _ = run(capsys, "jw", "--n", str(n), *CHAIN, "--dump-op", "4000*")
+    assert code == 0 and drawn == [3999]
+    drawn.clear()
+    code, _, _ = run(capsys, "coeffs", "--n", str(n), *CHAIN, "--lookup", "1,*,7,4000")
+    assert code == 0 and drawn == [1]
 
 
 def test_check_names_missing_or_malformed_metadata(capsys, tmp_path):

@@ -23,6 +23,7 @@ from qtwick import (
     pair_pattern_is_default,
     sample_base,
     sample_packed,
+    sample_ranks,
     sampled_table,
 )
 from qtwick.coeffs import _SAMPLE_CHUNK, MAX_TABLE_SITES, _pair_rank
@@ -224,6 +225,48 @@ def test_sample_packed_restriction_property(seed, sizes, ratio, t):
         q = math.copysign(t, q)
     small = sample_packed(n, q, t, seed)
     assert np.array_equal(small, sample_packed(m, q, t, seed)[: small.size])
+
+
+_PAST_FIRST_CHUNK_PAIRS = _PAST_FIRST_CHUNK * (_PAST_FIRST_CHUNK - 1) // 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.one_of(st.integers(min_value=-(2**70), max_value=-1),
+                   st.integers(min_value=0, max_value=2**64 - 1),
+                   st.integers(min_value=2**64, max_value=2**70)),
+    ranks=st.lists(st.integers(min_value=0, max_value=_PAST_FIRST_CHUNK_PAIRS - 1), max_size=40),
+    ratio=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1.0, max_value=1.0)),
+    t=st.floats(min_value=0.01, max_value=100.0),
+)
+def test_sample_ranks_equals_the_whole_table_at_those_ranks(seed, ranks, ratio, t):
+    # any order, repeats and the empty set; ranks past the first chunk; q = +-t
+    q = ratio * t
+    if abs(q) > t:  # the product can round past t
+        q = math.copysign(t, q)
+    got = sample_ranks(ranks, q, t, seed)
+    assert got.dtype == np.float64 and got.shape == (len(ranks),)
+    whole = sample_packed(_PAST_FIRST_CHUNK, q, t, seed)
+    assert np.array_equal(got, whole[np.array(ranks, dtype=np.intp)])
+    assert np.array_equal(sample_ranks(np.array(ranks, dtype=np.int64), q, t, seed), got)
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 + 5, -(2**66) - 3])
+def test_sample_ranks_matches_scalar_oracle(seed):
+    ranks = [0, 1, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK, 2 * _SAMPLE_CHUNK + 7, 10**9, 2**63 + 1, 5]
+    for q, t in ((0.2, 1.1), (1.0, 1.0), (-1.0, 1.0)):
+        p_plus = 0.5 * (1.0 + q / t)
+        want = [1.0 if _brute.uniform01(_brute.derive_seed(seed, k)) < p_plus else -1.0
+                for k in ranks]
+        assert sample_ranks(ranks, q, t, seed).tolist() == want
+
+
+def test_sample_ranks_checks_the_law():
+    for q, t, message in ((2.0, 1.25, "two-point law"), (math.nan, 1.0, "finite q"),
+                          (0.5, 0.0, "t > 0"), (0.5, math.inf, "finite t")):
+        for ranks in ([], [3]):
+            with pytest.raises(ValidationError, match=message):
+                sample_ranks(ranks, q, t, 1)
 
 
 def test_sampler_chunks_cover_the_table():
