@@ -243,6 +243,17 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
 
 # ---------------------------------------------------------------------- jw
 
+def _image_cells(image: Optional[tuple[float, int]]) -> list[str]:
+    """The coefficient and bit cells of a dump where a slot maps a basis
+    state, or none twice where it kills the state."""
+    return ["none", "none"] if image is None else [_fmt(image[0]), str(image[1])]
+
+
+def _ket(coeff: str, bit: str) -> str:
+    """Those cells in a text dump: the coefficient and its ket, or none."""
+    return coeff if bit == "none" else f"{coeff} |{bit}>"
+
+
 def _jw_artifact(meta: Metadata, fmt: str) -> str:
     from .coeffs import sampled_table
     from .jw import _sampled_element, _sampled_expectation, check_commutation
@@ -264,14 +275,23 @@ def _jw_artifact(meta: Metadata, fmt: str) -> str:
         return _render(meta, ["n", "max_deviation", "failures"], rows, fmt, text_lines)
     if op == "dump":
         operator = _sampled_element(meta["site"], n, q, t, seed)
-        slots = []
-        for action in operator.slots:
-            slots.append({
-                "empty": None if action[0] is None else [action[0][0], action[0][1]],
-                "occupied": None if action[1] is None else [action[1][0], action[1][1]],
-            })
-        payload = {"metadata": meta, "scalar": operator.scalar, "slots": slots}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if fmt == "json":
+            slots = []
+            for action in operator.slots:
+                slots.append({
+                    "empty": None if action[0] is None else [action[0][0], action[0][1]],
+                    "occupied": None if action[1] is None else [action[1][0], action[1][1]],
+                })
+            payload = {"metadata": meta, "scalar": operator.scalar, "slots": slots}
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # one row per slot; a chain element's scalar is 1.0, which only json
+        # spells out
+        rows = [[str(k), *_image_cells(empty), *_image_cells(occupied)]
+                for k, (empty, occupied) in enumerate(operator.slots, start=1)]
+        text_lines = [f"slot {k}: |0> -> {_ket(*row[1:3])}, |1> -> {_ket(*row[3:])}"
+                      for k, row in enumerate(rows, start=1)]
+        header = ["slot", "empty_coeff", "empty_bit", "occupied_coeff", "occupied_bit"]
+        return _render(meta, header, rows, fmt, text_lines)
     raise ValidationError(f"unknown jw op {op!r}")
 
 

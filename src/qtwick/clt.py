@@ -4,9 +4,10 @@ and deterministic convergence experiments.
 The normalized sum over the first N chain elements has vacuum moments that
 approach pairing sums weighted by q^crossings * t^nestings; the estimator
 averages the closed-form coefficient product over all index tuples in one
-pairing class.  Experiments sample a single coefficient table at the largest
-requested size and evaluate every smaller size on its restriction; they return
-rows of numbers, which the command line renders.
+pairing class, exactly on a two-point table (every base value +1 or -1) and
+not at all on any other.  Experiments sample a single coefficient table at
+the largest requested size and evaluate every smaller size on its
+restriction; they return rows of numbers, which the command line renders.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -23,7 +24,6 @@ from .coeffs import (
     MAX_TABLE_SITES,
     CoefficientTable,
     _closed_form_factors,
-    _lookup_matrix,
     pair_limit_monomial,
     pair_pattern_is_default,
     sampled_table,
@@ -38,7 +38,14 @@ MAX_SUM_LENGTH = 8
 # about 26 bytes each while a step runs: order 6 at 400 sites (10.6M states)
 # takes 6.7 s and 326 MB, order 8 at 130 sites (11.4M) 8.5 s and 318 MB
 MAX_SUM_STATES = 12_000_000
+# the estimator contracts [N, N] matrices, best of 3 in-process on a shared
+# 2-core host: 2 pairs at N = 3162 (one sum) 0.04-0.08 s; 3 pairs at N = 215
+# (one matmul) 0.001-0.016 s per class, the high end when OpenBLAS splits it
+# over two threads; 4 pairs at N = 56 (N matmuls) 0.001-0.002 s per class.
+# A fresh `clt --mode lambda` run at 2 pairs takes 0.38-0.47 s and 149-157 MB,
+# at 3 or 4 pairs 0.27-0.37 s and 31-32 MB, mostly starting Python and numpy
 MAX_ESTIMATE_TUPLES = 10**7
+# the contraction has a form for 2, 3 and 4 pairs
 MAX_ESTIMATE_PAIRS = 4
 
 
@@ -245,14 +252,16 @@ def limit_coefficient_estimate(
     values up to n_sites) of the coefficient product indexed by crossings and
     nestings, normalized by n_sites^pairs.
 
-    The values of blocks 1..n-2 run over distinct tuples; for each, the values
-    of blocks n-1 and n span one [N, N] grid, the product in product order of
-    the factors on it: the whole matrix, a row broadcast along one axis, or a
-    scalar (a factor always runs from an earlier block to a later one).  The
-    leading factors that vary along at most one axis multiply as vectors, the
-    next factor forms the grid with them, and the rest multiply it in place,
-    so each cell sees the multiplications of a ones-grid times every factor
-    in turn, less the first (1.0 * x == x), in the same order.
+    On a two-point table every factor is a base value m = +-1 times t, 1/t
+    or 1 (for ('*','1'), ('1','*') and equal letters), so the estimate is
+    t^E * S / N^n: E counts ('*','1') factors less ('1','*') ones, and S is
+    the integer sum over tuples of the product of the base values.  S is a
+    contraction over block pairs of the sign matrix (an odd number of
+    factors join the two blocks) or the all-ones matrix (an even number),
+    both with a zero diagonal, which keeps the values distinct.  Every
+    partial sum is an integer below N^n <= MAX_ESTIMATE_TUPLES < 2^53, so
+    the float sums are exact in any order, and the result is t^E * S / N^n
+    rounded once.  Any other table raises ValidationError.
     """
     check_eps(eps)
     n = pairing.n
@@ -271,57 +280,44 @@ def limit_coefficient_estimate(
     if n_sites >= 2 and not table.covers(n_sites):
         raise ValidationError(f"table does not cover all pairs up to {n_sites}")
     if n == 1:
-        return float(n_sites) / n_sites  # empty product over N tuples
-    # extreme tables overflow or divide by zero here; the estimate follows
-    # float rules, and the command line refuses a non-finite one
-    with np.errstate(all="ignore"):
-        block = pairing.block_of()
-        mats: dict[tuple[str, str], np.ndarray] = {}
-        # each factor as (array, pick): the array, indexed by the values pick
-        # takes from the outer tuple, is the factor on the grid of blocks n-1, n
-        forms = []
-        # the grid axes each factor varies along
-        axes: list[set[int]] = []
-        for x, y in _closed_form_factors(pairing):
-            letters = (eps[x - 1], eps[y - 1])
-            if letters not in mats:
-                mats[letters] = _lookup_matrix(table, *letters, n_sites)
-            m = mats[letters]
-            # 0-based blocks, a < b; n-2 and n-1 are the grid axes
-            a, b = block[x] - 1, block[y] - 1
-            if a == n - 2:
-                forms.append((m, None))
-                axes.append({0, 1})
-            elif b >= n - 2:  # a row of m, along grid axis b
-                row = m[:, :, None] if b == n - 2 else m[:, None, :]
-                forms.append((row, itemgetter(a)))
-                axes.append({b - (n - 2)})
-            else:
-                forms.append((m, itemgetter(a, b)))
-                axes.append(set())
-        # factors [0, lead) multiply as vectors; factor lead forms the grid
-        lead = 1
-        while lead < len(forms) and len(set().union(*axes[:lead + 1])) < 2:
-            lead += 1
-        grid = np.empty((n_sites, n_sites))
+        return 1.0  # the empty product over N tuples
+    u = table.packed(n_sites)
+    if not (np.abs(u) == 1.0).all():
+        raise ValidationError("the estimator needs a two-point table, every base value +1 or -1")
+    block = pairing.block_of()
+    odd: set[tuple[int, int]] = set()  # block pairs an odd number of factors join
+    exponent = 0
+    for x, y in _closed_form_factors(pairing):
+        odd ^= {(block[x] - 1, block[y] - 1)}
+        letters = (eps[x - 1], eps[y - 1])
+        exponent += (letters == ("*", "1")) - (letters == ("1", "*"))
+    pairs = list(itertools.combinations(range(n), 2))
+    signs = distinct = None
+    if odd:
+        # mu(min, max) off the diagonal: base_matrix fills the upper triangle,
+        # and the lower one in row-major order is pair-rank order
+        signs = table.base_matrix(n_sites)
+        signs[np.tri(n_sites, n_sites, -1, dtype=bool)] = u
+    if len(odd) < len(pairs):
+        distinct = np.ones((n_sites, n_sites))
+        np.fill_diagonal(distinct, 0.0)
+    a = {pair: signs if pair in odd else distinct for pair in pairs}
+    if n == 2:
+        total = a[0, 1].sum()
+    elif n == 3:
+        total = ((a[0, 1] @ a[1, 2]) * a[0, 2]).sum()
+    else:
+        # per value of block 0: its rows of a[0, b] weigh blocks 1, 2 and 3,
+        # and one matmul sums block 2 out of the matrices among them
         total = 0.0
-        for outer in itertools.permutations(range(n_sites), n - 2):
-            factors = [arr if pick is None else arr[pick(outer)] for arr, pick in forms]
-            head = factors[0] if factors else 1.0
-            for f in factors[1:lead]:
-                head = head * f
-            if len(factors) > lead:
-                np.multiply(head, factors[lead], out=grid)
-            else:
-                grid[...] = head
-            for f in factors[lead + 1:]:
-                grid *= f
-            for v in outer:
-                grid[v, :] = 0.0
-                grid[:, v] = 0.0
-            np.fill_diagonal(grid, 0.0)
-            total += float(grid.sum())
-    return total / n_sites**n
+        for v in range(n_sites):
+            inner = (a[1, 2] * a[0, 2][v]) @ a[2, 3] * a[1, 3]
+            total += a[0, 1][v] @ inner @ a[0, 3][v]
+    total = int(total)
+    try:
+        return float(Fraction(total) * Fraction(table.t) ** exponent / n_sites**n)
+    except OverflowError:
+        return math.copysign(math.inf, total)
 
 
 @dataclass(frozen=True)

@@ -301,18 +301,6 @@ class CoefficientTable:
         return out
 
 
-def _lookup_matrix(table: CoefficientTable, e1: str, e2: str, n: int) -> np.ndarray:
-    """Dense [n, n] matrix of lookup(e1, e2, x, y) for 1-based x != y; the
-    diagonal is filled with ones and must not be read."""
-    u = table.packed(n)
-    # row-major order of the strict lower triangle, [j-1, i-1], is pair-rank order
-    low = np.tri(n, n, -1, dtype=bool)
-    out = np.ones((n, n))
-    out.T[low] = _coefficient(e1, e2, u, table.t, True)
-    out[low] = _coefficient(e1, e2, u, table.t, False)
-    return out
-
-
 def sampled_table(n: int, q: float, t: float, seed: int) -> CoefficientTable:
     return CoefficientTable(sample_packed(n, q, t, seed), t)
 

@@ -6,10 +6,10 @@ moments walk a dict of occupation bitmasks one state and one site at a time,
 chain vacuum walks apply whole operators over every slot, normal ordering
 walks each partner left one transposition at a time instead of reading
 crossings and nestings, the chain's exchange relations compose whole
-operators slot by slot, the pairing estimator multiplies a fresh ones-grid
-by one factor at a time over lookup matrices scattered through index
-arrays, and listings and clt artifacts render one row and one cell at a
-time."""
+operators slot by slot, the pairing estimator sums the transposition
+walk's coefficients over every tuple as fractions or multiplies a fresh
+ones-grid by one factor at a time over lookup matrices filled cell by cell,
+and listings and clt artifacts render one row and one cell at a time."""
 
 import functools
 import itertools
@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from qtwick import __version__
-from qtwick.coeffs import _closed_form_factors, _coefficient, sampled_table
+from qtwick.coeffs import _closed_form_factors, sampled_table
 from qtwick.floats import _fmt
 from qtwick.jw import CommutationCheck, CommutationReport, MonomialOperator, build_jw
 from qtwick.pairings import PairPartition
@@ -220,39 +220,45 @@ def vacuum_expectation(op_seq, n: int, table) -> float:
     return state.get(0, 0.0)
 
 
-def transposition_beta(values, eps: str, table) -> float:
-    """Normal-ordering coefficient of a pair-class word, by transpositions:
-    repeatedly take the leftmost remaining position and walk its partner left
-    until the two are adjacent; each element passed contributes the
-    coefficient of swapping (passed, partner) into (partner, passed)."""
+def transpositions(values, eps: str):
+    """The (left, right, i, j) of each coefficient the normal ordering of a
+    pair-class word collects, by transpositions: repeatedly take the leftmost
+    remaining position and walk its partner left until the two are adjacent;
+    each element passed contributes the coefficient of swapping (passed,
+    partner) into (partner, passed)."""
     work = [(values[k], eps[k]) for k in range(len(values))]
-    beta = 1.0
     while work:
         head_val, _ = work[0]
         rest = work[1:]
         p = next(k for k, (v, _) in enumerate(rest) if v == head_val)
         part_val, part_eps = rest[p]
         for passed_val, passed_eps in rest[:p]:
-            beta *= table.lookup(part_eps, passed_eps, part_val, passed_val)
+            yield part_eps, passed_eps, part_val, passed_val
         del rest[p]
         work = rest
+
+
+def transposition_beta(values, eps: str, table) -> float:
+    """Normal-ordering coefficient of a pair-class word: the product of
+    table.lookup over its transpositions, in walk order."""
+    beta = 1.0
+    for args in transpositions(values, eps):
+        beta *= table.lookup(*args)
     return beta
 
 
 def lookup_matrix(table, e1: str, e2: str, n: int) -> np.ndarray:
-    """coeffs._lookup_matrix through the index arrays of the strict lower
-    triangle: two fancy-index scatters into a ones matrix."""
-    u = table.packed(n)
-    cols, rows = np.tril_indices(n, -1)  # j - 1 and i - 1, in pair-rank order
+    """[n, n] matrix of table.lookup(e1, e2, x, y) for 1-based x != y, one
+    cell at a time; the diagonal holds ones and is never read."""
     out = np.ones((n, n))
-    out[rows, cols] = _coefficient(e1, e2, u, table.t, True)
-    out[cols, rows] = _coefficient(e1, e2, u, table.t, False)
+    for x, y in itertools.permutations(range(1, n + 1), 2):
+        out[x - 1, y - 1] = table.lookup(e1, e2, x, y)
     return out
 
 
 def limit_coefficient_estimate(pairing: PairPartition, eps: str, n_sites: int, table) -> float:
-    """clt.limit_coefficient_estimate without its checks: per outer tuple a
-    fresh ones-grid that every factor multiplies in place, in product order."""
+    """The estimate in floats: per outer tuple a fresh ones-grid that every
+    factor multiplies in place, in product order, over lookup matrices."""
     n = pairing.n
     if n == 1:
         return float(n_sites) / n_sites
@@ -280,6 +286,46 @@ def limit_coefficient_estimate(pairing: PairPartition, eps: str, n_sites: int, t
         np.fill_diagonal(grid, 0.0)
         total += float(grid.sum())
     return total / n_sites**n
+
+
+def exact_lookup(table, left: str, right: str, i: int, j: int) -> Fraction:
+    """mu_{left,right}(i, j) as a Fraction, from the rules that define it:
+    mu_{*,*}(i, j) is the base value for i < j, swapping the slots inverts,
+    conjugating both letters inverts, and mu_{*,1} is t mu_{*,*} for i < j."""
+    if i > j:
+        return 1 / exact_lookup(table, right, left, j, i)
+    m, t = Fraction(table.base_value(i, j)), Fraction(table.t)
+    return {("*", "*"): m, ("1", "1"): 1 / m, ("*", "1"): t * m, ("1", "*"): 1 / (t * m)}[
+        (left, right)]
+
+
+def exact_estimate(pairing: PairPartition, eps: str, n_sites: int, table) -> float:
+    """The estimate summed exactly and rounded once: for every tuple of
+    distinct block values, the product of the coefficients of its
+    transpositions as a fraction; inf with the sign of a sum past float64.
+    Products keep their numerator and denominator apart, and sums are kept
+    per denominator, so that no step but the last reduces a fraction."""
+    block = pairing.block_of()
+
+    @functools.cache
+    def lookup(*args):
+        exact = exact_lookup(table, *args)
+        return exact.numerator, exact.denominator
+
+    sums: dict[int, int] = {}
+    for tup in itertools.permutations(range(1, n_sites + 1), pairing.n):
+        values = [tup[block[pos] - 1] for pos in range(1, pairing.size + 1)]
+        num = den = 1
+        for args in transpositions(values, eps):
+            a, b = lookup(*args)
+            num *= a
+            den *= b
+        sums[den] = sums.get(den, 0) + num
+    total = sum((Fraction(num, den) for den, num in sums.items()), Fraction(0))
+    try:
+        return float(total / n_sites**pairing.n)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def compose(a: MonomialOperator, b: MonomialOperator) -> MonomialOperator:

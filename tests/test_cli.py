@@ -13,12 +13,12 @@ import _brute
 from qtwick import (
     FockParams, SizeLimitError, enumerate_pair_partitions, vacuum_expectation, vacuum_moment,
 )
-from qtwick import build_jw, cli, coeffs, sampled_table
+from qtwick import build_jw, cli, coeffs, limit_coefficient_estimate, sampled_table
 from qtwick.cli import build_parser, main, run_check
 from qtwick.coeffs import MAX_LISTED_SITES, MAX_TABLE_SITES
 from qtwick.floats import _fmt
 from qtwick.jw import MAX_VERIFY_SITES, _parse_sites, _vacuum_walk
-from qtwick.pairings import MAX_ENUMERATION_PAIRS
+from qtwick.pairings import MAX_ENUMERATION_PAIRS, _parse_pairing
 
 CHAIN = ("--q", "0.5", "--t", "1.25", "--seed", "0")
 
@@ -161,7 +161,7 @@ def test_jw_expectation_and_verify(capsys):
 def test_jw_dump_is_json(capsys):
     code, out, _ = run(
         capsys, "jw", "--n", "2", "--q", "0.5", "--t", "1.25", "--seed", "0",
-        "--dump-op", "1*",
+        "--dump-op", "1*", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -173,15 +173,49 @@ def test_jw_dump_is_json(capsys):
 def test_jw_dump_bytes_are_pinned(capsys):
     # the slots carry sqrt(t) * base values of both signs
     for site, digest in (
-        ("6*", "d1c094795e769bc4fe203034b3d1d70b4bcd45aae5d1a187d436b36bb63d1a97"),
-        ("2", "faaeb2e8b5b1f9871174b8f17184776881bf952a7fb88ef7e241525c480d0750"),
+        ("6*", "4a2c0e5674e013b56658f83cba684d98768cf94127ae491388f32442d4915d88"),
+        ("2", "57b148e0ce2da7a18a36185505d810778015f1e46f5d2845956278f23b41f893"),
     ):
         code, out, _ = run(
             capsys, "jw", "--n", "6", "--q", "-0.4", "--t", "0.8", "--seed", "4",
-            "--dump-op", site,
+            "--dump-op", site, "--format", "json",
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_jw_dump_text_lists_each_slot(capsys):
+    code, out, _ = run(
+        capsys, "jw", "--n", "3", "--q", "1.25", "--t", "1.25", "--seed", "0",
+        "--dump-op", "2*",
+    )
+    assert code == 0
+    # every base value is +1 at q = t, so slots 1 and 3 scale |1> by sqrt(t)
+    sq = _fmt(math.sqrt(1.25))
+    assert out == (
+        f"slot 1: |0> -> 1 |0>, |1> -> {sq} |1>\n"
+        "slot 2: |0> -> 1 |1>, |1> -> none\n"
+        f"slot 3: |0> -> 1 |0>, |1> -> {sq} |1>\n"
+    )
+
+
+def test_jw_dump_csv_lists_each_slot_and_checks(capsys, tmp_path):
+    path = tmp_path / "dump.csv"
+    code, _, _ = run(
+        capsys, "jw", "--n", "3", *CHAIN, "--dump-op", "3", "--format", "csv", "--out", str(path)
+    )
+    assert code == 0
+    lines = path.read_text().splitlines()
+    assert "# op: dump" in lines and "# site: 3" in lines
+    header = lines.index("slot,empty_coeff,empty_bit,occupied_coeff,occupied_bit")
+    rows = [line.split(",") for line in lines[header + 1:]]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    assert rows[2] == ["3", "none", "none", "1", "0"]
+    assert all(row[1:3] == ["1", "0"] and row[4] == "1" for row in rows[:2])
+    assert run(capsys, "--check", str(path)) == (0, f"ok: {path}\n", "")
+    path.write_text(path.read_text().replace("3,none,none,1,0", "3,none,none,1,1"))
+    code, _, err = run(capsys, "--check", str(path))
+    assert code == 2 and "does not match a fresh run of jw" in err
 
 
 def test_coeffs_listing_cap(capsys):
@@ -284,10 +318,14 @@ def test_a_value_past_float64_from_finite_parameters_exits_2(capsys, argv, quant
 @pytest.mark.parametrize("argv, t", [
     # two 1/(t mu) factors per tuple: the estimate is inf
     (("--eps", "1**1", "--pairing", "1-4,2-3"), "1e-300"),
-    # products of three t-scaled factors of both signs: value and abs_err are nan
+    # three t-scaled factors per tuple, of both signs: the estimate is +inf
     (("--eps", "111***", "--pairing", "1-4,2-5,3-6"), "1e200"),
 ])
 def test_a_non_finite_clt_row_exits_2(capsys, tmp_path, argv, t):
+    # the library's estimate is an infinity, never nan
+    pairing = _parse_pairing(argv[3])
+    table = sampled_table(5, 0.0, float(t), 1)
+    assert math.isinf(limit_coefficient_estimate(pairing, argv[1], 5, table))
     clt = ("clt", "--mode", "lambda", *argv, "--q", "0", "--ns", "5", "--seed", "1")
     message = "error: clt: the estimate at N=5 overflows float64 at q=0, t="
     code, out, err = run(capsys, *clt, "--t", t, "--format", "csv")
@@ -372,10 +410,21 @@ def _full_table_artifact(argv, fmt):
     table = sampled_table(n, q, t, seed)
     if "site" in meta:
         op = build_jw(n, int(meta["site"].rstrip("*")), table, meta["site"].endswith("*"))
-        slots = [{"empty": None if a[0] is None else list(a[0]),
-                  "occupied": None if a[1] is None else list(a[1])} for a in op.slots]
-        payload = {"metadata": meta, "scalar": op.scalar, "slots": slots}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if fmt == "json":
+            slots = [{"empty": None if a[0] is None else list(a[0]),
+                      "occupied": None if a[1] is None else list(a[1])} for a in op.slots]
+            payload = {"metadata": meta, "scalar": op.scalar, "slots": slots}
+            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rows, text_lines = [], []
+        for k, slot in enumerate(op.slots, start=1):
+            row, kets = [str(k)], []
+            for image in slot:
+                row += ["none", "none"] if image is None else [_fmt(image[0]), str(image[1])]
+                kets.append("none" if image is None else f"{_fmt(image[0])} |{image[1]}>")
+            rows.append(row)
+            text_lines.append(f"slot {k}: |0> -> {kets[0]}, |1> -> {kets[1]}")
+        header = ["slot", "empty_coeff", "empty_bit", "occupied_coeff", "occupied_bit"]
+        return _brute.render(meta, header, rows, fmt, text_lines)
     if "ops" in meta:
         quantity, header = "the vacuum expectation", "value"
         value = vacuum_expectation(_parse_sites(meta["ops"]), n, table)
@@ -408,7 +457,7 @@ def test_chain_commands_write_the_full_table_bytes(capsys, q, t):
             jobs += [("coeffs", *chain, "--lookup", f"{e1},{e2},{i},{j}")
                      for e1 in "1*" for e2 in "1*" for i, j in pairs]
         for argv in jobs:
-            for fmt in ("csv", "json", "text"):  # a dump is json in every format
+            for fmt in ("csv", "json", "text"):
                 code, out, err = run(capsys, *argv, "--format", fmt)
                 want = _full_table_artifact(argv, fmt)
                 assert (out if code == 0 else err) == want, argv

@@ -27,7 +27,6 @@ from qtwick import (
 from qtwick import cli
 from qtwick.clt import MAX_ESTIMATE_PAIRS, MAX_SUM_STATES, peak_popcount
 from qtwick.cli import main
-from qtwick.coeffs import _lookup_matrix
 
 CROSSING = PairPartition(((1, 3), (2, 4)))
 NESTING = PairPartition(((1, 4), (2, 3)))
@@ -197,20 +196,9 @@ def test_estimate_two_pair_matches_tuple_average():
         assert got == pytest.approx(brute, rel=1e-12)
 
 
-def _generic_table(n, seed):
-    """A table of random non-unit base values, so that no product is exact."""
-    rng = random.Random(seed)
-    base = {
-        (i, j): rng.choice([1, -1]) * rng.uniform(0.2, 3.0)
-        for j in range(2, n + 1)
-        for i in range(1, j)
-    }
-    return CoefficientTable(base, rng.uniform(0.3, 2.5))
-
-
 def test_estimate_four_pair_matches_tuple_average():
     n = 7
-    table = _generic_table(n, 8)
+    table = sampled_table(n, -0.4, 0.8, 8)
     for pairs, eps in (
         (((1, 8), (2, 7), (3, 6), (4, 5)), "1111****"),
         (((1, 5), (2, 3), (4, 7), (6, 8)), "1*1*1**1"),
@@ -226,29 +214,12 @@ def test_estimate_four_pair_matches_tuple_average():
         assert got == pytest.approx(brute, rel=1e-12)
 
 
-def test_lookup_matrix_equals_lookup():
-    n = 7
-    table = _generic_table(n, 4)
-    for e1, e2 in itertools.product("1*", repeat=2):
-        mat = _lookup_matrix(table, e1, e2, n)
-        for x, y in itertools.permutations(range(1, n + 1), 2):
-            assert mat[x - 1, y - 1] == table.lookup(e1, e2, x, y)
-
-
-def test_lookup_matrix_bytes_equal_the_scatter_oracle():
-    for n in range(1, 41):
-        for table in (sampled_table(n, 0.5, 1.25, n), _generic_table(n, n)):
-            for e1, e2 in itertools.product("1*", repeat=2):
-                want = _brute.lookup_matrix(table, e1, e2, n).tobytes()
-                assert _lookup_matrix(table, e1, e2, n).tobytes() == want
-
-
 @st.composite
 def estimator_cases(draw):
     """(pairing, eps, N, table): any pairing class of at most four pairs, any
     letters, N from the number of pairs to 12, and a table sampled at
-    q = t, -t, 0 or generic, or one whose values and t take both signs and
-    magnitudes 1e-300..1e300, so that products reach inf, 0 and nan."""
+    q = t, -t, 0 or generic, or one of random signs whose t takes
+    magnitudes 1e-300..1e300, so that estimates reach inf and 0."""
     pairs = draw(st.integers(1, MAX_ESTIMATE_PAIRS))
     pairing = PairPartition(draw(st.sampled_from(_brute.pairings_rgs(pairs))))
     eps = "".join(draw(st.lists(st.sampled_from("1*"), min_size=pairing.size,
@@ -261,63 +232,69 @@ def estimator_cases(draw):
     else:
         count = n_sites * (n_sites - 1) // 2
         signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=count, max_size=count))
-        # mostly near 1, so that many sums stay finite and every bit shows
-        power = st.one_of(st.floats(-0.5, 0.5), st.floats(-300, 300))
-        powers = draw(st.lists(power, min_size=count, max_size=count))
-        t = 10.0 ** draw(power)
-        table = CoefficientTable([s * 10.0**p for s, p in zip(signs, powers)], t)
+        # mostly near 1, so that many estimates stay finite and every bit shows
+        t = 10.0 ** draw(st.one_of(st.floats(-0.5, 0.5), st.floats(-300, 300)))
+        table = CoefficientTable(signs, t)
     return pairing, eps, n_sites, table
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=estimator_cases())
-# a nesting of two 1/(t mu) factors at t = 1e-300 overflows to inf
+# a nesting of two 1/(t mu) factors at t = 1e-300: t^-2 overflows to inf
 @example(case=(NESTING, "1**1", 5, sampled_table(5, 0.0, 1e-300, 1)))
-# three crossings at t = 1e200 overflow with both signs: inf - inf = nan
+# three crossings at t = 1e200 with signs of both kinds: t^3 overflows, and
+# the sign sum gives the infinity its sign
 @example(case=(PairPartition(((1, 4), (2, 5), (3, 6))), "111***", 5,
                sampled_table(5, 0.0, 1e200, 1)))
-def test_estimate_matches_the_ones_grid_oracle_bit_for_bit(case):
+def test_estimate_matches_the_exact_oracle_bit_for_bit(case):
     pairing, eps, n_sites, table = case
-    with np.errstate(all="ignore"):
-        got = limit_coefficient_estimate(pairing, eps, n_sites, table)
-        want = _brute.limit_coefficient_estimate(pairing, eps, n_sites, table)
-    assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+    got = limit_coefficient_estimate(pairing, eps, n_sites, table)
+    assert got.hex() == _brute.exact_estimate(pairing, eps, n_sites, table).hex()
+    # the float ones-grid agrees where no product of t-scaled factors leaves
+    # the normal range, up to the rounding of sums of terms of one magnitude:
+    # relative to the estimate on the all-ones table, whose terms all add up
+    if 1e-25 < table.t < 1e25:
+        plus = CoefficientTable([1.0] * table.packed(n_sites).size, table.t)
+        grid = _brute.limit_coefficient_estimate(pairing, eps, n_sites, table)
+        scale = abs(_brute.limit_coefficient_estimate(pairing, eps, n_sites, plus))
+        assert got == pytest.approx(grid, rel=1e-12, abs=1e-12 * scale)
 
 
 # sha256 of the csv and json artifacts of `clt --mode lambda` runs, keyed by
-# (eps, pairing, q, t, ns, seed); they pin the estimator's float sums
+# (eps, pairing, q, t, ns, seed); every estimate in them equals
+# _brute.exact_estimate
 LAMBDA_PINS = {
     ("11**", "1-3,2-4", "0.5", "1.25", "20,60", 0): (
-        "937f4201c0242a06d7502b5e9516af00f4e6f4ed52b8a1d0499f472d057ceaf5",
-        "622d02c75ee2da6b128dad1e8685229bd9dcdced6712fc7dde224fcebccc91ab",
+        "70d5d6d93ad0ec9b4646e8ac9c2058f59cc5ef4b123e5f4616f8033ebcc47a69",
+        "effcd78731fd16b1394e6239c636dd4c1e315664e30c45d63ac916140179ab6d",
     ),
     ("11**", "1-3,2-4", "0.5", "1.25", "20,60", 7): (
-        "6b2c9a51214e79edbce052d16cdb68dbe2953abf9d3d5c20309a682c1403f8ce",
-        "c8c8529a0e89ddcf60a1a036380ae0588c864905b4d35e643617d45258100b53",
+        "2200d806c0421aad3ee4aa7407ecba0534dc22736724cee93d18d6f2af061998",
+        "f7b0e1a18f5576bb7a09654aba7e87c1fb5b489b27e69b1f27983315c1a174f1",
     ),
     ("1**1", "1-4,2-3", "-0.3", "0.8", "20,60", 0): (
-        "848d01515062250f319d7bd282223352357d06a73cde54ff9f6fea9fdfd4ce87",
-        "2ba50bd34655cea04e72fa16c59bde10c0390ba8b1246197cf855a3a8ff42a06",
+        "b78614a9946e361c3f81ab4202ef27b9bb0901b55db26f334d914de25d69cc25",
+        "26167f8637861d84c06822defa8dc9125ac4e164bdff25723d0ab7fb94325c36",
     ),
     ("1**1", "1-4,2-3", "-0.3", "0.8", "20,60", 7): (
-        "6d893c795f47c6fe9b32af64069995fe2dd18622e81221e0977419500b80463f",
-        "5991ae895b8f5ef1bc3647ff9aac9bf47c90c069111a0883dff4f67aabeec764",
+        "dde68365a9d3b6d21f3807486c7654341320529542aea41da9f6cb09dda716a6",
+        "b6ff6f8b7451cf41e5686ea53b8023eab22c22b1c398ef4b3e7c4ba2e159a646",
     ),
     ("111***", "1-4,2-6,3-5", "0.5", "1.25", "10,30", 0): (
-        "601835e8823ae6add68d2792f47cb2445874c89bcdc1aafff3dccede8926708e",
-        "4adeddbd62d3a72c94c026aba329fc5588f6a348e254ee1141307bfb540b9277",
+        "d8ff0aa20edb128758a6f2506a7eb749e84b01ad2ae3ca1b5f2d387d4f124598",
+        "c1afa037ea345c6756cd20f9dbefa6813da768706e6da97df6ad92ebc2d103b5",
     ),
     ("111***", "1-4,2-6,3-5", "0.5", "1.25", "10,30", 7): (
-        "b15cf7cf08a6f00c562f345fa6ffa969f35ae828f25e1a09cfbc32fcbe25ce1f",
-        "c44a16792b5133b492cd2be045e2d96cffd6aecf440c25f939f9d1cdfc22c91e",
+        "e9fd0b8b6eb3810db9053294775fe3a2c65d1a6902910177f4fa47bfcb7e38bc",
+        "2417a485c44edfd38d5dda9c876d9b059c21f0af5b4c2b2f1b1baba09e20c982",
     ),
     ("1*1**1", "1-6,2-3,4-5", "-0.3", "0.8", "10,30", 0): (
-        "cc881ecd7274062e7bd18fc535548af0d5a3239e02e5e4cdad4b2390d1b180ba",
-        "0be4b2cd0808e470bab2c6487df6a1fd781ae323e9d43bd3d08e8c74dd053c1c",
+        "bb302ddb05ddd2ca6fb06dfac8b8e7fe35e04137d19350535c5bd78836d612e3",
+        "c1614c2859eb928a192f118589bee3d1f7f4faba1351e6eb2448179559fb77a2",
     ),
     ("1*1**1", "1-6,2-3,4-5", "-0.3", "0.8", "10,30", 7): (
-        "17b26bbe82d9ed4a7dc0e1e6a84f1015ae3dd4db3b85a9e87bb7515531d7d52f",
-        "1bb2d824313813ee3a1c062d0a0caf3e0184b21471241b9dae81671329537cda",
+        "998b33603a7116fbc031e3abfba3ffcde0df3672cfcaffab375a10f43e4c78b2",
+        "6879db6c5b4cfc7a43bb8b62d6002c4a08c71b41a1833ff1bd5512c1168ad724",
     ),
 }
 
@@ -334,6 +311,17 @@ def test_lambda_artifact_bytes_are_pinned(run, capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
+def test_lambda_pin_rows_equal_the_exact_oracle():
+    for eps, spelled, q, t, ns, seed in LAMBDA_PINS:
+        pairing = PairPartition(tuple(tuple(map(int, p.split("-"))) for p in spelled.split(",")))
+        sizes = tuple(map(int, ns.split(",")))
+        cfg = ExperimentConfig(mode="lambda", eps=eps, q=float(q), t=float(t), ns=sizes,
+                               seed=seed, pairing=pairing)
+        table = sampled_table(max(sizes), float(q), float(t), seed)
+        for row in convergence_experiment(cfg).rows:
+            assert row.value == _brute.exact_estimate(pairing, eps, row.n, table), (cfg, row.n)
+
+
 def test_estimate_regression_pin():
     table = sampled_table(7, 0.5, 1.25, 3)
     got = limit_coefficient_estimate(
@@ -342,20 +330,20 @@ def test_estimate_regression_pin():
     assert got == 0.011388483965014577
 
 
-def test_estimate_generic_table_bits_are_pinned():
-    # float.hex of estimates whose factors cover all four letter pairs on a
-    # table of non-unit values, so every division form and product order shows
-    table = _generic_table(9, 5)
-    pins = (
-        (((1, 3), (2, 4)), "1**1", "0x1.39b13f8428bf8p-2"),
-        (((1, 4), (2, 3)), "*11*", "0x1.1397192c2bad8p+4"),
-        (((1, 4), (2, 6), (3, 5)), "1*1**1", "0x1.f5db6223706c4p-3"),
-        (((1, 6), (2, 5), (3, 4)), "*1*1*1", "0x1.06df308ecd27cp+0"),
-        (((1, 5), (2, 3), (4, 6)), "11**1*", "0x1.96f035fe30a89p-5"),
-    )
-    for pairs, eps, want in pins:
-        got = limit_coefficient_estimate(PairPartition(pairs), eps, 9, table)
-        assert got.hex() == want
+def test_estimate_refuses_a_table_that_is_not_two_point():
+    rng = random.Random(5)
+    values = [rng.choice([1, -1]) * rng.uniform(0.2, 3.0) for _ in range(36)]
+    generic = CoefficientTable(values, 1.7)
+    for pairs, eps in ((((1, 3), (2, 4)), "1**1"), (((1, 4), (2, 6), (3, 5)), "1*1**1")):
+        with pytest.raises(ValidationError, match="two-point"):
+            limit_coefficient_estimate(PairPartition(pairs), eps, 9, generic)
+    # only the prefix the estimate reads counts: a +-1 table whose values
+    # past its first 5 sites are generic still gives an estimate
+    mixed = CoefficientTable([1.0, -1.0] * 5 + values[10:], 1.7)
+    assert limit_coefficient_estimate(CROSSING, "11**", 5, mixed) == _brute.exact_estimate(
+        CROSSING, "11**", 5, mixed)
+    with pytest.raises(ValidationError, match="two-point"):
+        limit_coefficient_estimate(CROSSING, "11**", 6, mixed)
 
 
 def test_estimate_validation():

@@ -6,6 +6,7 @@ every module already."""
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,3 +88,10 @@ def test_unknown_attribute_raises_naming_it():
         qtwick.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from qtwick import no_such_name", {})
+
+
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # the standard library from 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == qtwick.__version__
