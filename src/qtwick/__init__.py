@@ -7,7 +7,7 @@ Every export is imported from its module on first access (PEP 562), so
 
 import importlib
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 _MODULE_EXPORTS = {
     "errors": (

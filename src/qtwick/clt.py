@@ -4,11 +4,13 @@ and deterministic convergence experiments.
 The normalized sum over the first N chain elements has vacuum moments that
 approach pairing sums weighted by q^crossings * t^nestings; the estimator
 averages the closed-form coefficient product over all index tuples in one
-pairing class, exactly on a two-point table (every base value +1 or -1) and
-not at all on any other.  Experiments sample a single coefficient table at
-the largest requested size and evaluate every smaller size on its
-restriction; they return rows of numbers, which the command line renders.
-"""
+pairing class.  Both engines take two-point tables only (every base value
++1 or -1) and are exact on them: the moment walk carries integer amplitudes
+with sqrt(t) factored out, the estimator contracts integer sign matrices,
+and each rounds its exact value once.  Experiments sample a single
+coefficient table at the largest requested size and evaluate every smaller
+size on its restriction; they return rows of numbers, which the command
+line renders."""
 
 from __future__ import annotations
 
@@ -35,8 +37,9 @@ from .wickpoly import LETTERS, check_eps, wick_mixed
 MAX_SUM_SIZE = 400
 MAX_SUM_LENGTH = 8
 # the moment walk holds at most C(N, d) states, d = peak_popcount(eps), at
-# about 26 bytes each while a step runs: order 6 at 400 sites (10.6M states)
-# takes 6.7 s and 326 MB, order 8 at 130 sites (11.4M) 8.5 s and 318 MB
+# about 16 bytes each while a step runs; `clt --mode moment` in a fresh
+# process on a shared 2-core host: order 6 at 400 sites (10.6M states)
+# takes 3.3-3.7 s and 200 MB, order 8 at 130 sites (11.4M) 4.2-4.3 s and 189 MB
 MAX_SUM_STATES = 12_000_000
 # the estimator contracts [N, N] matrices, best of 3 in-process on a shared
 # 2-core host: 2 pairs at N = 3162 (one sum) 0.04-0.08 s; 3 pairs at N = 215
@@ -92,16 +95,15 @@ def _unrank(ranks: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
 
 
 def _create(
-    sites: np.ndarray, lead: np.ndarray, up: np.ndarray, binom: np.ndarray
+    sites: np.ndarray, amps: np.ndarray, up: np.ndarray, binom: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and contributions of adding each free site to each set, state by
-    state and then by ascending site."""
+    """Keys and contributions of adding each free site to each set."""
     rows, k = sites.shape
     n = up.shape[0]
-    prods = np.ones((rows, n))
+    prods = np.ones((rows, n), dtype=up.dtype)
     for r in range(k):
         prods *= up[sites[:, r]]
-    contrib = lead[:, None] * prods
+    contrib = amps[:, None] * prods
     occupied = np.zeros((rows, n), dtype=np.int64)
     occupied[np.arange(rows)[:, None], sites] = 1
     # slot of the new site in the sorted set: the occupied sites below it
@@ -118,12 +120,11 @@ def _create(
 
 
 def _annihilate(
-    sites: np.ndarray, lead: np.ndarray, up: np.ndarray, binom: np.ndarray
+    sites: np.ndarray, amps: np.ndarray, up: np.ndarray, binom: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and contributions of removing each occupied site from each set,
-    state by state and then by ascending site."""
+    """Keys and contributions of removing each occupied site from each set."""
     rows, k = sites.shape
-    contrib = np.repeat(lead[:, None], k, axis=1)
+    contrib = np.repeat(amps[:, None], k, axis=1)
     for r in range(k - 1):
         contrib[:, r + 1:] *= up[sites[:, r:r + 1], sites[:, r + 1:]]
     slot = np.arange(k)
@@ -134,78 +135,59 @@ def _annihilate(
     return keys.ravel(), contrib.ravel()
 
 
-def _accumulate(
-    sums: np.ndarray, last: np.ndarray, keys: np.ndarray, contrib: np.ndarray, first: int
-) -> None:
-    """Add each contribution to the running sum of its key, one at a time in
-    candidate order, and raise last[key] to the global index (first + local
-    index) of every candidate that finds its key's sum at exactly 0.0, that
-    is, absent from a dict that drops exact zeros.
-
-    The additions go in layers by within-key index, so a layer touches each
-    key once and the keys' sums stay sequential; np.sum would add pairwise.
-    """
-    m = keys.size
-    pos = np.arange(m)
-    # one plain sort of key * m + index orders by key, then by candidate,
-    # an order of magnitude faster than a stable argsort
-    by_key = np.sort(keys * m + pos)
-    order = by_key % m
-    by_key //= m
-    starts = np.ones(m, dtype=bool)
-    np.not_equal(by_key[1:], by_key[:-1], out=starts[1:])
-    within = pos - np.maximum.accumulate(np.where(starts, pos, 0))
-    order = order[np.sort(within * m + pos) % m]
-    key = keys[order]
-    add = contrib[order]
-    before = np.empty(m)
-    lo = 0
-    for hi in np.cumsum(np.bincount(within)).tolist():
-        layer = key[lo:hi]
-        cur = sums[layer]
-        before[lo:hi] = cur
-        sums[layer] = cur + add[lo:hi]
-        lo = hi
-    fresh = before == 0.0
-    np.maximum.at(last, key[fresh], order[fresh] + first)
-
-
 def _apply_sum(
     ranks: np.ndarray, amps: np.ndarray, k: int, letter: str, up: np.ndarray,
-    sq: float, binom: np.ndarray,
+    binom: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the sum over all sites of the chain element (letter '1') or its
-    adjoint (letter '*') to the popcount-k state with the given colex ranks
-    and amplitudes.
-
-    The result is the state a dict {rank: amplitude} would hold after adding
-    the contributions one by one, in input order and then by ascending site,
-    dropping a key whose sum hits exactly 0.0: the same sums, bit for bit,
-    and the keys in the order of their last insertion.
-    """
+    adjoint (letter '*'), with sqrt(t) factored out, to the popcount-k state
+    with the given colex ranks and integer amplitudes; return the nonzero
+    amplitudes of the result in rank order."""
     n = up.shape[0]
     create = letter == "*"
     per_state = n - k if create else k
     if not per_state:
         return ranks[:0], amps[:0]
-    size = int(binom[n, k + 1 if create else k - 1])
-    sums = np.zeros(size)
-    last = np.zeros(size, dtype=np.int64)
+    sums = np.zeros(int(binom[n, k + 1 if create else k - 1]), dtype=np.int64)
     step = max(1, _CHUNK // per_state)
-    lead = sq ** k if create else sq ** (k - 1)
     engine = _create if create else _annihilate
     for lo in range(0, ranks.size, step):
         sites = _unrank(ranks[lo:lo + step], k, binom)
-        keys, contrib = engine(sites, amps[lo:lo + step] * lead, up, binom)
-        _accumulate(sums, last, keys, contrib, lo * per_state)
+        keys, contrib = engine(sites, amps[lo:lo + step], up, binom)
+        np.add.at(sums, keys, contrib)
     live = np.flatnonzero(sums)
-    live = live[np.argsort(last[live])]
     return live, sums[live]
+
+
+def _two_point_signs(table: CoefficientTable, n_sites: int) -> np.ndarray:
+    """The base values of every pair up to n_sites in pair-rank order; a table
+    with any other value than +1 or -1 among them raises ValidationError."""
+    u = table.packed(n_sites)
+    if not (np.abs(u) == 1.0).all():
+        raise ValidationError("the clt engines need a two-point table, every base value +1 or -1")
+    return u
+
+
+def _round_once(total: int, t: float, t_power: int, n_sites: int, n_power: int) -> float:
+    """total * t^t_power / n_sites^n_power, rounded once to float64; inf with
+    the sign of total past its range."""
+    try:
+        return float(Fraction(total) * Fraction(t) ** t_power / n_sites**n_power)
+    except OverflowError:
+        return math.copysign(math.inf, total)
 
 
 def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float:
     """Vacuum moment of the normalized sum of the first n_sites chain elements,
-    with one factor per letter of eps (product order, '1' element / '*' adjoint)."""
+    with one factor per letter of eps (product order, '1' element / '*' adjoint).
+
+    On a two-point table a creation from popcount k scales by sqrt(t)^k
+    times a product of base values +-1, and the annihilation back to k by
+    the same power, so the walk runs on integer amplitudes and a word that
+    returns to the vacuum carries t^E, E the sum of k over its creations.
+    The moment is M * t^E / N^(r/2), M the vacuum amplitude, rounded once.
+    Any other table raises ValidationError.
+    """
     check_eps(eps)
     r = len(eps)
     if n_sites < 1:
@@ -217,32 +199,34 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     too_many = _state_cap_problem(n_sites, eps)
     if too_many:
         raise SizeLimitError(too_many)
-    if n_sites >= 2 and not table.covers(n_sites):
-        raise ValidationError(f"table does not cover all pairs up to {n_sites}")
-    # up[j, i] = mu(j+1, i+1) above the diagonal and 1.0 elsewhere, so a
-    # product over the rows of a set's sites leaves sites below them alone
-    up = table.base_matrix(n_sites)
-    up[np.tri(n_sites, dtype=bool)] = 1.0
-    sq = float(np.sqrt(table.t))
+    # up[j, i] = mu(j+1, i+1) above the diagonal and 1 elsewhere, so a
+    # product over the rows of a set's sites leaves sites below them alone;
+    # the strict lower triangle of up.T, row by row, is the pair-rank order
+    up = np.ones((n_sites, n_sites), dtype=np.int64)
+    up.T[np.tri(n_sites, n_sites, -1, dtype=bool)] = _two_point_signs(table, n_sites)
     # binom[x, j] = C(x, j) for colex ranks; no step reads past the popcount
     # the walk peaks at
     cols = peak_popcount(eps) + 1
     binom = np.array(
         [[math.comb(x, j) for j in range(cols)] for x in range(n_sites + 1)], dtype=np.int64
     )
-    ranks, amps, k = np.zeros(1, dtype=np.int64), np.ones(1), 0
-    # extreme tables overflow here; the moment follows float rules, and the
-    # command line refuses a non-finite one
-    with np.errstate(all="ignore"):
-        for letter in reversed(eps):
-            ranks, amps = _apply_sum(ranks, amps, k, letter, up, sq, binom)
-            k += 1 if letter == "*" else -1
-            if not ranks.size:
-                break
-    vac = float(amps[0]) if k == 0 and ranks.size else 0.0
-    if r % 2 == 0:
-        return vac / float(n_sites ** (r // 2))
-    return vac / float(n_sites) ** (r / 2)
+    # int64 cannot wrap: a creation multiplies the sum of the amplitudes'
+    # magnitudes by at most N, an annihilation by at most the peak popcount
+    # p, so after c creations and a annihilations every amplitude and every
+    # partial sum is at most N^c * p^a.  Within the caps the worst word has
+    # order 8 and peak 3 at N = 400: 400^5 * 3^3 < 2.8e14 < 2^53
+    # (test_moment_amplitudes_stay_below_2_53_within_the_caps)
+    ranks, amps, k, t_power = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 0, 0
+    for letter in reversed(eps):
+        if letter == "*":
+            t_power += k
+        ranks, amps = _apply_sum(ranks, amps, k, letter, up, binom)
+        k += 1 if letter == "*" else -1
+        if not ranks.size:
+            return 0.0
+    if k != 0:
+        return 0.0
+    return _round_once(int(amps[0]), table.t, t_power, n_sites, r // 2)
 
 
 def limit_coefficient_estimate(
@@ -281,9 +265,7 @@ def limit_coefficient_estimate(
         raise ValidationError(f"table does not cover all pairs up to {n_sites}")
     if n == 1:
         return 1.0  # the empty product over N tuples
-    u = table.packed(n_sites)
-    if not (np.abs(u) == 1.0).all():
-        raise ValidationError("the estimator needs a two-point table, every base value +1 or -1")
+    u = _two_point_signs(table, n_sites)
     block = pairing.block_of()
     odd: set[tuple[int, int]] = set()  # block pairs an odd number of factors join
     exponent = 0
@@ -313,11 +295,7 @@ def limit_coefficient_estimate(
         for v in range(n_sites):
             inner = (a[1, 2] * a[0, 2][v]) @ a[2, 3] * a[1, 3]
             total += a[0, 1][v] @ inner @ a[0, 3][v]
-    total = int(total)
-    try:
-        return float(Fraction(total) * Fraction(table.t) ** exponent / n_sites**n)
-    except OverflowError:
-        return math.copysign(math.inf, total)
+    return _round_once(int(total), table.t, exponent, n_sites, n)
 
 
 @dataclass(frozen=True)

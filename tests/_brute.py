@@ -2,14 +2,15 @@
 the library: set partitions come from restricted-growth strings and are
 filtered down to pairings, chord statistics come from interval containment,
 the inner product sums over all of S_n without letter grouping, chain
-moments walk a dict of occupation bitmasks one state and one site at a time,
-chain vacuum walks apply whole operators over every slot, normal ordering
-walks each partner left one transposition at a time instead of reading
-crossings and nestings, the chain's exchange relations compose whole
-operators slot by slot, the pairing estimator sums the transposition
-walk's coefficients over every tuple as fractions or multiplies a fresh
-ones-grid by one factor at a time over lookup matrices filled cell by cell,
-and listings and clt artifacts render one row and one cell at a time."""
+moments walk a dict of occupation bitmasks one state and one site at a time
+in floats or exactly in integers, chain vacuum walks apply whole operators
+over every slot, normal ordering walks each partner left one transposition
+at a time instead of reading crossings and nestings, the chain's exchange
+relations compose whole operators slot by slot, the pairing estimator sums
+the transposition walk's coefficients over every tuple as fractions or
+multiplies a fresh ones-grid by one factor at a time over lookup matrices
+filled cell by cell, and listings and clt artifacts render one row and one
+cell at a time."""
 
 import functools
 import itertools
@@ -193,8 +194,8 @@ def _apply_sum(
 
 
 def sum_moment(n: int, eps: str, table) -> float:
-    """partial_sum_moment on a dict of bitmask states, one state and one site
-    at a time."""
+    """partial_sum_moment in floats on a dict of bitmask states, one state
+    and one site at a time, sqrt(t) multiplied in at every step."""
     mu = table.base_matrix(n)
     sq = math.sqrt(table.t)
     state = {0: 1.0}
@@ -207,6 +208,50 @@ def sum_moment(n: int, eps: str, table) -> float:
     if r % 2 == 0:
         return vac / float(n ** (r // 2))
     return vac / float(n) ** (r / 2)
+
+
+def exact_moment(n: int, eps: str, table) -> float:
+    """partial_sum_moment of a two-point table exactly: a dict of bitmask
+    states with Python-int amplitudes, one state and one site at a time,
+    counting the powers of sqrt(t) each step leaves out, rounded once; inf
+    with the sign of a value past float64."""
+    signs = {}
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            value = table.base_value(i, j)
+            assert value in (1.0, -1.0), (i, j, value)
+            signs[i - 1, j - 1] = int(value)
+    state, half_powers = {0: 1}, 0
+    for letter in reversed(eps):
+        out: dict[int, int] = {}
+        for mask, amp in state.items():
+            bits = _set_bits(mask)
+            if letter == "*":
+                targets = [i for i in range(n) if not (mask >> i) & 1]
+            else:
+                targets = bits
+            for i in targets:
+                coeff = amp
+                for j in bits:
+                    if j < i:
+                        coeff *= signs[j, i]
+                new = mask ^ (1 << i)
+                out[new] = out.get(new, 0) + coeff
+        # every state in a step has the same popcount
+        k = len(_set_bits(next(iter(state))))
+        half_powers += k if letter == "*" else k - 1
+        state = {mask: amp for mask, amp in out.items() if amp}
+        if not state:
+            return 0.0
+    total = state.get(0, 0)
+    if not total:
+        return 0.0
+    assert half_powers % 2 == 0
+    value = Fraction(total) * Fraction(table.t) ** (half_powers // 2) / n ** (len(eps) // 2)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def vacuum_expectation(op_seq, n: int, table) -> float:

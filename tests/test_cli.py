@@ -173,8 +173,8 @@ def test_jw_dump_is_json(capsys):
 def test_jw_dump_bytes_are_pinned(capsys):
     # the slots carry sqrt(t) * base values of both signs
     for site, digest in (
-        ("6*", "4a2c0e5674e013b56658f83cba684d98768cf94127ae491388f32442d4915d88"),
-        ("2", "57b148e0ce2da7a18a36185505d810778015f1e46f5d2845956278f23b41f893"),
+        ("6*", "7923a2be3ae9a9dd018db468559da8ccd83d5ff8abb31bbb77c03466069b1e34"),
+        ("2", "14eb827c2e632a05e2011c3621b9373810f97bd3e30ee370a6cff68cff6c89cc"),
     ):
         code, out, _ = run(
             capsys, "jw", "--n", "6", "--q", "-0.4", "--t", "0.8", "--seed", "4",

@@ -4,7 +4,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,7 +24,13 @@ from qtwick import (
     wick_mixed,
 )
 from qtwick import cli
-from qtwick.clt import MAX_ESTIMATE_PAIRS, MAX_SUM_STATES, peak_popcount
+from qtwick.clt import (
+    MAX_ESTIMATE_PAIRS,
+    MAX_SUM_LENGTH,
+    MAX_SUM_SIZE,
+    MAX_SUM_STATES,
+    peak_popcount,
+)
 from qtwick.cli import main
 
 CROSSING = PairPartition(((1, 3), (2, 4)))
@@ -70,17 +75,27 @@ VANISHING = [
 ]
 
 
+def _assert_moment_is_exact(n, eps, table):
+    got = partial_sum_moment(n, eps, table)
+    assert got == _brute.exact_moment(n, eps, table), (n, eps)
+    # the float dict walk agrees up to the rounding of its sums: within rel
+    # 1e-12, or 1e-12 of the moment on the all-ones table, whose terms all
+    # add up, where the signed terms cancel
+    plus = CoefficientTable([1.0] * table.packed(n).size, table.t)
+    scale = partial_sum_moment(n, eps, plus)
+    floats = _brute.sum_moment(n, eps, table)
+    assert got == pytest.approx(floats, rel=1e-12, abs=1e-12 * scale), (n, eps)
+
+
 @pytest.mark.parametrize("q", [1.25, -1.25, 0.0])
 def test_moment_engine_equals_dict_oracle(q):
     # with q = +-t every base value is +1 (or every one -1) whatever the
-    # seed; with q = 0 the signs are random, sums cancel to exactly 0.0, and
-    # keys get dropped and reinserted at the end of the order
+    # seed; with q = 0 the signs are random and sums cancel to exactly 0
     for n in (1, 2, 7, 30):
         for seed in (0, 5, 11) if q == 0.0 else (0,):
             table = sampled_table(n, q, 1.25, seed)
             for eps in BALANCED + VANISHING:
-                got = partial_sum_moment(n, eps, table)
-                assert got == _brute.sum_moment(n, eps, table), (n, seed, eps)
+                _assert_moment_is_exact(n, eps, table)
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,20 +107,72 @@ def test_moment_engine_equals_dict_oracle(q):
     t=st.floats(0.1, 4.0),
 )
 def test_moment_engine_equals_dict_oracle_property(eps, n, seed, ratio, t):
-    table = sampled_table(n, ratio * t, t, seed)
-    assert partial_sum_moment(n, eps, table) == _brute.sum_moment(n, eps, table)
+    _assert_moment_is_exact(n, eps, sampled_table(n, ratio * t, t, seed))
 
 
-def test_moment_engine_equals_dict_oracle_on_general_values():
-    # products of generic values round, so the order of every factor counts
-    n = 12
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        pairs = n * (n - 1) // 2
-        values = rng.uniform(0.2, 3.0, pairs) * rng.choice([-1, 1], pairs)
-        table = CoefficientTable(values, 1.7)
-        for eps in BALANCED + VANISHING:
-            assert partial_sum_moment(n, eps, table) == _brute.sum_moment(n, eps, table), eps
+def test_moment_refuses_a_table_that_is_not_two_point():
+    rng = random.Random(5)
+    values = [rng.choice([1, -1]) * rng.uniform(0.2, 3.0) for _ in range(66)]
+    generic = CoefficientTable(values, 1.7)
+    for eps in ("1*", "11**", "1*1*", "111***"):
+        with pytest.raises(ValidationError, match="two-point"):
+            partial_sum_moment(12, eps, generic)
+    # only the prefix the walk reads counts, as for the estimator
+    mixed = CoefficientTable([1.0, -1.0] * 5 + values[10:], 1.7)
+    assert partial_sum_moment(5, "11**", mixed) == _brute.exact_moment(5, "11**", mixed)
+    with pytest.raises(ValidationError, match="two-point"):
+        partial_sum_moment(6, "11**", mixed)
+
+
+def test_both_engines_refuse_other_tables_with_one_message():
+    generic = CoefficientTable([1.0, -1.0, 0.5], 1.7)
+    messages = set()
+    for engine in (lambda: partial_sum_moment(3, "11**", generic),
+                   lambda: limit_coefficient_estimate(CROSSING, "11**", 3, generic)):
+        with pytest.raises(ValidationError, match="two-point") as err:
+            engine()
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def test_moment_amplitudes_stay_below_2_53_within_the_caps():
+    # the walk's int64 amplitudes are bounded by N^c * p^a after c creations
+    # and a annihilations, p the peak popcount; evaluate that bound for every
+    # word the caps admit, at the largest N they admit, without any walk
+    worst = 0
+    for length in range(MAX_SUM_LENGTH + 1):
+        for word in itertools.product("1*", repeat=length):
+            eps = "".join(word)
+            p = peak_popcount(eps)
+            n = MAX_SUM_SIZE
+            while math.comb(n, p) > MAX_SUM_STATES:
+                n -= 1
+            bound = 1
+            k = 0
+            for letter in reversed(eps):
+                if letter == "1" and k == 0:
+                    break  # the state dies
+                bound *= n if letter == "*" else p
+                k += 1 if letter == "*" else -1
+                worst = max(worst, bound)
+    assert worst < 2**53
+    assert worst == 400**5 * 3**3
+
+
+def test_the_two_engines_agree_at_finite_n():
+    # N^2 * moment is the sum over set partitions of the positions whose
+    # blocks alternate: for 11** the crossing and the nesting, for 1*1* the
+    # disjoint pairing and the one block b_i b_i* b_i b_i*, worth N
+    for seed in range(6):
+        table = sampled_table(150, 0.5, 1.25, seed)
+        for n in (5, 17, 60, 150):
+            crossed = partial_sum_moment(n, "11**", table)
+            pairs = (limit_coefficient_estimate(CROSSING, "11**", n, table)
+                     + limit_coefficient_estimate(NESTING, "11**", n, table))
+            assert math.isclose(crossed, pairs, rel_tol=1e-14), (seed, n)
+            alternating = partial_sum_moment(n, "1*1*", table)
+            disjoint = limit_coefficient_estimate(DISJOINT, "1*1*", n, table) + 1 / n
+            assert math.isclose(alternating, disjoint, rel_tol=1e-14), (seed, n)
 
 
 def test_peak_popcount():
@@ -265,36 +332,36 @@ def test_estimate_matches_the_exact_oracle_bit_for_bit(case):
 # _brute.exact_estimate
 LAMBDA_PINS = {
     ("11**", "1-3,2-4", "0.5", "1.25", "20,60", 0): (
-        "70d5d6d93ad0ec9b4646e8ac9c2058f59cc5ef4b123e5f4616f8033ebcc47a69",
-        "effcd78731fd16b1394e6239c636dd4c1e315664e30c45d63ac916140179ab6d",
+        "a41b44e62138a9d8f3c531df9ff839027472e5c34df3cbd3e53e108f0c78f5ec",
+        "7340fde89cf736dc25a4d76183d2a65e2ed0261591c5166162435edb34bb594d",
     ),
     ("11**", "1-3,2-4", "0.5", "1.25", "20,60", 7): (
-        "2200d806c0421aad3ee4aa7407ecba0534dc22736724cee93d18d6f2af061998",
-        "f7b0e1a18f5576bb7a09654aba7e87c1fb5b489b27e69b1f27983315c1a174f1",
+        "7355c2c1df0ee5b9ef0f1ca3f94759bd0a92ae27af0e24e0ed3321d9a2341f94",
+        "bee784c2d6cab9d8dd467e39eb274e2d2b99507b6e92c3ee9d75f99272d3e67a",
     ),
     ("1**1", "1-4,2-3", "-0.3", "0.8", "20,60", 0): (
-        "b78614a9946e361c3f81ab4202ef27b9bb0901b55db26f334d914de25d69cc25",
-        "26167f8637861d84c06822defa8dc9125ac4e164bdff25723d0ab7fb94325c36",
+        "2b80f028ee171147b4b1b00349f4ed5a5b29632ab67d5d1ddda3dc50619d51a5",
+        "3916a95a4a9f867c7300392c23910994ac5446f767e097a08032b6e500d94a4f",
     ),
     ("1**1", "1-4,2-3", "-0.3", "0.8", "20,60", 7): (
-        "dde68365a9d3b6d21f3807486c7654341320529542aea41da9f6cb09dda716a6",
-        "b6ff6f8b7451cf41e5686ea53b8023eab22c22b1c398ef4b3e7c4ba2e159a646",
+        "6fe4da08c38ae7d60fc6e72f6c0000ead43531469b01430f1f68f264e96adc63",
+        "cdde795ab2849736fc23b923c06cde2152c4b26c3bfe005475ac0005a2c73061",
     ),
     ("111***", "1-4,2-6,3-5", "0.5", "1.25", "10,30", 0): (
-        "d8ff0aa20edb128758a6f2506a7eb749e84b01ad2ae3ca1b5f2d387d4f124598",
-        "c1afa037ea345c6756cd20f9dbefa6813da768706e6da97df6ad92ebc2d103b5",
+        "36848edfe053886b3ce507bcc0e3841bcc0351bb63bb936c3eda35d625daf1f5",
+        "91c3520e99afb8d62367fd5cbd166c6b493018b0705dec18343b7c66452d0d32",
     ),
     ("111***", "1-4,2-6,3-5", "0.5", "1.25", "10,30", 7): (
-        "e9fd0b8b6eb3810db9053294775fe3a2c65d1a6902910177f4fa47bfcb7e38bc",
-        "2417a485c44edfd38d5dda9c876d9b059c21f0af5b4c2b2f1b1baba09e20c982",
+        "3731bafe37bfaddd755707055df84f0be0a3d41e3efc9486651c1358572eb00a",
+        "36aa3d3009b06537e7c7595db88c17a0d6bbc4233758cecfe4ef70c96b6c92bd",
     ),
     ("1*1**1", "1-6,2-3,4-5", "-0.3", "0.8", "10,30", 0): (
-        "bb302ddb05ddd2ca6fb06dfac8b8e7fe35e04137d19350535c5bd78836d612e3",
-        "c1614c2859eb928a192f118589bee3d1f7f4faba1351e6eb2448179559fb77a2",
+        "3d4fb2039fa513c8cc78040c406603b471aa3e13e5ccffaff8ddb89657dd38d4",
+        "a95d421a641f4696748842c0b5116b8a8aa304aa5a2d101a4170b814f4191df3",
     ),
     ("1*1**1", "1-6,2-3,4-5", "-0.3", "0.8", "10,30", 7): (
-        "998b33603a7116fbc031e3abfba3ffcde0df3672cfcaffab375a10f43e4c78b2",
-        "6879db6c5b4cfc7a43bb8b62d6002c4a08c71b41a1833ff1bd5512c1168ad724",
+        "d0cab68af5b800604c1feedfe30c929e1177032195d9a71c893f6852bd8b8dc6",
+        "1b4309f34eabdd9f60880d4b9940e60b4008601649228e7c5d655d67e3785f3a",
     ),
 }
 
@@ -427,12 +494,9 @@ def test_moment_experiment_frozen_values():
     )
     report = convergence_experiment(cfg)
     values = [row.value for row in report.rows]
-    assert values == [
-        1.5440000000000003,
-        1.7260000000000004,
-        1.7310000000000003,
-        1.7383750000000004,
-    ]
+    assert values == [1.544, 1.726, 1.731, 1.738375]
+    table = sampled_table(200, 0.5, 1.25, 42)
+    assert values == [_brute.exact_moment(n, "11**", table) for n in cfg.ns]
     assert all(row.target == 1.75 for row in report.rows)
     assert report.rows[0].abs_err == pytest.approx(0.206, abs=1e-12)
     target = wick_mixed("11**").evaluate(0.5, 1.25)
