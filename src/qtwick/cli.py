@@ -197,7 +197,7 @@ def _chain_params(meta: Metadata) -> tuple[int, float, float, int]:
 def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
     import numpy as np
 
-    from .coeffs import MAX_LISTED_SITES, _pair_rank, _sampled_lookup, sampled_table
+    from .coeffs import MAX_LISTED_SITES, _pair_rank, sampled_table
 
     n, q, t, seed = _chain_params(meta)
     if "lookup" in meta:
@@ -207,7 +207,7 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
         except ValueError:
             raise ValidationError(f"--lookup {meta['lookup']!r} is not left,right,i,j") from None
         value = _finite(meta, f"mu_({e1},{e2})({i},{j})",
-                        _sampled_lookup(e1, e2, site_i, site_j, n, q, t, seed))
+                        sampled_table(n, q, t, seed).lookup(e1, e2, site_i, site_j))
         return _render(
             meta,
             ["left", "right", "i", "j", "value"],
@@ -256,16 +256,17 @@ def _ket(coeff: str, bit: str) -> str:
 
 def _jw_artifact(meta: Metadata, fmt: str) -> str:
     from .coeffs import sampled_table
-    from .jw import _sampled_element, _sampled_expectation, check_commutation
+    from .jw import _parse_sites, build_jw, check_commutation, vacuum_expectation
 
     n, q, t, seed = _chain_params(meta)
+    table = sampled_table(n, q, t, seed)
     op = meta["op"]
     if op == "expectation":
         value = _finite(meta, "the vacuum expectation",
-                        _sampled_expectation(meta["ops"], n, q, t, seed))
+                        vacuum_expectation(_parse_sites(meta["ops"]), n, table))
         return _render(meta, ["value"], [[_fmt(value)]], fmt, [f"value = {_fmt(value)}"])
     if op == "verify":
-        report = check_commutation(n, sampled_table(n, q, t, seed))
+        report = check_commutation(n, table)
         rows = [[str(report.n), _fmt(report.max_deviation), str(len(report.failures))]]
         text_lines = [
             f"sites = {report.n}",
@@ -274,7 +275,11 @@ def _jw_artifact(meta: Metadata, fmt: str) -> str:
         ]
         return _render(meta, ["n", "max_deviation", "failures"], rows, fmt, text_lines)
     if op == "dump":
-        operator = _sampled_element(meta["site"], n, q, t, seed)
+        sites = _parse_sites(meta["site"])
+        if len(sites) != 1:
+            raise ValidationError(f"--dump-op takes one site, got {meta['site']!r}")
+        [(site, adjoint)] = sites
+        operator = build_jw(n, site, table, adjoint)
         if fmt == "json":
             slots = []
             for action in operator.slots:
@@ -468,7 +473,8 @@ def _merge_config(argv: list[str]) -> list[str]:
         elif value.lower() == "false":
             continue
         else:
-            extra.extend([f"--{key}", value])
+            # one token: a value that starts with '-' is no flag
+            extra.append(f"--{key}={value}")
     return [argv[0]] + extra + argv[1:]
 
 
@@ -587,7 +593,7 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
             meta["t"] = _fmt(args.t)
     elif command == "fock":
         meta.update(d=str(args.d), m=str(args.m), q=_fmt(args.q), t=_fmt(args.t))
-        if args.ops:
+        if args.ops is not None:
             meta["op"] = "moment"
             meta["ops"] = args.ops
         elif args.residual:
@@ -600,14 +606,14 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
             n=str(args.n), q=_fmt(args.q), t=_fmt(args.t),
             seed=str(_resolve_seed(args.seed)),
         )
-        if args.lookup:
+        if args.lookup is not None:
             meta["lookup"] = args.lookup
     elif command == "jw":
         meta.update(
             n=str(args.n), q=_fmt(args.q), t=_fmt(args.t),
             seed=str(_resolve_seed(args.seed)),
         )
-        if args.ops:
+        if args.ops is not None:
             meta["op"] = "expectation"
             meta["ops"] = args.ops
         elif args.verify:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +22,9 @@ from .wickpoly import LETTERS, QTPolynomial, check_eps
 
 # a whole sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and
 # samples in 0.11-0.14 s; it admits the largest lambda run (3162 sites, 2
-# pairs).  A command that reads a few pairs draws only those (sample_ranks),
-# at a cost that does not grow with n; the cap still bounds its n
+# pairs).  A sampled_table draws whole on its first bulk read only: reads of
+# a few pairs before it draw only those, at a cost that does not grow with
+# n; the cap still bounds its n
 MAX_TABLE_SITES = 4096
 # the coeffs artifact lists one row per pair: 1024 sites are 523776 rows.
 # In a fresh process, csv (5 MB) takes 0.36-0.42 s to write or --check and
@@ -94,8 +95,8 @@ def _two_point(q: float, t: float) -> float:
 
 def _table_law(n: int, q: float, t: float) -> float:
     """P(+1) of a sampled n-site table, after the checks sample_packed makes:
-    q and t first, then n.  A command that draws only some pairs of the
-    table makes them too, so that it refuses what sampling the table would."""
+    q and t first, then n.  sampled_table makes them before it draws
+    anything, so that it refuses what sampling the whole table would."""
     p_plus = _two_point(q, t)
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -198,40 +199,6 @@ def _coefficient(
     return m if (left == "*") == ordered else 1.0 / m
 
 
-def _base_value(i: int, j: int, base_at: Callable[[int], float]) -> float:
-    """Base value mu(i, j) for 0 < i < j, where base_at(rank) reads the base
-    value of a pair rank, or 0.0 for a pair without one."""
-    if 0 < i < j:
-        m = base_at(_pair_rank(i, j))
-        if m:
-            return m
-    raise ValidationError(f"table has no base value for pair ({i},{j})")
-
-
-def _lookup(
-    left: str, right: str, i: int, j: int, t: float, base_at: Callable[[int], float]
-) -> float:
-    """Coefficient mu_{left,right}(i, j) for i != j over base_at, as
-    _base_value reads it: the checks and the value of CoefficientTable.lookup."""
-    if left not in LETTERS or right not in LETTERS:
-        raise ValueError(f"letters must be '1' or '*', got ({left!r},{right!r})")
-    if i == j:
-        raise ValueError("coefficients are only defined for distinct indices")
-    m = _base_value(i, j, base_at) if i < j else _base_value(j, i, base_at)
-    return _coefficient(left, right, m, t, i < j)
-
-
-def _sampled_lookup(
-    left: str, right: str, i: int, j: int, n: int, q: float, t: float, seed: int
-) -> float:
-    """sampled_table(n, q, t, seed).lookup(left, right, i, j), refused where
-    and as that would be, but drawing only the one pair it reads."""
-    _table_law(n, q, t)
-    count = _pair_count(n)
-    return _lookup(left, right, i, j, t,
-                   lambda rank: sample_ranks([rank], q, t, seed).item() if rank < count else 0.0)
-
-
 class CoefficientTable:
     """Lazy family of commutation coefficients over base values and a scale t.
 
@@ -263,34 +230,51 @@ class CoefficientTable:
         # pairs of rank below this all have a base value; ranks are j-major,
         # so the table covers n sites exactly when n(n-1)/2 pairs fit below it
         self._covered = covered
+        # pairs of rank below this are stored, with 0.0 for a pair left out
+        self._size = packed.size
 
     @property
     def max_index(self) -> int:
         """Largest j of any pair (i, j) with a base value; 1 for an empty table."""
-        if not self._packed.size:
+        if not self._size:
             return 1
-        return (1 + math.isqrt(8 * self._packed.size - 7)) // 2 + 1
+        return (1 + math.isqrt(8 * self._size - 7)) // 2 + 1
 
     def covers(self, n: int) -> bool:
         """True when every pair i < j <= n has a base value."""
         return _pair_count(n) <= self._covered
 
-    def packed(self, n: int) -> np.ndarray:
-        """Read-only base values of every pair i < j <= n, in pair-rank order."""
+    def _check_covers(self, n: int) -> None:
         if not self.covers(n):
             raise ValidationError(f"table does not cover all pairs up to {n}")
+
+    def packed(self, n: int) -> np.ndarray:
+        """Read-only base values of every pair i < j <= n, in pair-rank order."""
+        self._check_covers(n)
         return self._packed[:_pair_count(n)]
 
-    def _base_at(self, rank: int) -> float:
-        return self._packed.item(rank) if rank < self._packed.size else 0.0
+    def _read(self, ranks: int | Sequence[int] | np.ndarray) -> float | np.ndarray:
+        """Base value of the pair of a rank below _size, or the base values
+        of an array of such ranks, 0.0 for a pair the table leaves out.
+        Every read of fewer than all pairs goes through here."""
+        return self._packed[ranks]
 
     def base_value(self, i: int, j: int) -> float:
         """Base value mu(i, j) for 0 < i < j."""
-        return _base_value(i, j, self._base_at)
+        if 0 < i < j and (rank := _pair_rank(i, j)) < self._size:
+            m = self._read(rank).item()
+            if m:
+                return m
+        raise ValidationError(f"table has no base value for pair ({i},{j})")
 
     def lookup(self, left: str, right: str, i: int, j: int) -> float:
         """Coefficient mu_{left,right}(i, j) for i != j."""
-        return _lookup(left, right, i, j, self.t, self._base_at)
+        if left not in LETTERS or right not in LETTERS:
+            raise ValueError(f"letters must be '1' or '*', got ({left!r},{right!r})")
+        if i == j:
+            raise ValueError("coefficients are only defined for distinct indices")
+        m = self.base_value(i, j) if i < j else self.base_value(j, i)
+        return _coefficient(left, right, m, self.t, i < j)
 
     def base_matrix(self, n: int) -> np.ndarray:
         """(n, n) array with entry [i-1, j-1] = base(i, j) for i < j, zeros elsewhere."""
@@ -301,8 +285,47 @@ class CoefficientTable:
         return out
 
 
+# one read of single ranks costs about what drawing this many pairs of a
+# whole table does: 20-40 us against 15 ns a pair (2-core Xeon host)
+_READ_PAIRS = 1 << 12
+
+
+class _SampledTable(CoefficientTable):
+    """sampled_table's table.  Its first bulk read (packed, base_matrix)
+    draws the whole table.  Before that, a read of single ranks draws the
+    distinct ranks it asks for, and no other, until single reads have cost
+    what the whole draw would; the next read draws the whole table, so that
+    reading every pair one at a time costs at most twice the whole draw."""
+
+    def __init__(self, n: int, q: float, t: float, seed: int):
+        _table_law(n, q, t)
+        self.t = float(t)
+        self._law = (n, q, t, seed)
+        self._packed = None
+        self._covered = self._size = _pair_count(n)
+        self._reads = 0
+
+    def packed(self, n: int) -> np.ndarray:
+        if self._packed is None and self.covers(n):
+            self._packed = sample_packed(*self._law)
+            self._packed.flags.writeable = False
+        return super().packed(n)
+
+    def _read(self, ranks: int | Sequence[int] | np.ndarray) -> float | np.ndarray:
+        if self._packed is None:
+            if self._reads * _READ_PAIRS < self._size:
+                self._reads += 1
+                _, q, t, seed = self._law
+                distinct, read = np.unique(ranks, return_inverse=True)
+                return sample_ranks(distinct, q, t, seed)[read]
+            self.packed(self._law[0])
+        return super()._read(ranks)
+
+
 def sampled_table(n: int, q: float, t: float, seed: int) -> CoefficientTable:
-    return CoefficientTable(sample_packed(n, q, t, seed), t)
+    """The table of sample_packed(n, q, t, seed), refused as that would be,
+    drawn as it is read (see _SampledTable) with the same bits."""
+    return _SampledTable(n, q, t, seed)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coeffs import CoefficientTable, _coefficient, _pair_rank, _table_law, sample_ranks
+from .coeffs import CoefficientTable, _coefficient, _pair_rank
 from .errors import SizeLimitError, ValidationError
 from .wickpoly import LETTERS
 
@@ -86,15 +86,17 @@ def _check_site(site: int, n: int) -> None:
         raise ValueError(f"site {site} outside 1..{n}")
 
 
-def _chain_element(
-    n: int, i: int, column: np.ndarray, t: float, adjoint: bool
-) -> MonomialOperator:
-    """build_jw over column = mu(1, i), ..., mu(i-1, i).  The occupied-bit
+def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> MonomialOperator:
+    """Chain element i (or its adjoint) on an n-slot chain.  The occupied-bit
     entry of the diagonal factor at slot k is sqrt(t) * mu(k, i) for k < i
     and sqrt(t) for k > i; slot i holds the ladder factor."""
-    sq = math.sqrt(t)
+    _check_site(i, n)
+    table._check_covers(n)
+    # mu(k, i) for k = 1..i-1 are consecutive in pair-rank order
+    first = _pair_rank(1, i)
+    sq = math.sqrt(table.t)
     entries = np.full(n, sq)
-    np.multiply(sq, column, out=entries[:i - 1])
+    np.multiply(sq, table._read(np.arange(first, first + i - 1)), out=entries[:i - 1])
     entries = entries.tolist()
     # one action per distinct entry: a sampled table has at most three
     actions = {x: diagonal(1.0, x) for x in set(entries)}
@@ -103,36 +105,17 @@ def _chain_element(
     return MonomialOperator(n, tuple(slots))
 
 
-def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> MonomialOperator:
-    """Chain element i (or its adjoint) on an n-slot chain."""
-    _check_site(i, n)
-    # mu(k, i) for k = 1..i-1 are consecutive in pair-rank order;
-    # packed(n) raises unless the table covers every pair up to n
-    first = _pair_rank(1, i)
-    return _chain_element(n, i, table.packed(n)[first:first + i - 1], table.t, adjoint)
-
-
-def _sampled_element(site: str, n: int, q: float, t: float, seed: int) -> MonomialOperator:
-    """`jw --dump-op`: build_jw of a site token <i> or <i>* over
-    sampled_table(n, q, t, seed), refused where and as that would be, but
-    drawing only mu(1, i), ..., mu(i-1, i)."""
-    _table_law(n, q, t)
-    i = int(site.rstrip("*"))
-    _check_site(i, n)
-    first = _pair_rank(1, i)
-    column = sample_ranks(np.arange(first, first + i - 1), q, t, seed)
-    return _chain_element(n, i, column, t, site.endswith("*"))
-
-
 def _parse_sites(text: str) -> list[tuple[int, bool]]:
-    """The (site, adjoint) factors of a `jw --ops` list of <i> or <i>* tokens."""
+    """The (site, adjoint) factors of a `jw --ops` list of <i> or <i>* tokens,
+    or of the one token of `jw --dump-op`."""
     ops = []
     for token in text.split(","):
         token = token.strip()
         adjoint = token.endswith("*")
         if adjoint:
             token = token[:-1]
-        if not token.isdigit():
+        # isdecimal, not isdigit: int() refuses a superscript digit
+        if not token.isdecimal():
             raise ValidationError(f"bad site token {token!r}; use <i> or <i>*")
         ops.append((int(token), adjoint))
     return ops
@@ -172,18 +155,28 @@ def _vacuum_walk(
     return None if occupied else (ranks, factors)
 
 
-def _vacuum_product(factors: list[tuple[int, int]], base: list[float], t: float) -> float:
-    """The vacuum coefficient of a word whose walk survives, from the base
-    values of the ranks the walk read, in read order.
+def vacuum_expectation(
+    op_seq: Sequence[tuple[int, bool]], n: int, table: CoefficientTable
+) -> float:
+    """Vacuum coefficient of a product of chain elements applied to the vacuum.
 
+    op_seq lists (site, adjoint) factors in product order, left to right; the
+    rightmost factor acts first.  The occupancy walk (_vacuum_walk) finds the
+    base values the factors read, and only those are read from the table.
     A factor multiplies in, in ascending slot order, the occupied-bit entries
     of the occupied slots: sqrt(t) * mu(slot, site) below its site and
     sqrt(t) above it.  The factors build_jw(...).apply would take at the
-    other slots are exactly 1.0, so the bits are the same as that walk's.
+    other slots are exactly 1.0, so the bits are the same as that walk's,
+    which tests/_brute.py keeps.
     """
-    sq = math.sqrt(t)
+    walk = _vacuum_walk(op_seq, n)
+    table._check_covers(n)
+    if walk is None:
+        return 0.0
+    ranks, factors = walk
+    sq = math.sqrt(table.t)
     amp = 1.0
-    values = iter(base)
+    values = iter(table._read(ranks).tolist())
     for below, above in factors:
         for m in itertools.islice(values, below):
             entry = sq * m
@@ -195,38 +188,6 @@ def _vacuum_product(factors: list[tuple[int, int]], base: list[float], t: float)
         if amp == 0.0:
             return 0.0
     return amp
-
-
-def _sampled_expectation(ops: str, n: int, q: float, t: float, seed: int) -> float:
-    """`jw --ops`: vacuum_expectation of the factors listed in `ops` over
-    sampled_table(n, q, t, seed), refused where and as that would be, but
-    drawing each distinct pair the walk reads once and no other."""
-    _table_law(n, q, t)
-    walk = _vacuum_walk(_parse_sites(ops), n)
-    if walk is None:
-        return 0.0
-    ranks, factors = walk
-    distinct, read = np.unique(np.array(ranks, dtype=np.int64), return_inverse=True)
-    return _vacuum_product(factors, sample_ranks(distinct, q, t, seed)[read].tolist(), t)
-
-
-def vacuum_expectation(
-    op_seq: Sequence[tuple[int, bool]], n: int, table: CoefficientTable
-) -> float:
-    """Vacuum coefficient of a product of chain elements applied to the vacuum.
-
-    op_seq lists (site, adjoint) factors in product order, left to right; the
-    rightmost factor acts first.  The occupancy walk (_vacuum_walk) finds the
-    base values the factors read, and only those enter the product
-    (_vacuum_product); tests/_brute.py keeps the walk that applies
-    build_jw(...) over all n slots.
-    """
-    walk = _vacuum_walk(op_seq, n)
-    packed = table.packed(n)
-    if walk is None:
-        return 0.0
-    ranks, factors = walk
-    return _vacuum_product(factors, packed[ranks].tolist(), table.t)
 
 
 @dataclass(slots=True)
@@ -316,7 +277,7 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
     base = table.base_matrix(n)
     base += base.T
     # relation (i, j) sits at [i-1, j-1]: element j's entry at slot i, and
-    # element i's entry at slot j, as _chain_element gives them.  Every
+    # element i's entry at slot j, as build_jw gives them.  Every
     # operand is C-ordered, made from `base` by elementwise steps: at n a
     # power of two a transposed view strides by 8n bytes, which made the
     # steps 1.5x slower

@@ -13,7 +13,10 @@ import _brute
 from qtwick import (
     FockParams, SizeLimitError, enumerate_pair_partitions, vacuum_expectation, vacuum_moment,
 )
-from qtwick import build_jw, cli, coeffs, limit_coefficient_estimate, sampled_table
+from qtwick import (
+    CoefficientTable, build_jw, cli, coeffs, limit_coefficient_estimate, sample_packed,
+    sampled_table,
+)
 from qtwick.cli import build_parser, main, run_check
 from qtwick.coeffs import MAX_LISTED_SITES, MAX_TABLE_SITES
 from qtwick.floats import _fmt
@@ -118,6 +121,17 @@ def test_fock_bad_ops_token(capsys):
         "--ops", "x9",
     )
     assert code == 2 and "token" in err
+
+
+def test_an_empty_word_or_lookup_is_refused_not_dropped(capsys):
+    # an empty value is given, not absent: it must not fall through to
+    # another mode of the command
+    for argv, line in ((("fock", "--d", "1", "--m", "2", "--q", "0", "--t", "1", "--ops="),
+                        "empty operator token"),
+                       (("coeffs", "--n", "3", *CHAIN, "--lookup="),
+                        "--lookup '' is not left,right,i,j")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {line}\n"
 
 
 def test_coeffs_dump_and_lookup(capsys):
@@ -381,6 +395,20 @@ def test_chain_refusals_keep_their_message_and_precedence(capsys, argv, line):
     assert err == f"error: {line}\n"
 
 
+@pytest.mark.parametrize("site", ["3**", "+3", "x", "-3", "3\u00b2", ""])
+@pytest.mark.parametrize("flag", ["--ops", "--dump-op"])
+def test_a_bad_site_token_exits_2(capsys, flag, site):
+    code, out, err = run(capsys, "jw", "--n", "5", *CHAIN, flag, site)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad site token ") and err.count("\n") == 1
+
+
+def test_dump_op_takes_one_site(capsys):
+    code, out, err = run(capsys, "jw", "--n", "5", *CHAIN, "--dump-op", "2,3")
+    assert code == 2 and out == ""
+    assert err == "error: --dump-op takes one site, got '2,3'\n"
+
+
 def _table_words(rng, n):
     """jw --ops words on n sites: pair-class words, which a random mark
     mostly kills, nested words, which survive, and words on sites 1 and n."""
@@ -404,10 +432,12 @@ def _meta(*argv):
 
 def _full_table_artifact(argv, fmt):
     """The artifact of a jw --ops, jw --dump-op or coeffs --lookup run from
-    the library over the whole sampled table, or the error line it exits with."""
+    the library over the whole sampled table, or the error line it exits with.
+    The table is drawn whole up front, so it reads no rank the way the
+    commands' sampled_table does."""
     meta = _meta(*argv)
     n, q, t, seed = int(meta["n"]), float(meta["q"]), float(meta["t"]), int(meta["seed"])
-    table = sampled_table(n, q, t, seed)
+    table = CoefficientTable(sample_packed(n, q, t, seed), t)
     if "site" in meta:
         op = build_jw(n, int(meta["site"].rstrip("*")), table, meta["site"].endswith("*"))
         if fmt == "json":
@@ -700,6 +730,19 @@ def test_config_file_store_true(capsys, tmp_path):
     code, out, _ = run(capsys, "jw", "--config", str(cfg))
     assert code == 0
     assert "failures = 0" in out
+
+
+def test_config_file_values_may_start_with_a_minus(capsys, tmp_path):
+    cfg = tmp_path / "jw.cfg"
+    cfg.write_text("n=3\nq=-1e-3\nt=1.25\nseed=-7\nops=1,2,2*,1*\nformat=csv\n")
+    code, out, err = run(capsys, "jw", "--config", str(cfg))
+    assert code == 0 and err == ""
+    want = run(capsys, "jw", "--n", "3", "--q=-1e-3", "--t", "1.25", "--seed=-7",
+               "--ops", "1,2,2*,1*", "--format", "csv")
+    assert want == (0, out, "") and "# q: -0.001" in out
+    # explicit flags still win over the file
+    code, out, _ = run(capsys, "jw", "--config", str(cfg), "--q", "0.5")
+    assert code == 0 and "# q: 0.5" in out
 
 
 def test_config_file_errors(capsys, tmp_path):

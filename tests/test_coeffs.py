@@ -26,7 +26,8 @@ from qtwick import (
     sample_ranks,
     sampled_table,
 )
-from qtwick.coeffs import _SAMPLE_CHUNK, MAX_TABLE_SITES, _pair_rank
+from qtwick import build_jw, coeffs, vacuum_expectation
+from qtwick.coeffs import _READ_PAIRS, _SAMPLE_CHUNK, MAX_TABLE_SITES, _pair_rank
 
 
 @pytest.fixture
@@ -280,23 +281,111 @@ def test_sampler_chunks_cover_the_table():
 
 def test_sampled_table_holds_one_copy():
     # the table of 2048 sites is 16.8 MB; the whole-table bits, uniforms and
-    # np.where output used to be alive together, and the table copied them
+    # np.where output used to be alive together, and the table copied them.
+    # A sampled_table draws on its first bulk read, which is measured here
     n = 2048
     nbytes = 8 * n * (n - 1) // 2
     tracemalloc.start()
     try:
         packed = sample_packed(n, 0.5, 1.25, 3)
         sample_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         table = sampled_table(n, 0.5, 1.25, 3)
+        tracemalloc.reset_peak()
+        table.packed(n)
         table_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(table.packed(n), packed)
     # one table plus about 2 MB of per-chunk temporaries; then one more table
-    # (the first is still alive) and the bool masks of the checks
+    # (the first is still alive) and its chunk temporaries
     assert sample_peak < 1.25 * nbytes
-    assert table_peak < 2.5 * nbytes
+    assert table_peak < 2.25 * nbytes
+
+
+def _reads(rng, n, count):
+    """Random single reads of an n-site table, some of them refused: pairs,
+    letter pairs and sites up to n + 1, and jw --ops words that survive."""
+    reads = []
+    for _ in range(count):
+        kind = rng.choice(["base_value", "lookup", "build_jw", "vacuum"])
+        if kind == "base_value":
+            reads.append((kind, tuple(sorted(rng.sample(range(1, n + 2), 2)))))
+        elif kind == "lookup":
+            i, j = rng.sample(range(1, n + 2), 2)
+            reads.append((kind, (rng.choice("1*"), rng.choice("1*"), i, j)))
+        elif kind == "build_jw":
+            reads.append((kind, (rng.randint(1, n + 1), rng.random() < 0.5)))
+        else:
+            sites = rng.sample(range(1, n + 1), min(n, rng.randint(1, 6)))
+            word = [(s, False) for s in sites] + [(s, True) for s in reversed(sites)]
+            if rng.random() < 0.3:
+                rng.shuffle(word)  # mostly killed, and then reads nothing
+            reads.append((kind, word))
+    return reads
+
+
+def _read_all(table, n, reads):
+    """Each read's value as its exact bytes or repr, or the error it raised."""
+    out = []
+    for kind, args in reads:
+        try:
+            if kind == "bulk":
+                out += [table.packed(n).tobytes(), table.base_matrix(n).tobytes()]
+            elif kind == "base_value":
+                out.append(repr(table.base_value(*args)))
+            elif kind == "lookup":
+                out.append(repr(table.lookup(*args)))
+            elif kind == "build_jw":
+                out.append(repr(build_jw(n, args[0], table, args[1])))
+            else:
+                out.append(repr(vacuum_expectation(args, n, table)))
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=90, max_value=400)),
+    seed=st.one_of(st.integers(min_value=-(2**70), max_value=2**64 - 1),
+                   st.integers(min_value=2**64, max_value=2**70)),
+    ratio=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1.0, max_value=1.0)),
+    t=st.floats(min_value=0.01, max_value=100.0),
+    bulk=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    rng_seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_a_sampled_table_reads_as_the_whole_table(n, seed, ratio, t, bulk, rng_seed):
+    # every read of sampled_table, made before or after its first bulk read
+    # (or with none), equals the same read of the table drawn whole up front
+    q = ratio * t
+    if abs(q) > t:  # the product can round past t
+        q = math.copysign(t, q)
+    reads = _reads(random.Random(rng_seed), n, 12)
+    if bulk is not None:
+        reads.insert(min(bulk, len(reads)), ("bulk", ()))
+    whole = CoefficientTable(sample_packed(n, q, t, seed), t)
+    assert _read_all(sampled_table(n, q, t, seed), n, reads) == _read_all(whole, n, reads)
+
+
+def test_single_reads_draw_the_whole_table_once_they_cost_as_much(monkeypatch):
+    drawn = []
+    real_draw = coeffs._draw
+
+    def counting_draw(ranks, seed, p_plus):
+        drawn.append(ranks.size)
+        return real_draw(ranks, seed, p_plus)
+
+    monkeypatch.setattr(coeffs, "_draw", counting_draw)
+    n = 300
+    count = n * (n - 1) // 2
+    singles = -(-count // _READ_PAIRS)  # single reads that cost one whole draw
+    table = sampled_table(n, -0.3, 0.8, 2**64 + 1)
+    whole = sample_packed(n, -0.3, 0.8, 2**64 + 1)
+    drawn.clear()
+    got = [table.base_value(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    assert got == whole.tolist()
+    # one rank per single read, then the whole table in chunks
+    assert drawn[:singles] == [1] * singles and sum(drawn[singles:]) == count
 
 
 def test_owned_array_is_taken_over():
