@@ -593,7 +593,7 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
             meta["t"] = _fmt(args.t)
     elif command == "fock":
         meta.update(d=str(args.d), m=str(args.m), q=_fmt(args.q), t=_fmt(args.t))
-        if args.ops is not None:
+        if args.ops:
             meta["op"] = "moment"
             meta["ops"] = args.ops
         elif args.residual:
@@ -606,14 +606,14 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
             n=str(args.n), q=_fmt(args.q), t=_fmt(args.t),
             seed=str(_resolve_seed(args.seed)),
         )
-        if args.lookup is not None:
+        if args.lookup:
             meta["lookup"] = args.lookup
     elif command == "jw":
         meta.update(
             n=str(args.n), q=_fmt(args.q), t=_fmt(args.t),
             seed=str(_resolve_seed(args.seed)),
         )
-        if args.ops is not None:
+        if args.ops:
             meta["op"] = "expectation"
             meta["ops"] = args.ops
         elif args.verify:

@@ -22,9 +22,9 @@ from .wickpoly import LETTERS, QTPolynomial, check_eps
 
 # a whole sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and
 # samples in 0.11-0.14 s; it admits the largest lambda run (3162 sites, 2
-# pairs).  A sampled_table draws whole on its first bulk read only: reads of
-# a few pairs before it draw only those, at a cost that does not grow with
-# n; the cap still bounds its n
+# pairs).  A sampled_table draws whole on any read but a first single read,
+# which draws only the pairs it reads, at a cost that does not grow with n;
+# the cap still bounds its n
 MAX_TABLE_SITES = 4096
 # the coeffs artifact lists one row per pair: 1024 sites are 523776 rows.
 # In a fresh process, csv (5 MB) takes 0.36-0.42 s to write or --check and
@@ -254,15 +254,18 @@ class CoefficientTable:
         return self._packed[:_pair_count(n)]
 
     def _read(self, ranks: int | Sequence[int] | np.ndarray) -> float | np.ndarray:
-        """Base value of the pair of a rank below _size, or the base values
-        of an array of such ranks, 0.0 for a pair the table leaves out.
-        Every read of fewer than all pairs goes through here."""
+        """Base value, as a Python float, of the pair of one rank below
+        _size, or the base values of an array of such ranks; 0.0 for a pair
+        the table leaves out.  Every read of fewer than all pairs goes
+        through here."""
+        if isinstance(ranks, (int, np.integer)):
+            return self._packed.item(ranks)
         return self._packed[ranks]
 
     def base_value(self, i: int, j: int) -> float:
         """Base value mu(i, j) for 0 < i < j."""
         if 0 < i < j and (rank := _pair_rank(i, j)) < self._size:
-            m = self._read(rank).item()
+            m = self._read(rank)
             if m:
                 return m
         raise ValidationError(f"table has no base value for pair ({i},{j})")
@@ -285,17 +288,11 @@ class CoefficientTable:
         return out
 
 
-# one read of single ranks costs about what drawing this many pairs of a
-# whole table does: 20-40 us against 15 ns a pair (2-core Xeon host)
-_READ_PAIRS = 1 << 12
-
-
 class _SampledTable(CoefficientTable):
-    """sampled_table's table.  Its first bulk read (packed, base_matrix)
-    draws the whole table.  Before that, a read of single ranks draws the
-    distinct ranks it asks for, and no other, until single reads have cost
-    what the whole draw would; the next read draws the whole table, so that
-    reading every pair one at a time costs at most twice the whole draw."""
+    """sampled_table's table.  Its first read draws only the distinct ranks
+    it asks for, unless it is a bulk read (packed, base_matrix); any later
+    read draws the whole table, so that reading every pair one at a time
+    costs about one whole draw."""
 
     def __init__(self, n: int, q: float, t: float, seed: int):
         _table_law(n, q, t)
@@ -303,7 +300,7 @@ class _SampledTable(CoefficientTable):
         self._law = (n, q, t, seed)
         self._packed = None
         self._covered = self._size = _pair_count(n)
-        self._reads = 0
+        self._read_ranks = False
 
     def packed(self, n: int) -> np.ndarray:
         if self._packed is None and self.covers(n):
@@ -313,11 +310,12 @@ class _SampledTable(CoefficientTable):
 
     def _read(self, ranks: int | Sequence[int] | np.ndarray) -> float | np.ndarray:
         if self._packed is None:
-            if self._reads * _READ_PAIRS < self._size:
-                self._reads += 1
+            if not self._read_ranks:
+                self._read_ranks = True
                 _, q, t, seed = self._law
                 distinct, read = np.unique(ranks, return_inverse=True)
-                return sample_ranks(distinct, q, t, seed)[read]
+                values = sample_ranks(distinct, q, t, seed)[read]
+                return values.item() if isinstance(ranks, (int, np.integer)) else values
             self.packed(self._law[0])
         return super()._read(ranks)
 

@@ -114,8 +114,7 @@ def _parse_sites(text: str) -> list[tuple[int, bool]]:
         adjoint = token.endswith("*")
         if adjoint:
             token = token[:-1]
-        # isdecimal, not isdigit: int() refuses a superscript digit
-        if not token.isdecimal():
+        if not token.isdigit():
             raise ValidationError(f"bad site token {token!r}; use <i> or <i>*")
         ops.append((int(token), adjoint))
     return ops

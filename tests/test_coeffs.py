@@ -27,7 +27,7 @@ from qtwick import (
     sampled_table,
 )
 from qtwick import build_jw, coeffs, vacuum_expectation
-from qtwick.coeffs import _READ_PAIRS, _SAMPLE_CHUNK, MAX_TABLE_SITES, _pair_rank
+from qtwick.coeffs import _SAMPLE_CHUNK, MAX_TABLE_SITES, _pair_rank
 
 
 @pytest.fixture
@@ -365,9 +365,12 @@ def test_a_sampled_table_reads_as_the_whole_table(n, seed, ratio, t, bulk, rng_s
         reads.insert(min(bulk, len(reads)), ("bulk", ()))
     whole = CoefficientTable(sample_packed(n, q, t, seed), t)
     assert _read_all(sampled_table(n, q, t, seed), n, reads) == _read_all(whole, n, reads)
+    # and each read made first, when it draws only the ranks it reads
+    for read in reads:
+        assert _read_all(sampled_table(n, q, t, seed), n, [read]) == _read_all(whole, n, [read])
 
 
-def test_single_reads_draw_the_whole_table_once_they_cost_as_much(monkeypatch):
+def test_only_the_first_single_read_draws_single_ranks(monkeypatch):
     drawn = []
     real_draw = coeffs._draw
 
@@ -378,14 +381,13 @@ def test_single_reads_draw_the_whole_table_once_they_cost_as_much(monkeypatch):
     monkeypatch.setattr(coeffs, "_draw", counting_draw)
     n = 300
     count = n * (n - 1) // 2
-    singles = -(-count // _READ_PAIRS)  # single reads that cost one whole draw
     table = sampled_table(n, -0.3, 0.8, 2**64 + 1)
     whole = sample_packed(n, -0.3, 0.8, 2**64 + 1)
     drawn.clear()
     got = [table.base_value(i, j) for j in range(2, n + 1) for i in range(1, j)]
     assert got == whole.tolist()
-    # one rank per single read, then the whole table in chunks
-    assert drawn[:singles] == [1] * singles and sum(drawn[singles:]) == count
+    # one rank for the first read, then the whole table in chunks
+    assert drawn[0] == 1 and sum(drawn[1:]) == count
 
 
 def test_owned_array_is_taken_over():
@@ -462,13 +464,20 @@ def test_single_read_copies_nothing():
     table = sampled_table(2048, 0.5, 1.25, 4)
     tracemalloc.start()
     try:
+        first = table.lookup("1", "*", 7, 2000)  # draws this one pair
+        first_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table.packed(2048)  # as the next read would, the table is drawn whole
+    tracemalloc.start()
+    try:
         value = table.lookup("1", "*", 7, 2000)
         assert table.base_value(2047, 2048) in (1.0, -1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert value == 1.0 / (1.25 * table.base_value(7, 2000))
-    assert peak < 64 * 1024
+    assert first == value == 1.0 / (1.25 * table.base_value(7, 2000))
+    assert max(first_peak, peak) < 64 * 1024
 
 
 def test_normal_order_examples(table):
