@@ -593,7 +593,7 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
             meta["t"] = _fmt(args.t)
     elif command == "fock":
         meta.update(d=str(args.d), m=str(args.m), q=_fmt(args.q), t=_fmt(args.t))
-        if args.ops:
+        if args.ops is not None:
             meta["op"] = "moment"
             meta["ops"] = args.ops
         elif args.residual:
@@ -606,14 +606,14 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
             n=str(args.n), q=_fmt(args.q), t=_fmt(args.t),
             seed=str(_resolve_seed(args.seed)),
         )
-        if args.lookup:
+        if args.lookup is not None:
             meta["lookup"] = args.lookup
     elif command == "jw":
         meta.update(
             n=str(args.n), q=_fmt(args.q), t=_fmt(args.t),
             seed=str(_resolve_seed(args.seed)),
         )
-        if args.ops:
+        if args.ops is not None:
             meta["op"] = "expectation"
             meta["ops"] = args.ops
         elif args.verify:
@@ -626,7 +626,7 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
             mode=args.mode, eps=args.eps, q=_fmt(args.q), t=_fmt(args.t),
             ns=args.ns, seed=str(_resolve_seed(args.seed)),
         )
-        if args.pairing:
+        if args.pairing is not None:
             meta["pairing"] = args.pairing
     return meta
 

@@ -18,14 +18,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .coeffs import (
-    MAX_TABLE_SITES,
     CoefficientTable,
     _closed_form_factors,
+    _table_law,
     pair_limit_monomial,
     pair_pattern_is_default,
     sampled_table,
@@ -70,16 +70,43 @@ def peak_popcount(eps: str) -> int:
     return peak
 
 
-def _state_cap_problem(n_sites: int, eps: str) -> Optional[str]:
-    """Why the moment walk of eps over n_sites sites exceeds MAX_SUM_STATES,
-    or None when it fits."""
+def _check_moment(n_sites: int, eps: str) -> None:
+    """Raise the refusal partial_sum_moment makes before it reads a table:
+    a word that is not over '1'/'*', fewer than one site, or a run past
+    the site, order or state cap."""
+    check_eps(eps)
+    if n_sites < 1:
+        raise ValidationError("need at least one site")
+    if n_sites > MAX_SUM_SIZE:
+        raise SizeLimitError(f"{n_sites} sites exceed the {MAX_SUM_SIZE}-site cap")
+    if len(eps) > MAX_SUM_LENGTH:
+        raise SizeLimitError(f"moment order {len(eps)} exceeds {MAX_SUM_LENGTH}")
     peak = peak_popcount(eps)
-    if n_sites >= 0 and math.comb(n_sites, peak) > MAX_SUM_STATES:
-        return (
+    if math.comb(n_sites, peak) > MAX_SUM_STATES:
+        raise SizeLimitError(
             f"{eps!r} at {n_sites} sites reaches C({n_sites},{peak}) states,"
             f" over the {MAX_SUM_STATES}-state cap"
         )
-    return None
+
+
+def _check_estimate(pairing: PairPartition, eps: str, n_sites: int) -> None:
+    """Raise the refusal limit_coefficient_estimate makes before it reads a
+    table: a word that is not over '1'/'*' or does not fit the pairing, a
+    run past the pair or tuple cap, or fewer sites than pairs."""
+    check_eps(eps)
+    n = pairing.n
+    if len(eps) != 2 * n:
+        raise ValidationError(
+            f"pattern of length {len(eps)} for a pairing of {2 * n} positions"
+        )
+    if n > MAX_ESTIMATE_PAIRS:
+        raise SizeLimitError(f"{n} pairs exceed the {MAX_ESTIMATE_PAIRS}-pair cap")
+    if n_sites**n > MAX_ESTIMATE_TUPLES:
+        raise SizeLimitError(
+            f"{n_sites}^{n} tuples exceed the {MAX_ESTIMATE_TUPLES} cap"
+        )
+    if n_sites < n:
+        raise ValidationError(f"need at least {n} sites for {n} distinct values")
 
 
 def _unrank(ranks: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
@@ -188,17 +215,7 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     The moment is M * t^E / N^(r/2), M the vacuum amplitude, rounded once.
     Any other table raises ValidationError.
     """
-    check_eps(eps)
-    r = len(eps)
-    if n_sites < 1:
-        raise ValidationError("need at least one site")
-    if n_sites > MAX_SUM_SIZE:
-        raise SizeLimitError(f"{n_sites} sites exceed the {MAX_SUM_SIZE}-site cap")
-    if r > MAX_SUM_LENGTH:
-        raise SizeLimitError(f"moment order {r} exceeds {MAX_SUM_LENGTH}")
-    too_many = _state_cap_problem(n_sites, eps)
-    if too_many:
-        raise SizeLimitError(too_many)
+    _check_moment(n_sites, eps)
     # up[j, i] = mu(j+1, i+1) above the diagonal and 1 elsewhere, so a
     # product over the rows of a set's sites leaves sites below them alone;
     # the strict lower triangle of up.T, row by row, is the pair-rank order
@@ -226,7 +243,7 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
             return 0.0
     if k != 0:
         return 0.0
-    return _round_once(int(amps[0]), table.t, t_power, n_sites, r // 2)
+    return _round_once(int(amps[0]), table.t, t_power, n_sites, len(eps) // 2)
 
 
 def limit_coefficient_estimate(
@@ -247,22 +264,9 @@ def limit_coefficient_estimate(
     the float sums are exact in any order, and the result is t^E * S / N^n
     rounded once.  Any other table raises ValidationError.
     """
-    check_eps(eps)
+    _check_estimate(pairing, eps, n_sites)
+    table._check_covers(n_sites)
     n = pairing.n
-    if len(eps) != 2 * n:
-        raise ValidationError(
-            f"pattern of length {len(eps)} for a pairing of {2 * n} positions"
-        )
-    if n > MAX_ESTIMATE_PAIRS:
-        raise SizeLimitError(f"{n} pairs exceed the {MAX_ESTIMATE_PAIRS}-pair cap")
-    if n_sites**n > MAX_ESTIMATE_TUPLES:
-        raise SizeLimitError(
-            f"{n_sites}^{n} tuples exceed the {MAX_ESTIMATE_TUPLES} cap"
-        )
-    if n_sites < n:
-        raise ValidationError(f"need at least {n} sites for {n} distinct values")
-    if n_sites >= 2 and not table.covers(n_sites):
-        raise ValidationError(f"table does not cover all pairs up to {n_sites}")
     if n == 1:
         return 1.0  # the empty product over N tuples
     u = _two_point_signs(table, n_sites)
@@ -298,6 +302,15 @@ def limit_coefficient_estimate(
     return _round_once(int(total), table.t, exponent, n_sites, n)
 
 
+def _refusal(check: Callable[..., object], *args: object) -> list[str]:
+    """The message of the ValueError check(*args) raises, or nothing."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One convergence run: mode 'moment' or 'lambda', shared (q, t, eps, seed),
@@ -312,50 +325,30 @@ class ExperimentConfig:
     pairing: Optional[PairPartition] = None
 
     def validate(self) -> list[str]:
+        """Every reason the run would be refused, before anything is sampled:
+        the config's own rules, then what the table and the mode's engine
+        raise at max(ns), one refusal from each."""
         problems = []
         if self.mode not in ("moment", "lambda"):
             problems.append(f"mode must be 'moment' or 'lambda', got {self.mode!r}")
-        if not isinstance(self.eps, str) or not self.eps or any(
-            c not in LETTERS for c in self.eps
-        ):
+        eps_ok = isinstance(self.eps, str) and bool(self.eps) and set(self.eps) <= set(LETTERS)
+        if not eps_ok:
             problems.append(f"eps {self.eps!r} must be a nonempty string over '1'/'*'")
-        if not (math.isfinite(self.q) and math.isfinite(self.t)):
-            problems.append(f"q and t must be finite, got q={self.q}, t={self.t}")
-        elif self.t <= 0:
-            problems.append(f"need t > 0, got {self.t}")
-        elif abs(self.q) > self.t:
-            problems.append(f"two-point law needs |q| <= t, got q={self.q}, t={self.t}")
+        ns_ok = bool(self.ns) and min(self.ns) >= 1 and list(self.ns) == sorted(set(self.ns))
         if not self.ns:
             problems.append("ns must be a nonempty increasing list of sizes")
-        elif any(n < 1 for n in self.ns) or list(self.ns) != sorted(set(self.ns)):
+        elif not ns_ok:
             problems.append(f"ns {self.ns!r} must be strictly increasing and positive")
-        elif max(self.ns) > MAX_TABLE_SITES:
-            problems.append(f"tables are capped at {MAX_TABLE_SITES} sites")
-        if self.mode == "moment":
-            if self.ns and max(self.ns) > MAX_SUM_SIZE:
-                problems.append(f"moments support at most {MAX_SUM_SIZE} sites")
-            if len(self.eps) > MAX_SUM_LENGTH:
-                problems.append(f"moment order is capped at {MAX_SUM_LENGTH}")
-            elif self.ns and isinstance(self.eps, str) and set(self.eps) <= set(LETTERS):
-                too_many = _state_cap_problem(max(self.ns), self.eps)
-                if too_many:
-                    problems.append(too_many)
-        if self.mode == "lambda":
-            if self.pairing is None:
-                problems.append("lambda mode needs a pairing")
-            else:
-                if self.pairing.n > MAX_ESTIMATE_PAIRS:
-                    problems.append(
-                        f"estimator is capped at {MAX_ESTIMATE_PAIRS} pairs"
-                    )
-                if isinstance(self.eps, str) and len(self.eps) != self.pairing.size:
-                    problems.append(
-                        f"eps length {len(self.eps)} != pairing size {self.pairing.size}"
-                    )
-                if self.ns and self.pairing.n >= 1 and max(self.ns) ** self.pairing.n > MAX_ESTIMATE_TUPLES:
-                    problems.append(
-                        f"{max(self.ns)}^{self.pairing.n} tuples exceed {MAX_ESTIMATE_TUPLES}"
-                    )
+        if self.mode == "lambda" and self.pairing is None:
+            problems.append("lambda mode needs a pairing")
+        # q and t are checked whatever ns is
+        top = max(self.ns) if ns_ok else 1
+        problems += _refusal(_table_law, top, self.q, self.t)
+        if eps_ok and ns_ok:
+            if self.mode == "moment":
+                problems += _refusal(_check_moment, top, self.eps)
+            elif self.mode == "lambda" and self.pairing is not None:
+                problems += _refusal(_check_estimate, self.pairing, self.eps, top)
         return problems
 
 

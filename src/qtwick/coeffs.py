@@ -233,13 +233,6 @@ class CoefficientTable:
         # pairs of rank below this are stored, with 0.0 for a pair left out
         self._size = packed.size
 
-    @property
-    def max_index(self) -> int:
-        """Largest j of any pair (i, j) with a base value; 1 for an empty table."""
-        if not self._size:
-            return 1
-        return (1 + math.isqrt(8 * self._size - 7)) // 2 + 1
-
     def covers(self, n: int) -> bool:
         """True when every pair i < j <= n has a base value."""
         return _pair_count(n) <= self._covered

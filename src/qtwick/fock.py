@@ -149,7 +149,7 @@ def _parse_fock_ops(text: str) -> list:
             ops.append(("number",))
             continue
         kind = {"c": "create", "a": "annihilate", "s": "field"}.get(token[0])
-        if kind is None or not token[1:].isdigit():
+        if kind is None or not token[1:].isdecimal():
             raise ValidationError(
                 f"bad operator token {token!r}; use c<i>, a<i>, s<i> or n"
             )

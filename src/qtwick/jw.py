@@ -114,7 +114,7 @@ def _parse_sites(text: str) -> list[tuple[int, bool]]:
         adjoint = token.endswith("*")
         if adjoint:
             token = token[:-1]
-        if not token.isdigit():
+        if not token.isdecimal():
             raise ValidationError(f"bad site token {token!r}; use <i> or <i>*")
         ops.append((int(token), adjoint))
     return ops

@@ -61,7 +61,7 @@ def _parse_pairing(text: str) -> PairPartition:
     for token in text.replace(";", ",").split(","):
         token = token.strip()
         a, _, b = token.partition("-")
-        if not a.isdigit() or not b.isdigit():
+        if not a.isdecimal() or not b.isdecimal():
             raise ValidationError(f"bad pair token {token!r}; use w-z")
         pairs.append((int(a), int(b)))
     return PairPartition(tuple(pairs))

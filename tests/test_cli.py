@@ -392,6 +392,27 @@ def test_a_bad_site_token_exits_2(capsys, flag, site):
     assert err.startswith("error: bad site token ") and err.count("\n") == 1
 
 
+FOCK = ("fock", "--d", "2", "--m", "2", "--q", "0.5", "--t", "1.25")
+CLT_MOMENT = ("clt", "--mode", "moment", "--eps", "11**", *CHAIN, "--ns", "5")
+CLT_LAMBDA = ("clt", "--mode", "lambda", "--eps", "11**", *CHAIN, "--ns", "5")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("jw", "--n", "5", *CHAIN, "--ops="), "bad site token ''; use <i> or <i>*"),
+    (("coeffs", "--n", "5", *CHAIN, "--lookup="), "--lookup '' is not left,right,i,j"),
+    ((*FOCK, "--ops="), "empty operator token"),
+    ((*CLT_MOMENT, "--pairing="), "bad pair token ''; use w-z"),
+    # tokens take decimal digits only, the digits int() reads
+    (("jw", "--n", "5", *CHAIN, "--ops", "3²,3²*"), "bad site token '3²'; use <i> or <i>*"),
+    ((*FOCK, "--ops", "s²"), "bad operator token 's²'; use c<i>, a<i>, s<i> or n"),
+    ((*CLT_LAMBDA, "--pairing", "1-3,2-⁴"), "bad pair token '2-⁴'; use w-z"),
+])
+def test_an_empty_or_non_decimal_value_goes_to_its_parser(capsys, argv, line):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {line}\n"
+
+
 def test_dump_op_takes_one_site(capsys):
     code, out, err = run(capsys, "jw", "--n", "5", *CHAIN, "--dump-op", "2,3")
     assert code == 2 and out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -32,6 +33,7 @@ from qtwick.clt import (
     peak_popcount,
 )
 from qtwick.cli import main
+from qtwick.coeffs import MAX_TABLE_SITES, _table_law
 
 CROSSING = PairPartition(((1, 3), (2, 4)))
 NESTING = PairPartition(((1, 4), (2, 3)))
@@ -486,6 +488,59 @@ def test_config_validation_specifics():
         pairing=PairPartition(((1, 4), (2, 6), (3, 5))),
     )
     assert any("tuples" in p for p in tuple_cap.validate())
+
+
+SMALL_TABLE = sampled_table(3, 0.5, 1.25, 0)
+GOOD_MOMENT = ExperimentConfig(mode="moment", eps="11**", q=0.5, t=1.25, ns=(5, 10), seed=0)
+
+
+def _table_check(cfg):
+    _table_law(max(cfg.ns), cfg.q, cfg.t)
+
+
+def _moment_check(cfg):
+    partial_sum_moment(max(cfg.ns), cfg.eps, SMALL_TABLE)
+
+
+def _estimate_check(cfg):
+    limit_coefficient_estimate(cfg.pairing, cfg.eps, max(cfg.ns), SMALL_TABLE)
+
+
+@pytest.mark.parametrize("change, check", [
+    pytest.param(dict(q=math.nan), _table_check, id="finite"),
+    pytest.param(dict(t=-1.0), _table_check, id="t>0"),
+    pytest.param(dict(q=2.0, t=1.0), _table_check, id="|q|<=t"),
+    pytest.param(dict(ns=(MAX_TABLE_SITES + 1,)), _table_check, id="table-sites"),
+    pytest.param(dict(ns=(MAX_SUM_SIZE + 1,)), _moment_check, id="sum-size"),
+    pytest.param(dict(eps="1*" * (MAX_SUM_LENGTH // 2 + 1)), _moment_check, id="sum-length"),
+    pytest.param(dict(eps="1111****", ns=(400,)), _moment_check, id="sum-states"),
+    pytest.param(
+        dict(mode="lambda", eps="1*" * (MAX_ESTIMATE_PAIRS + 1),
+             pairing=PairPartition(tuple((2 * k + 1, 2 * k + 2)
+                                         for k in range(MAX_ESTIMATE_PAIRS + 1)))),
+        _estimate_check, id="estimate-pairs"),
+    pytest.param(
+        dict(mode="lambda", eps="111***", ns=(400,),
+             pairing=PairPartition(((1, 4), (2, 6), (3, 5)))),
+        _estimate_check, id="estimate-tuples"),
+    pytest.param(dict(mode="lambda", eps="1*", pairing=CROSSING), _estimate_check,
+                 id="eps-length"),
+])
+def test_validate_words_each_refusal_as_the_table_or_engine_does(change, check):
+    cfg = dataclasses.replace(GOOD_MOMENT, **change)
+    with pytest.raises(ValueError) as err:
+        check(cfg)
+    assert str(err.value) in cfg.validate()
+
+
+def test_clt_reports_the_table_cap_and_the_engine_cap_together(capsys):
+    code = main(["clt", "--mode", "moment", "--eps", "11**", "--q", "0.5", "--t", "1.25",
+                 "--ns", "5000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: 5000 sites exceed the 4096-site table cap; 5000 sites exceed the 400-site cap\n"
+    )
 
 
 def test_moment_experiment_frozen_values():

@@ -65,7 +65,6 @@ def test_table_validation():
 def test_covers_and_matrix():
     tb = sampled_table(4, 0.0, 1.0, 1)
     assert tb.covers(4) and not tb.covers(5)
-    assert tb.max_index == 4
     m = tb.base_matrix(4)
     assert m.shape == (4, 4)
     assert m[0, 1] == tb.base_value(1, 2)
@@ -423,7 +422,6 @@ def test_base_matrix_equals_double_loop():
 def test_hand_built_table_with_a_gap():
     gap = CoefficientTable({(1, 2): 0.5, (2, 3): -2.0}, 1.0)
     assert gap.covers(2) and not gap.covers(3)
-    assert gap.max_index == 3
     assert gap.base_value(2, 3) == -2.0
     with pytest.raises(ValidationError, match=r"\(1,3\)"):
         gap.lookup("1", "*", 1, 3)
