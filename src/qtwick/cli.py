@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from . import __version__
 from .errors import SizeLimitError, ValidationError
-from .floats import _fmt
+from .floats import _check_finite, _fmt
 
 # each artifact function imports the engines it runs, so a command loads
 # only those (`pairings` and `wick` never load numpy)
@@ -134,14 +134,12 @@ def _wick_poly(meta: Metadata) -> QTPolynomial:
 
 def _wick_artifact(meta: Metadata, fmt: str) -> str:
     poly = _wick_poly(meta)
-    rows = [
-        [str(a), str(b), str(c)]
-        for (a, b), c in sorted(poly.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][1]))
-    ]
+    rows = [[str(a), str(b), str(c)] for (a, b), c in poly._sorted_terms()]
     text_lines = [str(poly)]
     if "q" in meta and "t" in meta:
-        value = _finite(meta, "the value",
-                        poly.evaluate(meta.number("q", float), meta.number("t", float)))
+        q = _check_finite("q", meta.number("q", float))
+        t = _check_finite("t", meta.number("t", float))
+        value = _finite(meta, "the value", poly.evaluate(q, t))
         text_lines.append(f"value = {_fmt(value)}")
     return _render(meta, ["deg_q", "deg_t", "coeff"], rows, fmt, text_lines)
 
@@ -577,6 +575,8 @@ def _meta_from_args(args: argparse.Namespace) -> Metadata:
         meta["n"] = str(args.n)
     elif command == "wick":
         if args.field is not None:
+            if args.labels is not None:
+                raise ValidationError("--labels labels an --eps pattern; --field takes none")
             meta["kind"] = "field"
             meta["n"] = str(args.field)
         elif args.labels is not None:

@@ -269,7 +269,7 @@ def limit_coefficient_estimate(
     n = pairing.n
     if n == 1:
         return 1.0  # the empty product over N tuples
-    u = _two_point_signs(table, n_sites)
+    _two_point_signs(table, n_sites)
     block = pairing.block_of()
     odd: set[tuple[int, int]] = set()  # block pairs an odd number of factors join
     exponent = 0
@@ -280,10 +280,7 @@ def limit_coefficient_estimate(
     pairs = list(itertools.combinations(range(n), 2))
     signs = distinct = None
     if odd:
-        # mu(min, max) off the diagonal: base_matrix fills the upper triangle,
-        # and the lower one in row-major order is pair-rank order
         signs = table.base_matrix(n_sites)
-        signs[np.tri(n_sites, n_sites, -1, dtype=bool)] = u
     if len(odd) < len(pairs):
         distinct = np.ones((n_sites, n_sites))
         np.fill_diagonal(distinct, 0.0)
@@ -341,6 +338,8 @@ class ExperimentConfig:
             problems.append(f"ns {self.ns!r} must be strictly increasing and positive")
         if self.mode == "lambda" and self.pairing is None:
             problems.append("lambda mode needs a pairing")
+        if self.mode == "moment" and self.pairing is not None:
+            problems.append("moment mode takes no pairing")
         # q and t are checked whatever ns is
         top = max(self.ns) if ns_ok else 1
         problems += _refusal(_table_law, top, self.q, self.t)

@@ -10,13 +10,13 @@ the (*, *) entry for i < j.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPairClassError, SizeLimitError, ValidationError
+from .floats import _check_finite, _check_scale
 from .pairings import PairPartition, cross_nest, cross_nest_counts
 from .wickpoly import LETTERS, QTPolynomial, check_eps
 
@@ -75,18 +75,9 @@ def _pair_count(n: int) -> int:
     return n * (n - 1) // 2 if n > 1 else 0
 
 
-def _check_scale(t: float) -> float:
-    if not math.isfinite(t):
-        raise ValidationError(f"need a finite t, got t={t}")
-    if t <= 0:
-        raise ValidationError("need t > 0")
-    return float(t)
-
-
 def _two_point(q: float, t: float) -> float:
     """P(+1) of the two-point law with mean q/t, after checking q and t."""
-    if not math.isfinite(q):
-        raise ValidationError(f"need a finite q, got q={q}")
+    _check_finite("q", q)
     _check_scale(t)
     if abs(q) > t:
         raise ValidationError(f"two-point law needs |q| <= t, got q={q}, t={t}")
@@ -176,17 +167,17 @@ def sample_base(n: int, q: float, t: float, seed: int) -> PackedBase:
 
 
 def _pack(base: Mapping[tuple[int, int], float]) -> np.ndarray:
-    """Base values of a hand-built table in pair-rank order, 0.0 for a pair
-    the table leaves out."""
-    for (i, j), v in base.items():
+    """Base values of a hand-built table in pair-rank order; the dict must
+    give every pair up to its last one."""
+    for i, j in base:
         if not (0 < i < j):
             raise ValidationError(f"base key ({i},{j}) must satisfy 0 < i < j")
-        if v == 0:
-            raise ValidationError(f"base value for ({i},{j}) must be nonzero")
-    packed = np.zeros(max((_pair_rank(i, j) + 1 for i, j in base), default=0))
-    for (i, j), v in base.items():
-        packed[_pair_rank(i, j)] = v
-    return packed
+    size = max((_pair_rank(i, j) + 1 for i, j in base), default=0)
+    pairs = ((i, j) for j in itertools.count(2) for i in range(1, j))
+    if len(base) < size:  # the keys are distinct, so a pair below the last is missing
+        i, j = next(pair for pair in pairs if pair not in base)
+        raise ValidationError(f"table has no base value for pair ({i},{j})")
+    return np.array([base[pair] for pair in itertools.islice(pairs, size)], dtype=np.float64)
 
 
 def _coefficient(
@@ -204,38 +195,32 @@ class CoefficientTable:
 
     The base values live in one float64 array indexed by pair rank, so the
     table restricted to n sites is the prefix of length n(n-1)/2.  `base` is
-    either a mapping {(i, j): value}, which may leave pairs out, or a
-    sequence of nonzero values in pair-rank order.  A float64 array that owns
-    its data is taken over without a copy and made read-only.
+    either a mapping {(i, j): value}, which must give every pair up to its
+    last one, or a sequence of nonzero values in pair-rank order.  A float64
+    array that owns its data is taken over without a copy and made read-only.
     """
 
     def __init__(self, base: Mapping[tuple[int, int], float] | Sequence[float], t: float):
         self.t = _check_scale(t)
         if isinstance(base, Mapping):
-            packed = _pack(base)
-            gaps = np.flatnonzero(packed == 0.0)
-            covered = int(gaps[0]) if gaps.size else packed.size
-        else:
-            owned = isinstance(base, np.ndarray) and base.dtype == np.float64 and base.base is None
-            packed = base if owned else np.array(base, dtype=np.float64)
-            if packed.ndim != 1:
-                raise ValidationError("packed base values must form a 1-d array")
-            if not packed.all():
-                raise ValidationError("packed base values must be nonzero")
-            covered = packed.size
+            base = _pack(base)
+        owned = isinstance(base, np.ndarray) and base.dtype == np.float64 and base.base is None
+        packed = base if owned else np.array(base, dtype=np.float64)
+        if packed.ndim != 1:
+            raise ValidationError("packed base values must form a 1-d array")
+        if not packed.all():
+            raise ValidationError("base values must be nonzero")
         if not np.isfinite(packed).all():
             raise ValidationError("base values must be finite")
         packed.flags.writeable = False
         self._packed = packed
-        # pairs of rank below this all have a base value; ranks are j-major,
-        # so the table covers n sites exactly when n(n-1)/2 pairs fit below it
-        self._covered = covered
-        # pairs of rank below this are stored, with 0.0 for a pair left out
+        # pairs of rank below this have a base value; ranks are j-major, so
+        # the table covers n sites exactly when n(n-1)/2 pairs fit below it
         self._size = packed.size
 
     def covers(self, n: int) -> bool:
         """True when every pair i < j <= n has a base value."""
-        return _pair_count(n) <= self._covered
+        return _pair_count(n) <= self._size
 
     def _check_covers(self, n: int) -> None:
         if not self.covers(n):
@@ -248,9 +233,8 @@ class CoefficientTable:
 
     def _read(self, ranks: int | Sequence[int] | np.ndarray) -> float | np.ndarray:
         """Base value, as a Python float, of the pair of one rank below
-        _size, or the base values of an array of such ranks; 0.0 for a pair
-        the table leaves out.  Every read of fewer than all pairs goes
-        through here."""
+        _size, or the base values of an array of such ranks.  Every read of
+        fewer than all pairs goes through here."""
         if isinstance(ranks, (int, np.integer)):
             return self._packed.item(ranks)
         return self._packed[ranks]
@@ -258,9 +242,7 @@ class CoefficientTable:
     def base_value(self, i: int, j: int) -> float:
         """Base value mu(i, j) for 0 < i < j."""
         if 0 < i < j and (rank := _pair_rank(i, j)) < self._size:
-            m = self._read(rank)
-            if m:
-                return m
+            return self._read(rank)
         raise ValidationError(f"table has no base value for pair ({i},{j})")
 
     def lookup(self, left: str, right: str, i: int, j: int) -> float:
@@ -273,11 +255,14 @@ class CoefficientTable:
         return _coefficient(left, right, m, self.t, i < j)
 
     def base_matrix(self, n: int) -> np.ndarray:
-        """(n, n) array with entry [i-1, j-1] = base(i, j) for i < j, zeros elsewhere."""
+        """(n, n) array with entry [i-1, j-1] = mu(min(i, j), max(i, j)) for
+        i != j and 0.0 on the diagonal."""
         values = self.packed(n)
         out = np.zeros((n, n))
-        # the strict lower triangle of out.T, row by row, is the pair-rank order
-        out.T[np.tri(n, n, -1, dtype=bool)] = values
+        # the strict lower triangles of out and of out.T, row by row, are
+        # both in pair-rank order
+        lower = np.tri(n, n, -1, dtype=bool)
+        out[lower] = out.T[lower] = values
         return out
 
 
@@ -292,7 +277,7 @@ class _SampledTable(CoefficientTable):
         self.t = float(t)
         self._law = (n, q, t, seed)
         self._packed = None
-        self._covered = self._size = _pair_count(n)
+        self._size = _pair_count(n)
         self._read_ranks = False
 
     def packed(self, n: int) -> np.ndarray:

@@ -12,13 +12,13 @@ annihilators (Bozejko-Speicher), not as a sum over S_n.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import SizeLimitError, TruncationError, ValidationError
+from .floats import _check_finite, _check_scale
 
 Word = tuple[int, ...]
 FockVector = dict[Word, float]
@@ -50,10 +50,8 @@ class FockParams:
             raise ValueError("need d >= 1")
         if self.m < 1:
             raise ValueError("need m >= 1")
-        if not (math.isfinite(self.q) and math.isfinite(self.t)):
-            raise ValidationError(f"q and t must be finite, got q={self.q}, t={self.t}")
-        if self.t <= 0:
-            raise ValueError("need t > 0")
+        _check_finite("q", self.q)
+        _check_scale(self.t)
 
     @property
     def hilbert(self) -> bool:
@@ -68,6 +66,11 @@ def vacuum() -> FockVector:
 def _check_letter(i: int, p: FockParams) -> None:
     if not 1 <= i <= p.d:
         raise ValueError(f"letter {i} outside 1..{p.d}")
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_INNER_DEGREE:
+        raise SizeLimitError(f"degree {degree} exceeds the {MAX_INNER_DEGREE}-degree cap")
 
 
 def _check_word(w: Word, p: FockParams) -> None:
@@ -188,8 +191,7 @@ def inner_product(u: FockVector, v: FockVector, p: FockParams) -> float:
     for vec in (u, v):
         for w in vec:
             _check_word(w, p)
-            if len(w) > MAX_INNER_DEGREE:
-                raise SizeLimitError(f"degree {len(w)} exceeds the {MAX_INNER_DEGREE}-degree cap")
+            _check_degree(len(w))
     total = 0.0
     for w1, c1 in sorted(u.items()):
         state = {w2: c2 for w2, c2 in v.items() if len(w2) == len(w1)}
@@ -243,8 +245,7 @@ def gram_matrix(n: int, p: FockParams) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    if n > MAX_INNER_DEGREE:
-        raise SizeLimitError(f"degree {n} > {MAX_INNER_DEGREE}")
+    _check_degree(n)
     count = p.d**n
     if count > MAX_GRAM_WORDS:
         raise SizeLimitError(f"{count} words of degree {n} exceed {MAX_GRAM_WORDS}")

@@ -272,9 +272,7 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
     if n > MAX_VERIFY_SITES:
         raise SizeLimitError(f"verifying {n} sites exceeds the {MAX_VERIFY_SITES}-site cap")
     ascending = np.less.outer(np.arange(n), np.arange(n))
-    # base[i-1, j-1] = mu(min(i, j), max(i, j)); the diagonal is 0.0
     base = table.base_matrix(n)
-    base += base.T
     # relation (i, j) sits at [i-1, j-1]: element j's entry at slot i, and
     # element i's entry at slot j, as build_jw gives them.  Every
     # operand is C-ordered, made from `base` by elementwise steps: at n a

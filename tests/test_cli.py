@@ -14,8 +14,8 @@ from qtwick import (
     FockParams, SizeLimitError, enumerate_pair_partitions, vacuum_expectation, vacuum_moment,
 )
 from qtwick import (
-    CoefficientTable, build_jw, cli, coeffs, limit_coefficient_estimate, sample_packed,
-    sampled_table,
+    CoefficientTable, QTPolynomial, build_jw, cli, coeffs, limit_coefficient_estimate,
+    sample_packed, sampled_table, wick_field,
 )
 from qtwick.cli import build_parser, main, run_check
 from qtwick.coeffs import MAX_LISTED_SITES, MAX_TABLE_SITES
@@ -83,6 +83,28 @@ def test_wick_needs_q_and_t_together(capsys):
     code, out, err = run(capsys, "wick", "--eps", "1*", "--q", "0.5")
     assert code == 2
     assert "together" in err
+
+
+def test_wick_field_takes_no_labels(capsys):
+    code, out, err = run(capsys, "wick", "--field", "2", "--labels", "1,1,2,2")
+    assert code == 2 and out == ""
+    assert err == "error: --labels labels an --eps pattern; --field takes none\n"
+
+
+def test_wick_rows_list_the_terms_in_the_polynomial_order(capsys, monkeypatch):
+    # one sort: the csv rows follow QTPolynomial._sorted_terms, as str() does
+    real = QTPolynomial._sorted_terms
+    monkeypatch.setattr(QTPolynomial, "_sorted_terms", lambda self: real(self)[::-1])
+    code, out, _ = run(capsys, "wick", "--field", "3", "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()[out.splitlines().index("deg_q,deg_t,coeff") + 1:]
+    assert rows == [f"{a},{b},{c}" for (a, b), c in real(wick_field(3))[::-1]]
+
+
+def test_clt_moment_mode_takes_no_pairing(capsys):
+    code, out, err = run(capsys, "clt", "--mode", "moment", "--eps", "11**", "--pairing",
+                         "1-3,2-4", "--q", "0.5", "--t", "1.25", "--ns", "4,8")
+    assert code == 2 and out == "" and err == "error: moment mode takes no pairing\n"
 
 
 def test_fock_moment_matches_library(capsys):
@@ -260,6 +282,8 @@ def test_pairings_cap(capsys):
     ("coeffs", "--n", "5", "--q=-inf", "--t", "1"),
     ("jw", "--n", "3", "--q", "nan", "--t", "1", "--ops", "1,1*"),
     ("fock", "--d", "1", "--m", "2", "--q", "0.5", "--t", "inf", "--ops", "s1,s1"),
+    ("wick", "--eps", "11**", "--q", "nan", "--t", "1"),
+    ("wick", "--eps", "11**", "--q", "0.5", "--t", "inf"),
 ])
 def test_non_finite_parameters_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,7 +69,8 @@ def test_covers_and_matrix():
     m = tb.base_matrix(4)
     assert m.shape == (4, 4)
     assert m[0, 1] == tb.base_value(1, 2)
-    assert m[1, 0] == 0.0
+    assert m[1, 0] == m[0, 1]
+    assert not m.diagonal().any()
     with pytest.raises(ValidationError):
         tb.base_matrix(5)
 
@@ -405,7 +407,7 @@ def _double_loop_matrix(table, n):
     out = np.zeros((n, n))
     for j in range(2, n + 1):
         for i in range(1, j):
-            out[i - 1, j - 1] = table.base_value(i, j)
+            out[i - 1, j - 1] = out[j - 1, i - 1] = table.base_value(i, j)
     return out
 
 
@@ -420,22 +422,25 @@ def test_base_matrix_equals_double_loop():
 
 
 def test_hand_built_table_with_a_gap():
-    gap = CoefficientTable({(1, 2): 0.5, (2, 3): -2.0}, 1.0)
-    assert gap.covers(2) and not gap.covers(3)
-    assert gap.base_value(2, 3) == -2.0
-    with pytest.raises(ValidationError, match=r"\(1,3\)"):
-        gap.lookup("1", "*", 1, 3)
+    # a dict gives every pair up to its last one, or construction names the
+    # first pair it leaves out
+    for base, missing in (({(1, 2): 0.5, (2, 3): -2.0}, "(1,3)"),
+                          ({(2, 3): -2.0}, "(1,2)"),
+                          ({(1, 2): 0.5, (1, 3): 1.5, (1, 10**9): 2.0}, "(2,3)")):
+        with pytest.raises(ValidationError, match=rf"no base value for pair {re.escape(missing)}"):
+            CoefficientTable(base, 1.0)
+    table = CoefficientTable({(1, 2): 0.5, (1, 3): 1.5, (2, 3): -2.0}, 1.0)
+    assert table.covers(3) and not table.covers(4)
+    assert table.base_value(2, 3) == -2.0
     with pytest.raises(ValidationError):
-        gap.lookup("*", "*", 3, 1)
+        table.base_value(2, 1)  # base values are stored for i < j only
     with pytest.raises(ValidationError):
-        gap.base_value(1, 3)
-    with pytest.raises(ValidationError):
-        gap.base_matrix(3)
-    with pytest.raises(ValidationError):
-        gap.base_value(2, 1)  # base values are stored for i < j only
+        table.base_matrix(4)
     for i, j in ((3, 4), (1, 10**9), (1, 10**30)):  # past the last stored pair
         with pytest.raises(ValidationError, match=rf"\({i},{j}\)"):
-            gap.base_value(i, j)
+            table.base_value(i, j)
+    with pytest.raises(ValidationError, match=r"\(1,4\)"):
+        table.lookup("*", "*", 4, 1)
     assert CoefficientTable({}, 2.0).covers(1) and not CoefficientTable({}, 2.0).covers(2)
 
 

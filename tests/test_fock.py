@@ -280,3 +280,24 @@ def test_annihilation_is_adjoint_to_creation_under_the_sn_oracle(qt):
                     lhs = inner_product_full_sn((i,) + u, v, q, t)
                     rhs = inner_product({u: 1.0}, annihilate(i, {v: 1.0}, params), params)
                     assert abs(lhs - rhs) <= 1e-12
+
+
+def test_fock_params_refuse_as_the_shared_parameter_checks():
+    with pytest.raises(ValidationError, match=r"^need a finite q, got q=nan$"):
+        FockParams(d=1, m=2, q=float("nan"), t=1.0)
+    with pytest.raises(ValidationError, match=r"^need a finite t, got t=inf$"):
+        FockParams(d=1, m=2, q=0.5, t=float("inf"))
+    with pytest.raises(ValidationError, match=r"^need t > 0$"):
+        FockParams(d=1, m=2, q=0.5, t=0.0)
+
+
+def test_gram_matrix_refuses_its_degree_as_inner_product_does():
+    degree = MAX_INNER_DEGREE + 8
+    p = FockParams(d=1, m=degree, q=0.5, t=1.0)
+    word = {(1,) * degree: 1.0}
+    with pytest.raises(SizeLimitError) as inner:
+        inner_product(word, word, p)
+    with pytest.raises(SizeLimitError) as gram:
+        gram_matrix(degree, p)
+    want = f"degree {degree} exceeds the {MAX_INNER_DEGREE}-degree cap"
+    assert str(gram.value) == str(inner.value) == want

@@ -45,6 +45,7 @@ def test_import_leaves_numpy_out(statement):
     (["wick", "--eps", "11**", "--q", "0.5", "--t", "1.25", "--format", "json"], 0),
     (["pairings", "--n", "3"], 0),
     (["wick", "--eps", "1x"], 2),
+    (["wick", "--eps", "11**", "--q", "nan", "--t", "1"], 2),
     ([], 2),
 ])
 def test_numpy_free_commands_leave_numpy_out(argv, code):
