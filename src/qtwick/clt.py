@@ -41,15 +41,14 @@ MAX_SUM_LENGTH = 8
 # process on a shared 2-core host: order 6 at 400 sites (10.6M states)
 # takes 3.3-3.7 s and 200 MB, order 8 at 130 sites (11.4M) 4.2-4.3 s and 189 MB
 MAX_SUM_STATES = 12_000_000
-# the estimator contracts [N, N] matrices, best of 3 in-process on a shared
-# 2-core host: 2 pairs at N = 3162 (one sum) 0.04-0.08 s; 3 pairs at N = 215
-# (one matmul) 0.001-0.016 s per class, the high end when OpenBLAS splits it
-# over two threads; 4 pairs at N = 56 (N matmuls) 0.001-0.002 s per class.
-# A fresh `clt --mode lambda` run at 2 pairs takes 0.38-0.47 s and 149-157 MB,
-# at 3 or 4 pairs 0.27-0.37 s and 31-32 MB, mostly starting Python and numpy
+# the estimator contracts [N, N] matrices in about N^n multiply-adds, so the
+# tuple count is its flop budget; with N >= n it stops at 7 pairs (8^8 > 10^7).
+# In-process per class at the cap, best of 5 with OPENBLAS_NUM_THREADS=1 on a
+# shared 2-core host: 2 pairs (N = 3162) 36-70 ms, 3 (N = 215) 0.4-0.5 ms,
+# 4 (N = 56) 1.2 ms, 5 (N = 25) 7-13 ms, 6 (N = 14) 25 ms, 7 (N = 10) 85-90 ms.
+# A fresh `clt --mode lambda` run takes 0.16-0.39 s and 30-32 MB (2 pairs:
+# 0.37-0.41 s, 154 MB), mostly starting Python and numpy
 MAX_ESTIMATE_TUPLES = 10**7
-# the contraction has a form for 2, 3 and 4 pairs
-MAX_ESTIMATE_PAIRS = 4
 
 
 # the letter sum runs over candidate (state, site) pairs in chunks of about
@@ -92,15 +91,13 @@ def _check_moment(n_sites: int, eps: str) -> None:
 def _check_estimate(pairing: PairPartition, eps: str, n_sites: int) -> None:
     """Raise the refusal limit_coefficient_estimate makes before it reads a
     table: a word that is not over '1'/'*' or does not fit the pairing, a
-    run past the pair or tuple cap, or fewer sites than pairs."""
+    run past the tuple cap, or fewer sites than pairs."""
     check_eps(eps)
     n = pairing.n
     if len(eps) != 2 * n:
         raise ValidationError(
             f"pattern of length {len(eps)} for a pairing of {2 * n} positions"
         )
-    if n > MAX_ESTIMATE_PAIRS:
-        raise SizeLimitError(f"{n} pairs exceed the {MAX_ESTIMATE_PAIRS}-pair cap")
     if n_sites**n > MAX_ESTIMATE_TUPLES:
         raise SizeLimitError(
             f"{n_sites}^{n} tuples exceed the {MAX_ESTIMATE_TUPLES} cap"
@@ -204,6 +201,24 @@ def _round_once(total: int, t: float, t_power: int, n_sites: int, n_power: int) 
         return math.copysign(math.inf, total)
 
 
+def _contract(a: dict[tuple[int, int], np.ndarray], k: int) -> float:
+    """Sum over value tuples (v_0, ..., v_{k-1}) of the product over block
+    pairs x < y of a[x, y][v_x, v_y], each edge an [N, N] matrix."""
+    if k == 2:
+        return a[0, 1].sum()
+    if k == 3:
+        return ((a[0, 1] @ a[1, 2]) * a[0, 2]).sum()
+    total = 0.0
+    for v in range(a[0, 1].shape[0]):
+        # block 0 at value v: every later block's weight a[0, y][v] goes into
+        # the columns of a[1, y], and block 1's into the rows of a[1, 2]
+        folded = {(x - 1, y - 1): a[x, y] * a[0, y][v] if x == 1 else a[x, y]
+                  for x, y in a if x}
+        folded[0, 1] *= a[0, 1][v][:, None]
+        total += _contract(folded, k - 1)
+    return total
+
+
 def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float:
     """Vacuum moment of the normalized sum of the first n_sites chain elements,
     with one factor per letter of eps (product order, '1' element / '*' adjoint).
@@ -259,10 +274,11 @@ def limit_coefficient_estimate(
     the integer sum over tuples of the product of the base values.  S is a
     contraction over block pairs of the sign matrix (an odd number of
     factors join the two blocks) or the all-ones matrix (an even number),
-    both with a zero diagonal, which keeps the values distinct.  Every
-    partial sum is an integer below N^n <= MAX_ESTIMATE_TUPLES < 2^53, so
-    the float sums are exact in any order, and the result is t^E * S / N^n
-    rounded once.  Any other table raises ValidationError.
+    both with a zero diagonal, which keeps the values distinct.  The edges
+    the contraction folds stay +-1 or 0, so every partial sum is an integer
+    of magnitude at most N^n <= MAX_ESTIMATE_TUPLES < 2^53: the float sums
+    are exact in any order, and the result is t^E * S / N^n rounded once.
+    Any other table raises ValidationError.
     """
     _check_estimate(pairing, eps, n_sites)
     table._check_covers(n_sites)
@@ -285,18 +301,7 @@ def limit_coefficient_estimate(
         distinct = np.ones((n_sites, n_sites))
         np.fill_diagonal(distinct, 0.0)
     a = {pair: signs if pair in odd else distinct for pair in pairs}
-    if n == 2:
-        total = a[0, 1].sum()
-    elif n == 3:
-        total = ((a[0, 1] @ a[1, 2]) * a[0, 2]).sum()
-    else:
-        # per value of block 0: its rows of a[0, b] weigh blocks 1, 2 and 3,
-        # and one matmul sums block 2 out of the matrices among them
-        total = 0.0
-        for v in range(n_sites):
-            inner = (a[1, 2] * a[0, 2][v]) @ a[2, 3] * a[1, 3]
-            total += a[0, 1][v] @ inner @ a[0, 3][v]
-    return _round_once(int(total), table.t, exponent, n_sites, n)
+    return _round_once(int(_contract(a, n)), table.t, exponent, n_sites, n)
 
 
 def _refusal(check: Callable[..., object], *args: object) -> list[str]:

@@ -14,7 +14,7 @@ from qtwick import (
     FockParams, SizeLimitError, enumerate_pair_partitions, vacuum_expectation, vacuum_moment,
 )
 from qtwick import (
-    CoefficientTable, QTPolynomial, build_jw, cli, coeffs, limit_coefficient_estimate,
+    CoefficientTable, QTPolynomial, build_jw, cli, clt, coeffs, limit_coefficient_estimate,
     sample_packed, sampled_table, wick_field,
 )
 from qtwick.cli import build_parser, main, run_check
@@ -615,6 +615,33 @@ def test_clt_lambda_via_cli(capsys):
     assert len(lines) == 2
     assert lines[0].startswith("N=10 value=")
     assert "target=0.5" in lines[0]
+
+
+def test_clt_lambda_refuses_eight_pairs_before_sampling(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("sampled_table called")
+
+    monkeypatch.setattr(clt, "sampled_table", no_table)
+    pairing = ",".join(f"{2 * k + 1}-{2 * k + 2}" for k in range(8))
+    code, out, err = run(capsys, "clt", "--mode", "lambda", "--eps", "1*" * 8, *CHAIN,
+                         "--ns", "8", "--pairing", pairing)
+    assert code == 2 and out == ""
+    assert err == "error: 8^8 tuples exceed the 10000000 cap\n"
+
+
+def test_clt_lambda_runs_six_pairs_on_the_exact_oracle(capsys):
+    spelled = ",".join(f"{k}-{13 - k}" for k in range(1, 7))
+    code, out, _ = run(capsys, "clt", "--mode", "lambda", "--eps", "111111******", *CHAIN,
+                       "--ns", "6,7", "--pairing", spelled, "--format", "json")
+    assert code == 0
+    pairing = _parse_pairing(spelled)
+    table = sampled_table(7, 0.5, 1.25, 0)
+    cross, nest = _brute.chord_stats(pairing.pairs)
+    rows = json.loads(out)["rows"]
+    assert [row["N"] for row in rows] == [6, 7]
+    for row in rows:
+        assert row["value"] == _brute.exact_estimate(pairing, "111111******", row["N"], table)
+        assert row["target"] == 0.5**cross * 1.25**nest
 
 
 def test_clt_repeat_runs_are_byte_identical(capsys):

@@ -26,7 +26,6 @@ from qtwick import (
 )
 from qtwick import cli
 from qtwick.clt import (
-    MAX_ESTIMATE_PAIRS,
     MAX_SUM_LENGTH,
     MAX_SUM_SIZE,
     MAX_SUM_STATES,
@@ -38,6 +37,7 @@ from qtwick.coeffs import MAX_TABLE_SITES, _table_law
 CROSSING = PairPartition(((1, 3), (2, 4)))
 NESTING = PairPartition(((1, 4), (2, 3)))
 DISJOINT = PairPartition(((1, 2), (3, 4)))
+EIGHT_PAIRS = PairPartition(tuple((2 * k + 1, 2 * k + 2) for k in range(8)))
 
 
 def test_second_moment_is_exactly_one():
@@ -236,64 +236,50 @@ def test_estimate_disjoint_counts_offdiagonal_tuples():
         assert got == (n * n - n) / n**2
 
 
-def test_estimate_matches_tuple_average():
-    n = 6
-    table = sampled_table(n, 0.5, 1.25, 3)
-    pairing = PairPartition(((1, 4), (2, 6), (3, 5)))
-    eps = "111***"
+@pytest.mark.parametrize("pairs, eps, n, q, t, seed", [
+    pytest.param(((1, 4), (2, 6), (3, 5)), "111***", 6, 0.5, 1.25, 3, id="3-pairs"),
+    pytest.param(CROSSING.pairs, "11**", 9, -0.4, 0.8, 5, id="crossing-11**"),
+    pytest.param(NESTING.pairs, "1*1*", 9, -0.4, 0.8, 5, id="nesting-1*1*"),
+    pytest.param(CROSSING.pairs, "1**1", 9, -0.4, 0.8, 5, id="crossing-1**1"),
+    pytest.param(((1, 8), (2, 7), (3, 6), (4, 5)), "1111****", 7, -0.4, 0.8, 8,
+                 id="4-pairs-nested"),
+    pytest.param(((1, 5), (2, 3), (4, 7), (6, 8)), "1*1*1**1", 7, -0.4, 0.8, 8,
+                 id="4-pairs-mixed"),
+    pytest.param(((1, 6), (2, 9), (3, 4), (5, 10), (7, 8)), "11*1**1*1*", 7, -0.4, 0.8, 8,
+                 id="5-pairs"),
+    pytest.param(((1, 12), (2, 5), (3, 8), (4, 10), (6, 7), (9, 11)), "1*11*1**1**1", 7,
+                 0.5, 1.25, 3, id="6-pairs"),
+])
+def test_estimate_matches_tuple_average(pairs, eps, n, q, t, seed):
+    table = sampled_table(n, q, t, seed)
+    pairing = PairPartition(pairs)
     block = pairing.block_of()
     brute = 0.0
-    for tup in itertools.permutations(range(1, n + 1), 3):
-        values = tuple(tup[block[pos] - 1] for pos in range(1, 7))
+    for tup in itertools.permutations(range(1, n + 1), pairing.n):
+        values = tuple(tup[block[pos] - 1] for pos in range(1, pairing.size + 1))
         brute += _brute.transposition_beta(values, eps, table)
-    brute /= n**3
+    brute /= n**pairing.n
     got = limit_coefficient_estimate(pairing, eps, n, table)
     assert got == pytest.approx(brute, rel=1e-12)
 
 
-def test_estimate_two_pair_matches_tuple_average():
-    n = 9
-    table = sampled_table(n, -0.4, 0.8, 5)
-    for pairing, eps in ((CROSSING, "11**"), (NESTING, "1*1*"), (CROSSING, "1**1")):
-        block = pairing.block_of()
-        brute = 0.0
-        for tup in itertools.permutations(range(1, n + 1), 2):
-            values = tuple(tup[block[pos] - 1] for pos in range(1, 5))
-            brute += _brute.transposition_beta(values, eps, table)
-        brute /= n**2
-        got = limit_coefficient_estimate(pairing, eps, n, table)
-        assert got == pytest.approx(brute, rel=1e-12)
-
-
-def test_estimate_four_pair_matches_tuple_average():
-    n = 7
-    table = sampled_table(n, -0.4, 0.8, 8)
-    for pairs, eps in (
-        (((1, 8), (2, 7), (3, 6), (4, 5)), "1111****"),
-        (((1, 5), (2, 3), (4, 7), (6, 8)), "1*1*1**1"),
-    ):
-        pairing = PairPartition(pairs)
-        block = pairing.block_of()
-        brute = 0.0
-        for tup in itertools.permutations(range(1, n + 1), 4):
-            values = tuple(tup[block[pos] - 1] for pos in range(1, 9))
-            brute += _brute.transposition_beta(values, eps, table)
-        brute /= n**4
-        got = limit_coefficient_estimate(pairing, eps, n, table)
-        assert got == pytest.approx(brute, rel=1e-12)
-
-
 @st.composite
 def estimator_cases(draw):
-    """(pairing, eps, N, table): any pairing class of at most four pairs, any
-    letters, N from the number of pairs to 12, and a table sampled at
+    """(pairing, eps, N, table): any pairing class of one to seven pairs,
+    any letters, N from the number of pairs to 12 (to 7 past four pairs,
+    where the oracles' N!/(N-n)! tuples cost most), and a table sampled at
     q = t, -t, 0 or generic, or one of random signs whose t takes
     magnitudes 1e-300..1e300, so that estimates reach inf and 0."""
-    pairs = draw(st.integers(1, MAX_ESTIMATE_PAIRS))
-    pairing = PairPartition(draw(st.sampled_from(_brute.pairings_rgs(pairs))))
+    # about one case in sixteen has five to seven pairs; at N = 7 the two
+    # oracles take 0.05-0.3 s on it
+    wide = draw(st.integers(0, 15)) == 0
+    pairs = draw(st.integers(5, 7) if wide else st.integers(1, 4))
+    # a shuffle of the 2n positions, paired in order
+    order = draw(st.permutations(range(1, 2 * pairs + 1)))
+    pairing = PairPartition(tuple(zip(order[::2], order[1::2])))
     eps = "".join(draw(st.lists(st.sampled_from("1*"), min_size=pairing.size,
                                 max_size=pairing.size)))
-    n_sites = draw(st.integers(pairing.n, 12))
+    n_sites = draw(st.integers(pairs, 7 if wide else 12))
     if draw(st.booleans()):
         t = draw(st.floats(0.2, 3.0))
         ratio = draw(st.one_of(st.sampled_from((1.0, -1.0, 0.0)), st.floats(-1.0, 1.0)))
@@ -417,10 +403,12 @@ def test_estimate_refuses_a_table_that_is_not_two_point():
 
 def test_estimate_validation():
     table = sampled_table(8, 0.5, 1.25, 0)
-    over = MAX_ESTIMATE_PAIRS + 1
-    too_many = PairPartition(tuple((2 * k + 1, 2 * k + 2) for k in range(over)))
-    with pytest.raises(SizeLimitError):
-        limit_coefficient_estimate(too_many, "1*" * over, 8, table)
+    # eight pairs: the tuple cap refuses 8^8 values, and fewer sites than pairs
+    # have no tuple of distinct values
+    with pytest.raises(SizeLimitError, match=r"^8\^8 tuples exceed the 10000000 cap$"):
+        limit_coefficient_estimate(EIGHT_PAIRS, "1*" * 8, 8, table)
+    with pytest.raises(ValidationError, match="^need at least 8 sites for 8 distinct values$"):
+        limit_coefficient_estimate(EIGHT_PAIRS, "1*" * 8, 7, table)
     with pytest.raises(ValidationError):
         limit_coefficient_estimate(CROSSING, "1*", 8, table)
     with pytest.raises(ValidationError):
@@ -514,11 +502,10 @@ def _estimate_check(cfg):
     pytest.param(dict(ns=(MAX_SUM_SIZE + 1,)), _moment_check, id="sum-size"),
     pytest.param(dict(eps="1*" * (MAX_SUM_LENGTH // 2 + 1)), _moment_check, id="sum-length"),
     pytest.param(dict(eps="1111****", ns=(400,)), _moment_check, id="sum-states"),
-    pytest.param(
-        dict(mode="lambda", eps="1*" * (MAX_ESTIMATE_PAIRS + 1),
-             pairing=PairPartition(tuple((2 * k + 1, 2 * k + 2)
-                                         for k in range(MAX_ESTIMATE_PAIRS + 1)))),
-        _estimate_check, id="estimate-pairs"),
+    pytest.param(dict(mode="lambda", eps="1*" * 8, ns=(8,), pairing=EIGHT_PAIRS),
+                 _estimate_check, id="estimate-pairs"),
+    pytest.param(dict(mode="lambda", eps="1*" * 8, ns=(7,), pairing=EIGHT_PAIRS),
+                 _estimate_check, id="estimate-sites"),
     pytest.param(
         dict(mode="lambda", eps="111***", ns=(400,),
              pairing=PairPartition(((1, 4), (2, 6), (3, 5)))),
