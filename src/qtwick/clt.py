@@ -36,10 +36,13 @@ from .wickpoly import LETTERS, check_eps, wick_mixed
 
 MAX_SUM_SIZE = 400
 MAX_SUM_LENGTH = 8
-# the moment walk holds at most C(N, d) states, d = peak_popcount(eps), at
-# about 16 bytes each while a step runs; `clt --mode moment` in a fresh
-# process on a shared 2-core host: order 6 at 400 sites (10.6M states)
-# takes 3.3-3.7 s and 200 MB, order 8 at 130 sites (11.4M) 4.2-4.3 s and 189 MB
+# the moment walk holds at most C(N, d) states, d = peak_popcount(eps), as a
+# dense int64 vector, and 16 more bytes a state while a step reads its
+# nonzero ones; `clt --mode moment` in a fresh process on a shared 2-core
+# host: 111*** at 400 sites (10.6M states), whose halves are mirrors meeting
+# at the peak, takes 1.2-1.5 s and 115 MB; 111*1*** and 1*111*** at 400
+# sites, whose right half steps down from the peak, 2.9-3.5 s and 200 MB;
+# 1111**** at 130 sites (11.4M) 1.4-1.8 s and 123 MB
 MAX_SUM_STATES = 12_000_000
 # the estimator contracts [N, N] matrices in about N^n multiply-adds, so the
 # tuple count is its flop budget; with N >= n it stops at 7 pairs (8^8 > 10^7).
@@ -54,6 +57,8 @@ MAX_ESTIMATE_TUPLES = 10**7
 # the letter sum runs over candidate (state, site) pairs in chunks of about
 # this many, so its temporaries stay a few hundred kB whatever the state count
 _CHUNK = 1 << 13
+# the transpose of a letter sum is the other letter's sum
+_SWAP = str.maketrans("1*", "*1")
 
 
 def peak_popcount(eps: str) -> int:
@@ -162,25 +167,54 @@ def _annihilate(
 def _apply_sum(
     ranks: np.ndarray, amps: np.ndarray, k: int, letter: str, up: np.ndarray,
     binom: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Apply the sum over all sites of the chain element (letter '1') or its
     adjoint (letter '*'), with sqrt(t) factored out, to the popcount-k state
-    with the given colex ranks and integer amplitudes; return the nonzero
-    amplitudes of the result in rank order."""
+    with the given colex ranks and integer amplitudes; return the result as
+    a dense vector of amplitudes indexed by colex rank."""
     n = up.shape[0]
     create = letter == "*"
     per_state = n - k if create else k
-    if not per_state:
-        return ranks[:0], amps[:0]
     sums = np.zeros(int(binom[n, k + 1 if create else k - 1]), dtype=np.int64)
+    if per_state <= 0:
+        return sums
     step = max(1, _CHUNK // per_state)
     engine = _create if create else _annihilate
     for lo in range(0, ranks.size, step):
         sites = _unrank(ranks[lo:lo + step], k, binom)
         keys, contrib = engine(sites, amps[lo:lo + step], up, binom)
         np.add.at(sums, keys, contrib)
-    live = np.flatnonzero(sums)
-    return live, sums[live]
+    return sums
+
+
+def _walk(word: str, up: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """The dense amplitudes of word's letter sums applied right to left to
+    the vacuum; the nonzero ones go into each next step."""
+    vec, k = np.ones(1, dtype=np.int64), 0
+    for letter in reversed(word):
+        live = np.flatnonzero(vec)
+        vec = _apply_sum(live, vec[live], k, letter, up, binom)
+        k += 1 if letter == "*" else -1
+    return vec
+
+
+def _binomials(n: int, cols: int) -> np.ndarray:
+    """binom[x, j] = C(x, j) for x <= n and j < cols, by Pascal's rule
+    C(x, j) = sum_{y < x} C(y, j-1): a cumulative sum down each column."""
+    binom = np.zeros((n + 1, cols), dtype=np.int64)
+    binom[:, 0] = 1
+    for j in range(1, cols):
+        np.cumsum(binom[:-1, j - 1], out=binom[1:, j])
+    return binom
+
+
+def _upper_signs(table: CoefficientTable, n_sites: int) -> np.ndarray:
+    """up[j, i] = mu(j+1, i+1) above the diagonal and 1 elsewhere, so a
+    product over the rows of a set's sites leaves sites below them alone;
+    the strict lower triangle of up.T, row by row, is the pair-rank order."""
+    up = np.ones((n_sites, n_sites), dtype=np.int64)
+    up.T[np.tri(n_sites, n_sites, -1, dtype=bool)] = _two_point_signs(table, n_sites)
+    return up
 
 
 def _two_point_signs(table: CoefficientTable, n_sites: int) -> np.ndarray:
@@ -227,38 +261,46 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     times a product of base values +-1, and the annihilation back to k by
     the same power, so the walk runs on integer amplitudes and a word that
     returns to the vacuum carries t^E, E the sum of k over its creations.
-    The moment is M * t^E / N^(r/2), M the vacuum amplitude, rounded once.
-    Any other table raises ValidationError.
+    Both sums weigh S -> S + {i} by the product of mu(s, i) over s in S
+    below i, so the annihilation sum is the transpose of the creation sum,
+    and with eps = L R the vacuum amplitude is M = <L^T|0>, R|0>>: the walk
+    of R from the vacuum, dotted with the walk of L read backwards with its
+    letters swapped.  When the two half-words are equal, one walk serves
+    both.  The moment is M * t^E / N^(r/2), rounded once.  Any other table
+    raises ValidationError.
     """
     _check_moment(n_sites, eps)
-    # up[j, i] = mu(j+1, i+1) above the diagonal and 1 elsewhere, so a
-    # product over the rows of a set's sites leaves sites below them alone;
-    # the strict lower triangle of up.T, row by row, is the pair-rank order
-    up = np.ones((n_sites, n_sites), dtype=np.int64)
-    up.T[np.tri(n_sites, n_sites, -1, dtype=bool)] = _two_point_signs(table, n_sites)
-    # binom[x, j] = C(x, j) for colex ranks; no step reads past the popcount
-    # the walk peaks at
-    cols = peak_popcount(eps) + 1
-    binom = np.array(
-        [[math.comb(x, j) for j in range(cols)] for x in range(n_sites + 1)], dtype=np.int64
-    )
-    # int64 cannot wrap: a creation multiplies the sum of the amplitudes'
-    # magnitudes by at most N, an annihilation by at most the peak popcount
-    # p, so after c creations and a annihilations every amplitude and every
-    # partial sum is at most N^c * p^a.  Within the caps the worst word has
-    # order 8 and peak 3 at N = 400: 400^5 * 3^3 < 2.8e14 < 2^53
-    # (test_moment_amplitudes_stay_below_2_53_within_the_caps)
-    ranks, amps, k, t_power = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 0, 0
+    up = _upper_signs(table, n_sites)
+    # an unbalanced word, or one with a suffix holding more '1' than '*',
+    # annihilates the vacuum; on any other word the left half, after reading
+    # a prefix of eps, holds as many sites as the walk of the rest of eps, so
+    # neither half climbs past the peak popcount
+    k = t_power = 0
     for letter in reversed(eps):
         if letter == "*":
             t_power += k
-        ranks, amps = _apply_sum(ranks, amps, k, letter, up, binom)
         k += 1 if letter == "*" else -1
-        if not ranks.size:
+        if k < 0:
             return 0.0
-    if k != 0:
+    if k:
         return 0.0
-    return _round_once(int(amps[0]), table.t, t_power, n_sites, len(eps) // 2)
+    binom = _binomials(n_sites, peak_popcount(eps) + 1)
+    # int64 cannot wrap.  A creation multiplies the sum of a half's
+    # amplitudes' magnitudes by at most N, an annihilation by at most the
+    # peak popcount p, so after c creations and a annihilations every
+    # amplitude and partial sum of a half is at most N^c * p^a.  Counting
+    # paths backwards, every amplitude of the right half is at most
+    # p^c * N^a (a creation added one of the set's sites, an annihilation
+    # removed any of the N), and |u . v| <= |u|_1 * max|v|.  Within the caps
+    # the worst words, 111*1*** and three more at N = 400, reach
+    # 400^4 * 3^4 < 2.1e12 < 2^53
+    # (test_moment_amplitudes_stay_below_2_53_within_the_caps)
+    half = len(eps) // 2
+    right = eps[half:]
+    left = eps[:half][::-1].translate(_SWAP)
+    v = _walk(right, up, binom)
+    u = v if left == right else _walk(left, up, binom)
+    return _round_once(int(np.dot(u, v)), table.t, t_power, n_sites, half)
 
 
 def limit_coefficient_estimate(

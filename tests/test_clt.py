@@ -5,6 +5,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from qtwick import (
     vacuum_expectation,
     wick_mixed,
 )
-from qtwick import cli
+from qtwick import cli, clt
 from qtwick.clt import (
     MAX_SUM_LENGTH,
     MAX_SUM_SIZE,
@@ -138,27 +139,89 @@ def test_both_engines_refuse_other_tables_with_one_message():
 
 
 def test_moment_amplitudes_stay_below_2_53_within_the_caps():
-    # the walk's int64 amplitudes are bounded by N^c * p^a after c creations
-    # and a annihilations, p the peak popcount; evaluate that bound for every
-    # word the caps admit, at the largest N they admit, without any walk
+    # each half of the walk keeps the sum of its int64 amplitudes' magnitudes
+    # below N^c * p^a after c creations and a annihilations, p the peak
+    # popcount; counting paths backwards bounds every amplitude of the right
+    # half v by p^c * N^a, so the meet |u . v| <= |u|_1 * max|v|.  Evaluate
+    # those bounds for every word the caps admit that reaches a walk (balanced,
+    # no suffix with more '1' than '*'), at the largest N they admit, without
+    # any walk
     worst = 0
-    for length in range(MAX_SUM_LENGTH + 1):
+    for length in range(0, MAX_SUM_LENGTH + 1, 2):
         for word in itertools.product("1*", repeat=length):
             eps = "".join(word)
+            excess = [eps[j:].count("*") - eps[j:].count("1") for j in range(length)]
+            if min(excess, default=0) < 0 or eps.count("1") != length // 2:
+                continue  # partial_sum_moment returns 0.0 before walking
             p = peak_popcount(eps)
             n = MAX_SUM_SIZE
             while math.comb(n, p) > MAX_SUM_STATES:
                 n -= 1
-            bound = 1
-            k = 0
-            for letter in reversed(eps):
-                if letter == "1" and k == 0:
-                    break  # the state dies
-                bound *= n if letter == "*" else p
-                k += 1 if letter == "*" else -1
-                worst = max(worst, bound)
+            half = length // 2
+            right = eps[half:]
+            left = "".join("*" if letter == "1" else "1" for letter in eps[:half])[::-1]
+            for walked in (left, right):
+                bound = 1
+                for letter in reversed(walked):
+                    bound *= n if letter == "*" else p
+                    worst = max(worst, bound)
+            left_sum = math.prod(n if letter == "*" else p for letter in left)
+            right_max = math.prod(p if letter == "*" else n for letter in right)
+            worst = max(worst, left_sum * right_max)
     assert worst < 2**53
-    assert worst == 400**5 * 3**3
+    assert worst == 400**4 * 3**4
+
+
+def test_annihilation_sum_is_the_transpose_of_the_creation_sum():
+    # the identity the split walk rests on, column by column from unit
+    # vectors: the sum of '1' from popcount k + 1 is the transpose of the
+    # sum of '*' from k, in exact integers
+    for n in range(1, 8):
+        for seed in (0, 1):
+            up = clt._upper_signs(sampled_table(n, 0.0, 1.25, seed), n)
+            binom = clt._binomials(n, n + 1)
+            one = np.ones(1, dtype=np.int64)
+
+            def matrix(k, letter):
+                return np.column_stack([clt._apply_sum(np.array([rank]), one, k, letter, up, binom)
+                                        for rank in range(math.comb(n, k))])
+
+            for k in range(n):
+                assert np.array_equal(matrix(k + 1, "1"), matrix(k, "*").T), (n, seed, k)
+
+
+@pytest.fixture
+def applied_letters(monkeypatch):
+    """The letter of every letter sum partial_sum_moment applies, in order."""
+    letters = []
+    apply_sum = clt._apply_sum
+    monkeypatch.setattr(clt, "_apply_sum", lambda *args: letters.append(args[3]) or apply_sum(*args))
+    return letters
+
+
+def test_dying_words_return_zero_before_any_walk(applied_letters):
+    # a suffix with more '1' than '*' annihilates the vacuum; the left half,
+    # walked backwards, would otherwise climb past the peak popcount
+    table = sampled_table(12, 0.5, 1.25, 0)
+    for eps in ("*1", "1**1", "11***1", "111****1"):
+        assert partial_sum_moment(12, eps, table) == 0.0
+    assert applied_letters == []
+
+
+def test_a_mirror_word_walks_one_half(applied_letters):
+    table = sampled_table(12, 0.5, 1.25, 0)
+    # the right half's letters right to left, then a left half that differs
+    for eps, walked in (("111***", "***"), ("11*1**", "**1"), ("1*1*", "*1"),
+                        ("1*11**", "**1*1*"), ("11**1*", "*1***1")):
+        applied_letters.clear()
+        assert partial_sum_moment(12, eps, table) == _brute.exact_moment(12, eps, table)
+        assert "".join(applied_letters) == walked, eps
+
+
+def test_binomials_equal_math_comb():
+    for n, cols in ((0, 1), (1, 3), (7, 9), (400, 5), (4096, 3)):
+        expected = [[math.comb(x, j) for j in range(cols)] for x in range(n + 1)]
+        assert clt._binomials(n, cols).tolist() == expected
 
 
 def test_the_two_engines_agree_at_finite_n():
