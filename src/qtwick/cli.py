@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -476,6 +477,14 @@ def _merge_config(argv: list[str]) -> list[str]:
     return [argv[0]] + extra + argv[1:]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative token in exponent form (`--q -1e-3`) as a value, not an option."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _add_common(sub: argparse.ArgumentParser, default_format: str = "text") -> None:
     sub.add_argument("--format", choices=("text", "csv", "json"), default=default_format)
     sub.add_argument("--out", help="write the artifact to this path instead of stdout")
@@ -483,7 +492,7 @@ def _add_common(sub: argparse.ArgumentParser, default_format: str = "text") -> N
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qtwick",
         description="pairing statistics, two-parameter Wick sums, and their finite-size models",
     )

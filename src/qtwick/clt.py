@@ -37,12 +37,12 @@ from .wickpoly import LETTERS, check_eps, wick_mixed
 MAX_SUM_SIZE = 400
 MAX_SUM_LENGTH = 8
 # the moment walk holds at most C(N, d) states, d = peak_popcount(eps), as a
-# dense int64 vector, and 16 more bytes a state while a step reads its
-# nonzero ones; `clt --mode moment` in a fresh process on a shared 2-core
-# host: 111*** at 400 sites (10.6M states), whose halves are mirrors meeting
-# at the peak, takes 1.2-1.5 s and 115 MB; 111*1*** and 1*111*** at 400
-# sites, whose right half steps down from the peak, 2.9-3.5 s and 200 MB;
-# 1111**** at 130 sites (11.4M) 1.4-1.8 s and 123 MB
+# dense int64 vector, and a step lists ranks of the smaller of its two states
+# only; `clt --mode moment` in a fresh process on a shared 2-core host:
+# 111*** at 400 sites (10.6M states), whose halves are mirrors meeting at the
+# peak, takes 1.1-1.7 s and 114 MB; 111*1*** and 1*111*** at 400 sites, whose
+# right half steps down from the peak, 2.1-2.9 s and 114 MB; 1111**** at 130
+# sites (11.4M) 1.1-1.4 s and 122 MB
 MAX_SUM_STATES = 12_000_000
 # the estimator contracts [N, N] matrices in about N^n multiply-adds, so the
 # tuple count is its flop budget; with N >= n it stops at 7 pairs (8^8 > 10^7).
@@ -54,7 +54,7 @@ MAX_SUM_STATES = 12_000_000
 MAX_ESTIMATE_TUPLES = 10**7
 
 
-# the letter sum runs over candidate (state, site) pairs in chunks of about
+# the letter sum runs over the edges (lower set, free site) in chunks of about
 # this many, so its temporaries stay a few hundred kB whatever the state count
 _CHUNK = 1 << 13
 # the transpose of a letter sum is the other letter's sum
@@ -123,16 +123,15 @@ def _unrank(ranks: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
     return sites
 
 
-def _create(
-    sites: np.ndarray, amps: np.ndarray, up: np.ndarray, binom: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and contributions of adding each free site to each set."""
+def _edges(sites: np.ndarray, up: np.ndarray, binom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges from each sorted site set of popcount k to the sets one
+    free site larger: [rows, n - k] arrays of their colex ranks and of the
+    sign products weighing them."""
     rows, k = sites.shape
     n = up.shape[0]
-    prods = np.ones((rows, n), dtype=up.dtype)
+    weights = np.ones((rows, n), dtype=up.dtype)
     for r in range(k):
-        prods *= up[sites[:, r]]
-    contrib = amps[:, None] * prods
+        weights *= up[sites[:, r]]
     occupied = np.zeros((rows, n), dtype=np.int64)
     occupied[np.arange(rows)[:, None], sites] = 1
     # slot of the new site in the sorted set: the occupied sites below it
@@ -145,55 +144,41 @@ def _create(
     keys = np.take_along_axis(below + above, pos, axis=1)
     keys += binom[np.arange(n), pos + 1]
     free = occupied == 0
-    return keys[free], contrib[free]
-
-
-def _annihilate(
-    sites: np.ndarray, amps: np.ndarray, up: np.ndarray, binom: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Keys and contributions of removing each occupied site from each set."""
-    rows, k = sites.shape
-    contrib = np.repeat(amps[:, None], k, axis=1)
-    for r in range(k - 1):
-        contrib[:, r + 1:] *= up[sites[:, r:r + 1], sites[:, r + 1:]]
-    slot = np.arange(k)
-    shifted = binom[sites, slot + 1]
-    kept = binom[sites, slot]
-    keys = np.cumsum(shifted, axis=1) - shifted
-    keys += kept.sum(axis=1)[:, None] - np.cumsum(kept, axis=1)
-    return keys.ravel(), contrib.ravel()
+    return keys[free].reshape(rows, n - k), weights[free].reshape(rows, n - k)
 
 
 def _apply_sum(
-    ranks: np.ndarray, amps: np.ndarray, k: int, letter: str, up: np.ndarray,
-    binom: np.ndarray,
+    vec: np.ndarray, k: int, letter: str, up: np.ndarray, binom: np.ndarray
 ) -> np.ndarray:
     """Apply the sum over all sites of the chain element (letter '1') or its
     adjoint (letter '*'), with sqrt(t) factored out, to the popcount-k state
-    with the given colex ranks and integer amplitudes; return the result as
-    a dense vector of amplitudes indexed by colex rank."""
+    with the given dense integer amplitudes indexed by colex rank, and return
+    the result the same way.  Both read the edges out of the lower popcount: a
+    creation scatters along them, an annihilation gathers back along them."""
     n = up.shape[0]
     create = letter == "*"
-    per_state = n - k if create else k
-    sums = np.zeros(int(binom[n, k + 1 if create else k - 1]), dtype=np.int64)
-    if per_state <= 0:
-        return sums
-    step = max(1, _CHUNK // per_state)
-    engine = _create if create else _annihilate
+    low = k if create else k - 1
+    out = np.zeros(int(binom[n, k + 1 if create else low]), dtype=np.int64)
+    if not 0 <= low < n:
+        return out
+    ranks = np.flatnonzero(vec) if create else np.arange(out.size)
+    step = max(1, _CHUNK // (n - low))
     for lo in range(0, ranks.size, step):
-        sites = _unrank(ranks[lo:lo + step], k, binom)
-        keys, contrib = engine(sites, amps[lo:lo + step], up, binom)
-        np.add.at(sums, keys, contrib)
-    return sums
+        chunk = ranks[lo:lo + step]
+        keys, weights = _edges(_unrank(chunk, low, binom), up, binom)
+        if create:
+            np.add.at(out, keys.ravel(), (vec[chunk, None] * weights).ravel())
+        else:
+            out[chunk] = (vec[keys] * weights).sum(axis=1)
+    return out
 
 
 def _walk(word: str, up: np.ndarray, binom: np.ndarray) -> np.ndarray:
     """The dense amplitudes of word's letter sums applied right to left to
-    the vacuum; the nonzero ones go into each next step."""
+    the vacuum."""
     vec, k = np.ones(1, dtype=np.int64), 0
     for letter in reversed(word):
-        live = np.flatnonzero(vec)
-        vec = _apply_sum(live, vec[live], k, letter, up, binom)
+        vec = _apply_sum(vec, k, letter, up, binom)
         k += 1 if letter == "*" else -1
     return vec
 

@@ -806,6 +806,20 @@ def test_config_file_values_may_start_with_a_minus(capsys, tmp_path):
     assert code == 0 and "# q: 0.5" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("wick", "--eps", "11**", "--t", "1"),
+    ("fock", "--d", "2", "--m", "3", "--t", "1", "--gram", "2"),
+    ("coeffs", "--n", "4", "--t", "1.25", "--seed", "3"),
+    ("jw", "--n", "3", "--t", "1.25", "--seed", "3", "--ops", "1,2,2*,1*"),
+    ("clt", "--mode", "moment", "--eps", "11**", "--t", "1.25", "--ns", "3,6"),
+])
+def test_a_separate_negative_exponent_token_is_the_value(capsys, argv):
+    for q in ("-1e-3", "-1E-3", "-.5e-1", "-1."):
+        want = run(capsys, *argv, f"--q={q}")
+        assert want[0] == 0 and want[2] == "", (argv, q)
+        assert run(capsys, *argv, "--q", q) == want, (argv, q)
+
+
 def test_config_file_errors(capsys, tmp_path):
     missing = tmp_path / "nope.cfg"
     code, _, err = run(capsys, "pairings", "--config", str(missing))

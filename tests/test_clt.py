@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,11 +181,10 @@ def test_annihilation_sum_is_the_transpose_of_the_creation_sum():
         for seed in (0, 1):
             up = clt._upper_signs(sampled_table(n, 0.0, 1.25, seed), n)
             binom = clt._binomials(n, n + 1)
-            one = np.ones(1, dtype=np.int64)
 
             def matrix(k, letter):
-                return np.column_stack([clt._apply_sum(np.array([rank]), one, k, letter, up, binom)
-                                        for rank in range(math.comb(n, k))])
+                return np.column_stack([clt._apply_sum(unit, k, letter, up, binom)
+                                        for unit in np.eye(math.comb(n, k), dtype=np.int64)])
 
             for k in range(n):
                 assert np.array_equal(matrix(k + 1, "1"), matrix(k, "*").T), (n, seed, k)
@@ -195,7 +195,7 @@ def applied_letters(monkeypatch):
     """The letter of every letter sum partial_sum_moment applies, in order."""
     letters = []
     apply_sum = clt._apply_sum
-    monkeypatch.setattr(clt, "_apply_sum", lambda *args: letters.append(args[3]) or apply_sum(*args))
+    monkeypatch.setattr(clt, "_apply_sum", lambda *args: letters.append(args[2]) or apply_sum(*args))
     return letters
 
 
@@ -216,6 +216,22 @@ def test_a_mirror_word_walks_one_half(applied_letters):
         applied_letters.clear()
         assert partial_sum_moment(12, eps, table) == _brute.exact_moment(12, eps, table)
         assert "".join(applied_letters) == walked, eps
+
+
+def test_a_step_down_from_the_peak_holds_one_peak_vector():
+    # 111*1*** and 1*111*** step down from popcount 3: the annihilation
+    # gathers into the lower vector, so nothing but the dense C(200, 3)
+    # amplitudes (10.5 MB) and a chunk's temporaries is alive at the peak
+    table = sampled_table(200, 0.5, 1.25, 0)
+    table.packed(200)  # the draw happens on the first bulk read
+    for eps in ("1*111***", "111*1***"):
+        tracemalloc.start()
+        try:
+            partial_sum_moment(200, eps, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * math.comb(200, 3), (eps, peak)
 
 
 def test_binomials_equal_math_comb():
