@@ -62,8 +62,14 @@ def _finite(meta: Metadata, quantity: str, value: float) -> float:
     return value
 
 
-# json.dumps(indent=2) lays out a row at depth 2 as START + BETWEEN.join of
-# its encoded cells + END, with SEP between rows
+def _json(payload: Any) -> str:
+    """A json artifact: payload as every json artifact lays it out."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# _json lays out a row at depth 2 as START + BETWEEN.join of its encoded cells
+# + END, with SEP between rows; the coeffs and pairings listings lay out their
+# rows so, with the C string encoder, not the pure-Python one an indent runs
 _JSON_ROW = ("[\n      ", ",\n      ", "\n    ]", ",\n    ")
 
 
@@ -82,17 +88,9 @@ def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
         lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(header)]
         return "\n".join(lines if body is None else lines + [body]) + "\n"
     if fmt == "json":
-        # json.dumps(payload, indent=2, sort_keys=True), but the rows (they
-        # sort last) go through the C string encoder instead of the
-        # pure-Python one that an indent selects
-        text = json.dumps({"metadata": meta, "header": header, "rows": []},
-                          indent=2, sort_keys=True)
-        if rows:
-            start, between, end, sep = _JSON_ROW
-            cell = json.encoder.encode_basestring_ascii
-            body = sep.join(start + between.join(map(cell, row)) + end if row else "[]"
-                            for row in rows)
-        return (text if body is None else text[:-len("[]\n}")] + f"[\n    {body}\n  ]\n}}") + "\n"
+        text = _json({"metadata": meta, "header": header, "rows": rows})
+        # a listing's body goes where its rows sort, last
+        return text if body is None else text[:-len("[]\n}\n")] + f"[\n    {body}\n  ]\n}}\n"
     raise ValidationError(f"unknown format {fmt!r}")
 
 
@@ -279,15 +277,9 @@ def _jw_artifact(meta: Metadata, fmt: str) -> str:
             raise ValidationError(f"--dump-op takes one site, got {meta['site']!r}")
         [(site, adjoint)] = sites
         operator = build_jw(n, site, table, adjoint)
-        if fmt == "json":
-            slots = []
-            for action in operator.slots:
-                slots.append({
-                    "empty": None if action[0] is None else [action[0][0], action[0][1]],
-                    "occupied": None if action[1] is None else [action[1][0], action[1][1]],
-                })
-            payload = {"metadata": meta, "scalar": operator.scalar, "slots": slots}
-            return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        if fmt == "json":  # an image is a (coefficient, bit) array, or null
+            slots = [{"empty": empty, "occupied": occupied} for empty, occupied in operator.slots]
+            return _json({"metadata": meta, "scalar": operator.scalar, "slots": slots})
         # one row per slot; a chain element's scalar is 1.0, which only json
         # spells out
         rows = [[str(k), *_image_cells(empty), *_image_cells(occupied)]
@@ -338,7 +330,7 @@ def _clt_artifact(meta: Metadata, fmt: str) -> str:
     if fmt == "json":  # the rows keep their numbers typed
         rows = [dict(zip(header, (row.n, cfg.eps, cfg.q, cfg.t, cfg.seed, cfg.mode, row.value,
                                   row.target, row.abs_err))) for row in report.rows]
-        return json.dumps({"metadata": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+        return _json({"metadata": meta, "rows": rows})
     rows = [[str(row.n), cfg.eps, meta["q"], meta["t"], meta["seed"], cfg.mode]
             + ["none" if x is None else _fmt(x) for x in (row.value, row.target, row.abs_err)]
             for row in report.rows]

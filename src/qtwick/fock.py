@@ -68,16 +68,12 @@ def _check_letter(i: int, p: FockParams) -> None:
         raise ValueError(f"letter {i} outside 1..{p.d}")
 
 
-def _check_degree(degree: int) -> None:
+def _check_degree(degree: int, p: FockParams) -> None:
+    """The refusals of an inner product of degree-`degree` words."""
+    if degree > p.m:
+        raise TruncationError(f"word of degree {degree} exceeds truncation m={p.m}")
     if degree > MAX_INNER_DEGREE:
         raise SizeLimitError(f"degree {degree} exceeds the {MAX_INNER_DEGREE}-degree cap")
-
-
-def _check_word(w: Word, p: FockParams) -> None:
-    if len(w) > p.m:
-        raise TruncationError(f"word of degree {len(w)} exceeds truncation m={p.m}")
-    for x in w:
-        _check_letter(x, p)
 
 
 def add(u: FockVector, v: FockVector) -> FockVector:
@@ -190,8 +186,9 @@ def inner_product(u: FockVector, v: FockVector, p: FockParams) -> float:
     """
     for vec in (u, v):
         for w in vec:
-            _check_word(w, p)
-            _check_degree(len(w))
+            _check_degree(len(w), p)
+            for x in w:
+                _check_letter(x, p)
     total = 0.0
     for w1, c1 in sorted(u.items()):
         state = {w2: c2 for w2, c2 in v.items() if len(w2) == len(w1)}
@@ -245,7 +242,7 @@ def gram_matrix(n: int, p: FockParams) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    _check_degree(n)
+    _check_degree(n, p)
     count = p.d**n
     if count > MAX_GRAM_WORDS:
         raise SizeLimitError(f"{count} words of degree {n} exceed {MAX_GRAM_WORDS}")

@@ -830,6 +830,32 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 2 and "key=value" in err
 
 
+@pytest.mark.parametrize("argv, text, line", [
+    (("--check", "file"), "# command: nope\n", "metadata names unknown command 'nope'"),
+    (("--check", "file"), "# command: fock\n# d: 2\n# m: 2\n# q: 0.5\n# t: 1\n# op: nope\n",
+     "unknown fock op 'nope'"),
+    (("--check", "file"), "# command: jw\n# n: 3\n# q: 0.5\n# t: 1.25\n# seed: 0\n# op: nope\n",
+     "unknown jw op 'nope'"),
+    (("pairings", "--config=file"), "n=99\n",
+     "refusing to enumerate (2n-1)!! pairings for n=99 > 7"),
+    # verify=false leaves --verify off, so --ops is the one op and reaches its check
+    (("jw", "--config", "file", "--ops", "11"), "n=10\nq=0.5\nt=1.25\nseed=0\nverify=false\n",
+     "site 11 outside 1..10"),
+    ((*FOCK, "--gram", "-1"), None, "need n >= 0"),
+    # past the truncation, as inner_product refuses a word
+    ((*FOCK, "--gram", "5"), None, "word of degree 5 exceeds truncation m=2"),
+    (("wick", "--field", "-1"), None, "need n >= 0"),
+])
+def test_refusals_of_metadata_config_and_sizes_exit_2(capsys, tmp_path, monkeypatch,
+                                                       argv, text, line):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "file").write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {line}\n"
+
+
 def test_no_command_prints_usage(capsys):
     code, out, err = run(capsys)
     assert code == 2

@@ -301,3 +301,24 @@ def test_gram_matrix_refuses_its_degree_as_inner_product_does():
         gram_matrix(degree, p)
     want = f"degree {degree} exceeds the {MAX_INNER_DEGREE}-degree cap"
     assert str(gram.value) == str(inner.value) == want
+
+
+def test_gram_matrix_refuses_a_degree_past_its_truncation_as_inner_product_does():
+    p = FockParams(d=2, m=2, q=0.3, t=0.9)
+    word = {(1, 2, 1): 1.0}
+    with pytest.raises(TruncationError) as inner:
+        inner_product(word, word, p)
+    with pytest.raises(TruncationError) as gram:
+        gram_matrix(3, p)
+    assert str(gram.value) == str(inner.value) == "word of degree 3 exceeds truncation m=2"
+
+
+def test_inner_product_refuses_the_degree_before_the_letters():
+    degree = MAX_INNER_DEGREE + 1
+    word = {(2,) * degree: 1.0}
+    with pytest.raises(TruncationError):
+        inner_product(word, word, FockParams(d=1, m=degree - 1, q=0.5, t=1.0))
+    with pytest.raises(SizeLimitError):
+        inner_product(word, word, FockParams(d=1, m=degree, q=0.5, t=1.0))
+    with pytest.raises(ValueError, match=r"^letter 2 outside 1..1$"):
+        inner_product({(2,): 1.0}, {(2,): 1.0}, FockParams(d=1, m=degree, q=0.5, t=1.0))
