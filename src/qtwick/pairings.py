@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
 
-# (2n-1)!! pairings: n = 7 means 135,135 of them, listed in 0.3-0.4 s, and
-# n = 8 would mean 2,027,025, listed in about 4 s and 0.9-1.2 GB
+# (2n-1)!! pairings: n = 7 means 135,135 of them, listed in 0.14-0.22 s and
+# 70-92 MB; n = 8 would mean 2,027,025, listed in 1.5-2.5 s but at
+# 0.88-1.23 GB, so memory holds the cap
 MAX_ENUMERATION_PAIRS = 7
 
 Pairs = tuple[tuple[int, int], ...]
@@ -111,32 +112,58 @@ def _placements(n: int, prefix, token, last) -> list:
     points = range(size + 1)
     tokens = [[token(w, z) for z in points] for w in points]
     lasts = [[last(w, z) for z in points] for w in points]
-    out: list = []
-    append = out.append
 
-    def place(free: tuple[int, ...], prefix, cross: int, nest: int) -> None:
+    def steps(free: tuple[int, ...]):
         # the new pair (a, b) = (free[0], free[k]) opens above every placed
         # pair, so every placed point above a is a closer: b - a - k of them
         # lie inside (a, b) and cross it, (size - b) - (m - 1 - k) lie above
-        # b and nest it
+        # b and nest it; neither count reads more than the free points
         a, m = free[0], len(free)
-        if m == 2:
-            b = free[1]
-            append((prefix + lasts[a][b], cross + b - a - 1, nest + size - b))
-            return
         for k in range(1, m):
             b = free[k]
-            place(free[1:k] + free[k + 1:], prefix + tokens[a][b], cross + b - a - k,
-                  nest + size - b - (m - 1 - k))
+            yield tokens[a][b], free[1:k] + free[k + 1:], b - a - k, size - b - (m - 1 - k)
 
-    place(tuple(range(1, size + 1)), prefix, 0, 0)
+    # the completions (suffix, crossings, nestings) of a free tuple depend on
+    # that tuple alone, so each is built once and shared by every prefix
+    # that leaves it
+    memo: dict[tuple[int, ...], list] = {}
+
+    def tails(free: tuple[int, ...]) -> list:
+        done = memo.get(free)
+        if done is None:
+            if len(free) == 2:
+                a, b = free
+                done = [(lasts[a][b], b - a - 1, size - b)]
+            else:
+                done = [(tok + suffix, cross + c, nest + s)
+                        for tok, rest, cross, nest in steps(free)
+                        for suffix, c, s in tails(rest)]
+            memo[free] = done
+        return done
+
+    # place the first n // 2 pairs (the heads), then join each head with the
+    # tails of its free points: both come in lexicographic order, so the
+    # rows do, and each head's rows form one block
+    heads = [(prefix, 0, 0, tuple(range(1, size + 1)))]
+    for _ in range(n // 2):
+        heads = [(head + tok, cross + c, nest + s, rest)
+                 for head, cross, nest, free in heads
+                 for tok, rest, c, s in steps(free)]
+    out = [(head + suffix, cross + c, nest + s)
+           for head, cross, nest, free in heads
+           for suffix, c, s in tails(free)]
+    # tails refers to itself, so the memo would live until the next cyclic
+    # collection; clearing it frees the tails now
+    memo.clear()
     return out
 
 
 def enumerate_counted_pairings(n: int) -> list[tuple[Pairs, int, int]]:
     """(pairs, crossings, nestings) of all (2n-1)!! pair partitions of
-    {1,...,2n}, counted while the pairs are placed; hard-capped at
-    n <= MAX_ENUMERATION_PAIRS."""
+    {1,...,2n} in lexicographic order, counted while the pairs are placed:
+    the first n // 2 one at a time, the rest from completions built once per
+    set of free points left and shared by every prefix that leaves it;
+    hard-capped at n <= MAX_ENUMERATION_PAIRS."""
     def pair(w: int, z: int) -> Pairs:
         return ((w, z),)
 

@@ -1,16 +1,17 @@
 """Independent naive oracles, deliberately written along different lines than
 the library: set partitions come from restricted-growth strings and are
 filtered down to pairings, chord statistics come from interval containment,
-the inner product sums over all of S_n without letter grouping, chain
-moments walk a dict of occupation bitmasks one state and one site at a time
-in floats or exactly in integers, chain vacuum walks apply whole operators
-over every slot, normal ordering walks each partner left one transposition
-at a time instead of reading crossings and nestings, the chain's exchange
-relations compose whole operators slot by slot, the pairing estimator sums
-the transposition walk's coefficients over every tuple as fractions or
-multiplies a fresh ones-grid by one factor at a time over lookup matrices
-filled cell by cell, and listings and clt artifacts render one row and one
-cell at a time."""
+the counted pairing walk places every pair node by node with no shared
+completions, the inner product sums over all of S_n without letter grouping,
+chain moments walk a dict of occupation bitmasks one state and one site at a
+time in floats or exactly in integers, chain vacuum walks apply whole
+operators over every slot, normal ordering walks each partner left one
+transposition at a time instead of reading crossings and nestings, the
+chain's exchange relations compose whole operators slot by slot, the pairing
+estimator sums the transposition walk's coefficients over every tuple as
+fractions or multiplies a fresh ones-grid by one factor at a time over
+lookup matrices filled cell by cell, and listings and clt artifacts render
+one row and one cell at a time."""
 
 import functools
 import itertools
@@ -71,6 +72,31 @@ def chord_stats(pairs: Pairs) -> tuple[int, int]:
         elif inside == 2:
             nest += 1
     return cross, nest
+
+
+def placements_walk(n: int, prefix, token, last) -> list:
+    """pairings._placements node by node: (prefix + a token per pair,
+    crossings, nestings) for every pairing of {1,...,2n} in lexicographic
+    order, each node pairing the smallest free point a = free[0] with each
+    b = free[k] and extending its parent's prefix."""
+    size = 2 * n
+    out = []
+
+    def place(free, prefix, cross, nest):
+        # every placed point above a is a closer: b - a - k of them lie
+        # inside (a, b), (size - b) - (m - 1 - k) above b
+        a, m = free[0], len(free)
+        if m == 2:
+            b = free[1]
+            out.append((prefix + last(a, b), cross + b - a - 1, nest + size - b))
+            return
+        for k in range(1, m):
+            b = free[k]
+            place(free[1:k] + free[k + 1:], prefix + token(a, b), cross + b - a - k,
+                  nest + size - b - (m - 1 - k))
+
+    place(tuple(range(1, size + 1)), prefix, 0, 0)
+    return out
 
 
 def wick_sum(eps: str, labels=None, cov=None) -> dict[tuple[int, int], Fraction]:

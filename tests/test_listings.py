@@ -2,6 +2,7 @@
 row-by-row oracle in `_brute`, and --check must keep reading and comparing
 them as before."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from qtwick import cli
+from qtwick import cli, pairings
 from qtwick.cli import main
 from qtwick.errors import ValidationError
-from qtwick.pairings import MAX_ENUMERATION_PAIRS
+from qtwick.pairings import MAX_ENUMERATION_PAIRS, enumerate_counted_pairings
 from qtwick.wickpoly import wick_field
 
 FORMATS = ("csv", "text", "json")
@@ -72,6 +73,48 @@ def test_pairings_listing_past_the_oracle(n):
         counted = [(tuple(zip(row[:-2:2], row[1:-2:2])), *row[-2:]) for row in rows]
         for fmt in ("text", "json"):
             assert cli._pairings_artifact(meta, fmt) == _brute.pairings_listing(meta, fmt, counted)
+
+
+@pytest.mark.parametrize("layout", ("tuples",) + FORMATS)
+def test_placements_equal_the_node_by_node_walk(monkeypatch, layout):
+    """Heads joined with shared tails list the walk's tuples in its order,
+    with the pair tuples of enumerate_counted_pairings and with the token
+    layouts each listing format passes."""
+    calls = []
+    placements = pairings._placements
+
+    def spy(*args):
+        calls.append((args, placements(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(pairings, "_placements", spy)
+    for n in range(1, MAX_ENUMERATION_PAIRS + 1):
+        if layout == "tuples":
+            enumerate_counted_pairings(n)
+        else:
+            cli._pairings_artifact(_meta("pairings", "--n", str(n)), layout)
+        (args, placed), = calls
+        assert args[0] == n
+        assert placed == _brute.placements_walk(*args), n
+        calls.clear()
+
+
+# sha256 of `pairings --n N --format FMT` as the node-by-node walk wrote it
+PAIRINGS_SHA256 = {
+    (6, "csv"): "39c6183fa364e5dab40580ac468e97b2cff7398ef4be218c1634c62f2cf89d80",
+    (6, "text"): "62e3a12e58a1c561ddd091cc094bf8a70cb014dab268da1b5f9a2b54c0cec469",
+    (6, "json"): "f90723573b4d354fecfee5c7787bc4c821749d40044d91a88660ce964247a7e8",
+    (7, "csv"): "738b4d002d49e1dfed8eb6de248d580a86c7239428d10be6eb15dbcd3ec9f229",
+    (7, "text"): "fede245afd14dd319e8db1efa1fbff9b34f423c0e45861b8d73c6d91b745793e",
+    (7, "json"): "e2d953f37ec85fd13eedbbc8cfd5d07f91370684c9da767f04ed6055e39af272",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(PAIRINGS_SHA256))
+def test_pairings_listing_bytes_are_pinned(capsys, n, fmt):
+    assert main(["pairings", "--n", str(n), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PAIRINGS_SHA256[n, fmt]
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

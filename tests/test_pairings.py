@@ -10,6 +10,7 @@ from qtwick import (
     enumerate_counted_pairings,
     enumerate_pair_partitions,
 )
+from qtwick.pairings import MAX_ENUMERATION_PAIRS, _placements
 
 from _brute import chord_stats, pairings_rgs
 
@@ -45,9 +46,18 @@ def test_small_enumerations_explicit():
 
 def test_size_cap():
     with pytest.raises(SizeLimitError):
-        enumerate_pair_partitions(9)
+        enumerate_pair_partitions(MAX_ENUMERATION_PAIRS + 1)
     with pytest.raises(ValueError):
         enumerate_pair_partitions(0)
+
+
+@pytest.mark.parametrize("n", [MAX_ENUMERATION_PAIRS + 1, 10**9])
+def test_size_cap_refuses_before_any_token_is_made(n):
+    def token(w, z):
+        raise AssertionError(f"token ({w}, {z}) made for n={n}")
+
+    with pytest.raises(SizeLimitError, match=f"n={n} > {MAX_ENUMERATION_PAIRS}"):
+        _placements(n, "", token, token)
 
 
 def test_pair_partition_canonicalizes():
@@ -103,7 +113,7 @@ def test_counted_enumeration_agrees_with_oracle():
         for pairs, cross, nest in counted:
             assert (cross, nest) == chord_stats(pairs)
     with pytest.raises(SizeLimitError):
-        enumerate_counted_pairings(9)
+        enumerate_counted_pairings(MAX_ENUMERATION_PAIRS + 1)
     with pytest.raises(ValueError):
         enumerate_counted_pairings(0)
 
