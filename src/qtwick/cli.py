@@ -67,10 +67,13 @@ def _json(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-# _json lays out a row at depth 2 as START + BETWEEN.join of its encoded cells
-# + END, with SEP between rows; the coeffs and pairings listings lay out their
-# rows so, with the C string encoder, not the pure-Python one an indent runs
-_JSON_ROW = ("[\n      ", ",\n      ", "\n    ]", ",\n    ")
+# fmt: (start, between, end, sep) of a listing row, its cells joined by
+# between, as _render writes csv rows and _json json rows at depth 2; a
+# listing cell is ascii with nothing to escape, so json's quotes are layout
+_ROW = {
+    "csv": ("", ",", "", "\n"),
+    "json": ('[\n      "', '",\n      "', '"\n    ]', ",\n    "),
+}
 
 
 def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
@@ -83,6 +86,9 @@ def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
             body = "\n".join(text_lines if text_lines is not None else map(" ".join, rows))
         return body + "\n"
     if fmt == "csv":
+        for key, value in meta.items():
+            if "\n" in value:  # _preamble reads a value up to its line's end
+                raise ValidationError(f"csv metadata entry {key!r} holds a line break")
         if rows:
             body = "\n".join(map(",".join, rows))
         lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(header)]
@@ -101,20 +107,17 @@ def _pairings_artifact(meta: Metadata, fmt: str) -> str:
 
     n = meta.number("n")
     # a row is `start`, a token per pair (the last one closes the pairs cell)
-    # and one of the count strings; every cell is ascii with nothing to
-    # escape, so json only quotes it
+    # and one of the count strings
     if fmt == "text":
         start, pair, last, counts, sep = "{", "({},{}),", "({},{})}} cross=", "{},nest={}", "\n"
-    elif fmt == "json":
-        row_start, between, end, sep = _JSON_ROW
-        start, pair, last = row_start + '"', "{}-{}; ", '{}-{}"' + between + '"'
-        counts = '{}"' + between + '"{}"' + end
     else:
-        start, pair, last, counts, sep = "", "{}-{}; ", "{}-{},", "{},{}", "\n"
+        start, between, end, sep = _ROW[fmt]
+        pair, last, counts = "{}-{}; ", "{}-{}" + between, "{}" + between + "{}" + end
     placed = _placements(n, start, pair.format, last.format)
     most = range(n * (n - 1) // 2 + 1)
     num = [[counts.format(c, s) for s in most] for c in most]
-    rows = [row + num[c][s] for row, c, s in placed]
+    rows = [head + suffix + num[cross + c][nest + s]
+            for head, cross, nest, tails in placed for suffix, c, s in tails]
     return _render(meta, ["pairs", "cross", "nest"], [], fmt, body=sep.join(rows))
 
 
@@ -218,15 +221,14 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
     # n site indices and the two sampled values -1.0 and +1.0, each rendered
     # once: row (i, j) reads first[i] + cells[(mu > 0) * (n + 1) + j], as fmt
     # lays out a row
-    if fmt == "json":
-        cell, (start, between, end, sep) = json.encoder.encode_basestring_ascii, _JSON_ROW
-        mid = between
+    if fmt == "text":
+        start, between, mid, end, sep = "mu(", ",", ") = ", "", "\n"
     else:
-        cell, end, sep = str, "", "\n"
-        start, between, mid = ("mu(", ",", ") = ") if fmt == "text" else ("", ",", ",")
-    first = [start + cell(str(i)) + between for i in range(n + 1)]
-    second = [cell(str(j)) + mid for j in range(n + 1)]
-    values = [cell(_fmt(x)) + end for x in (-1.0, 1.0)]
+        start, between, end, sep = _ROW[fmt]
+        mid = between
+    first = [start + str(i) + between for i in range(n + 1)]
+    second = [str(j) + mid for j in range(n + 1)]
+    values = [_fmt(x) + end for x in (-1.0, 1.0)]
     cells = [s + v for v in values for s in second]
     sites = np.arange(n + 1)
     rank1 = _pair_rank(1, sites)  # the pair (i, j) has rank rank1[j] + i - 1
@@ -355,9 +357,7 @@ def _artifact(meta: Metadata, fmt: str) -> str:
     try:
         return ARTIFACTS[command](meta, fmt)
     except OverflowError:
-        raise ValidationError(
-            f"{command}: the result overflows float64 at q={meta.get('q')}, t={meta.get('t')}"
-        ) from None
+        raise _overflow(meta, "the result") from None
 
 
 # ------------------------------------------------------------------- check
@@ -383,23 +383,19 @@ def _parse_artifact(text: str) -> tuple[Metadata, str]:
     return meta, "csv"
 
 
-def _preamble(text: str, size: int = 4096) -> Metadata:
-    """The leading `# key: value` lines of text, split as text.splitlines()
-    splits them, from a prefix of text that doubles from `size` until it
-    holds the first line that is not one."""
-    while True:
-        whole = size >= len(text)
-        lines = text[:size].splitlines()
-        meta = Metadata()
-        # unless whole, the last line may be cut short (or a "\r" from its "\n")
-        for line in lines if whole else lines[:-1]:
-            if not line.startswith("# "):
-                return meta
-            key, _, value = line[2:].partition(": ")
-            meta[key] = value
-        if whole:
-            return meta
-        size *= 2
+def _preamble(text: str) -> Metadata:
+    """The `# key: value` lines that open text, each read up to the "\n" that
+    ends it, as _render writes them."""
+    meta = Metadata()
+    start = 0
+    while text.startswith("# ", start):
+        end = text.find("\n", start)
+        if end < 0:
+            break
+        key, _, value = text[start + 2:end].partition(": ")
+        meta[key] = value
+        start = end + 1
+    return meta
 
 
 def run_check(path: str) -> str:

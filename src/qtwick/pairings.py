@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
 
-# (2n-1)!! pairings: n = 7 means 135,135 of them, listed in 0.14-0.22 s and
-# 70-92 MB; n = 8 would mean 2,027,025, listed in 1.5-2.5 s but at
-# 0.88-1.23 GB, so memory holds the cap
+# (2n-1)!! pairings: n = 7 means 135,135 of them, listed in 0.13-0.21 s and
+# 50-69 MB; n = 8 would mean 2,027,025, listed in 0.9-1.3 s but at
+# 0.56-0.85 GB, so memory holds the cap
 MAX_ENUMERATION_PAIRS = 7
 
 Pairs = tuple[tuple[int, int], ...]
@@ -98,10 +98,12 @@ def cross_nest_counts(partition: PairPartition) -> tuple[int, int]:
 
 
 def _placements(n: int, prefix, token, last) -> list:
-    """(prefix + a token per pair, crossings, nestings) for every pair
-    partition of {1,...,2n}, in lexicographic pair-list order: token(w, z)
-    stands for a pair (w, z) and last(w, z) for the pair placed last, each
-    made once.  Hard-capped at n <= MAX_ENUMERATION_PAIRS."""
+    """Every pair partition of {1,...,2n} in lexicographic pair-list order,
+    as (head, crossings, nestings, tails): a head is prefix and a token per
+    pair for the first n // 2 pairs, and tails, shared by every head that
+    leaves the same free points, lists their completions (suffix, crossings,
+    nestings).  token(w, z) stands for a pair (w, z) and last(w, z) for the
+    pair placed last, each made once.  Hard-capped at n <= MAX_ENUMERATION_PAIRS."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_ENUMERATION_PAIRS:
@@ -141,19 +143,16 @@ def _placements(n: int, prefix, token, last) -> list:
             memo[free] = done
         return done
 
-    # place the first n // 2 pairs (the heads), then join each head with the
-    # tails of its free points: both come in lexicographic order, so the
-    # rows do, and each head's rows form one block
+    # place the first n // 2 pairs (the heads) one step at a time; each
+    # head's rows are its tails, one contiguous block of them
     heads = [(prefix, 0, 0, tuple(range(1, size + 1)))]
     for _ in range(n // 2):
         heads = [(head + tok, cross + c, nest + s, rest)
                  for head, cross, nest, free in heads
                  for tok, rest, c, s in steps(free)]
-    out = [(head + suffix, cross + c, nest + s)
-           for head, cross, nest, free in heads
-           for suffix, c, s in tails(free)]
+    out = [(head, cross, nest, tails(free)) for head, cross, nest, free in heads]
     # tails refers to itself, so the memo would live until the next cyclic
-    # collection; clearing it frees the tails now
+    # collection; clearing it frees the tails no head holds now
     memo.clear()
     return out
 
@@ -167,7 +166,9 @@ def enumerate_counted_pairings(n: int) -> list[tuple[Pairs, int, int]]:
     def pair(w: int, z: int) -> Pairs:
         return ((w, z),)
 
-    return _placements(n, (), pair, pair)
+    return [(head + suffix, cross + c, nest + s)
+            for head, cross, nest, tails in _placements(n, (), pair, pair)
+            for suffix, c, s in tails]
 
 
 def enumerate_pair_partitions(n: int) -> list[PairPartition]:

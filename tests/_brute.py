@@ -529,9 +529,11 @@ def pairings_listing(meta, fmt: str, counted) -> str:
 
 
 def csv_preamble(text: str) -> dict:
-    """The `# key: value` lines that open text, from text.splitlines()."""
+    """The `# key: value` lines that open text, from the lines that
+    text.split("\n") ends with a "\n"; any other line break stays in its
+    line."""
     meta = {}
-    for line in text.splitlines():
+    for line in text.split("\n")[:-1]:
         if not line.startswith("# "):
             break
         key, _, value = line[2:].partition(": ")

@@ -704,6 +704,26 @@ def test_check_rejects_plain_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("coeffs", "--n", "3", "--q", "0.5", "--t", "1", "--lookup", "1,*,1,2\r"),
+    ("jw", "--n", "4", "--q", "0.5", "--t", "1", "--dump-op", "2\x0c"),
+])
+def test_check_reads_a_preamble_value_across_other_line_breaks(capsys, tmp_path, argv):
+    target = tmp_path / "artifact.csv"
+    assert run(capsys, *argv, "--format", "csv", "--out", str(target))[0] == 0
+    assert run(capsys, "--check", str(target))[:2] == (0, f"ok: {target}\n")
+
+
+def test_a_csv_metadata_value_holds_no_newline(capsys, tmp_path):
+    argv = ("jw", "--n", "4", "--q", "0.5", "--t", "1", "--ops", "1*,\n1")
+    assert run(capsys, *argv, "--format", "csv") == (
+        2, "", "error: csv metadata entry 'ops' holds a line break\n")
+    for fmt in ("json", "text"):  # neither has a line-based preamble
+        target = tmp_path / f"artifact.{fmt}"
+        assert run(capsys, *argv, "--format", fmt, "--out", str(target))[0] == 0
+    assert run(capsys, "--check", str(tmp_path / "artifact.json"))[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
     ("--check", "{tmp}/nonexistent.csv"),
     ("--check", "{tmp}"),
     ("pairings", "--n", "2", "--out", "{tmp}/nonexistent/x.csv"),
