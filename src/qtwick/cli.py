@@ -86,9 +86,6 @@ def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
             body = "\n".join(text_lines if text_lines is not None else map(" ".join, rows))
         return body + "\n"
     if fmt == "csv":
-        for key, value in meta.items():
-            if "\n" in value:  # _preamble reads a value up to its line's end
-                raise ValidationError(f"csv metadata entry {key!r} holds a line break")
         if rows:
             body = "\n".join(map(",".join, rows))
         lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(header)]
@@ -316,12 +313,6 @@ def _clt_artifact(meta: Metadata, fmt: str) -> str:
 
     report = convergence_experiment(_clt_config(meta))
     cfg = report.config
-    # spelled from the config (`--ns "10, 20"` reads 10,20)
-    meta = Metadata(command="clt", version=meta["version"], mode=cfg.mode, eps=cfg.eps,
-                    q=_fmt(cfg.q), t=_fmt(cfg.t), seed=str(cfg.seed),
-                    ns=",".join(map(str, cfg.ns)))
-    if cfg.pairing is not None:
-        meta["pairing"] = ";".join(f"{w}-{z}" for w, z in cfg.pairing.pairs)
     quantity = "the moment" if cfg.mode == "moment" else "the estimate"
     for row in report.rows:
         _finite(meta, f"{quantity} at N={row.n}", row.value)
@@ -333,7 +324,8 @@ def _clt_artifact(meta: Metadata, fmt: str) -> str:
         rows = [dict(zip(header, (row.n, cfg.eps, cfg.q, cfg.t, cfg.seed, cfg.mode, row.value,
                                   row.target, row.abs_err))) for row in report.rows]
         return _json({"metadata": meta, "rows": rows})
-    rows = [[str(row.n), cfg.eps, meta["q"], meta["t"], meta["seed"], cfg.mode]
+    cells = [cfg.eps, _fmt(cfg.q), _fmt(cfg.t), str(cfg.seed), cfg.mode]
+    rows = [[str(row.n), *cells]
             + ["none" if x is None else _fmt(x) for x in (row.value, row.target, row.abs_err)]
             for row in report.rows]
     lines = [f"N={n} value={v} target={g} abs_err={e}" for n, *_, v, g, e in rows]
@@ -351,9 +343,13 @@ ARTIFACTS: dict[str, Callable[[Metadata, str], str]] = {
 
 
 def _artifact(meta: Metadata, fmt: str) -> str:
-    """The artifact of meta's command.  Finite q and t can still take a float
+    """The artifact of meta's command, a csv one refused before any work if a
+    metadata value holds a line break.  Finite q and t can still take a float
     past float64's range (t**k in a weight, say): that is a user error."""
     command = meta["command"]
+    broken = [key for key, value in meta.items() if "\n" in value]
+    if broken and fmt == "csv":  # _preamble reads a value up to its line's end
+        raise ValidationError(f"csv metadata entry {broken[0]!r} holds a line break")
     try:
         return ARTIFACTS[command](meta, fmt)
     except OverflowError:
@@ -499,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("wick", help="pairing-sum polynomials (note: quote patterns like '11**')")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--eps", help="letter pattern over 1 and *")
-    group.add_argument("--field", type=int, help="number of pairs for the single-letter sum")
+    group.add_argument("--field", type=int, dest="n", metavar="FIELD",
+                       help="number of pairs for the single-letter sum")
     p.add_argument("--labels", help="comma-separated labels, pairs must match")
     p.add_argument("--q", type=float)
     p.add_argument("--t", type=float)
@@ -513,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ops", help="comma list of c<i>, a<i>, s<i>, n tokens")
     group.add_argument("--residual", action="store_true")
-    group.add_argument("--gram", type=int, metavar="DEGREE")
+    group.add_argument("--gram", type=int, dest="degree", metavar="DEGREE")
     _add_common(p)
 
     p = subs.add_parser("coeffs", help="sample coefficient tables, look up derived entries")
@@ -532,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ops", help="comma list of sites, * marks the adjoint (quote it)")
     group.add_argument("--verify", action="store_true")
-    group.add_argument("--dump-op", metavar="SITE", help="site (append * for the adjoint)")
+    group.add_argument("--dump-op", dest="site", metavar="SITE",
+                       help="site (append * for the adjoint)")
     _add_common(p)
 
     p = subs.add_parser("clt", help="convergence experiments against limiting targets")
@@ -540,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--ns", required=True, help="comma list of sizes, increasing")
     p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--ns", required=True, help="comma list of sizes, increasing")
     p.add_argument("--pairing", help="pairs as w-z, comma separated (lambda mode)")
     _add_common(p, default_format="csv")
 
@@ -565,66 +563,48 @@ def _resolve_seed(value: Optional[int]) -> int:
         raise ValidationError(f"QTWICK_SEED={raw!r} is not an integer") from None
 
 
+# the parsed entries that shape no artifact, and the op that a fock or jw
+# group flag selects, keyed by its command and dest
+_NOT_META = ("check", "command", "format", "out", "config")
+_OPS = {("fock", "ops"): "moment", ("fock", "residual"): "residual", ("fock", "degree"): "gram",
+        ("jw", "ops"): "expectation", ("jw", "verify"): "verify", ("jw", "site"): "dump"}
+
+
+def _pairing_text(text: str) -> str:
+    from .pairings import _parse_pairing
+
+    return ";".join(f"{w}-{z}" for w, z in _parse_pairing(text).pairs)
+
+
+# where str would not do, a value spelled as its engine reads it: wick's labels,
+# clt's sizes (refused as _clt_config would) and pairs, so `--ns "10, 20"` is 10,20
+_SPELL: dict[str, Callable[[str], str]] = {
+    "labels": lambda text: ";".join(x.strip() for x in text.split(",")),
+    "ns": lambda text: ",".join(map(str, Metadata(ns=text).number("ns", _int_list))),
+    "pairing": _pairing_text,
+}
+
+
 def _meta_from_args(args: argparse.Namespace) -> Metadata:
+    """The command, then each flag given, keyed by dest in declaration order."""
     command = args.command
     meta = Metadata(command=command, version=__version__)
-    if command == "pairings":
-        meta["n"] = str(args.n)
-    elif command == "wick":
-        if args.field is not None:
-            if args.labels is not None:
-                raise ValidationError("--labels labels an --eps pattern; --field takes none")
-            meta["kind"] = "field"
-            meta["n"] = str(args.field)
-        elif args.labels is not None:
-            meta["kind"] = "joint"
-            meta["eps"] = args.eps
-            meta["labels"] = ";".join(x.strip() for x in args.labels.split(","))
-        else:
-            meta["kind"] = "mixed"
-            meta["eps"] = args.eps
+    if command == "wick":
+        if args.n is not None and args.labels is not None:
+            raise ValidationError("--labels labels an --eps pattern; --field takes none")
         if (args.q is None) != (args.t is None):
             raise ValidationError("--q and --t must be given together")
-        if args.q is not None:
-            meta["q"] = _fmt(args.q)
-            meta["t"] = _fmt(args.t)
-    elif command == "fock":
-        meta.update(d=str(args.d), m=str(args.m), q=_fmt(args.q), t=_fmt(args.t))
-        if args.ops is not None:
-            meta["op"] = "moment"
-            meta["ops"] = args.ops
-        elif args.residual:
-            meta["op"] = "residual"
-        else:
-            meta["op"] = "gram"
-            meta["degree"] = str(args.gram)
-    elif command == "coeffs":
-        meta.update(
-            n=str(args.n), q=_fmt(args.q), t=_fmt(args.t),
-            seed=str(_resolve_seed(args.seed)),
-        )
-        if args.lookup is not None:
-            meta["lookup"] = args.lookup
-    elif command == "jw":
-        meta.update(
-            n=str(args.n), q=_fmt(args.q), t=_fmt(args.t),
-            seed=str(_resolve_seed(args.seed)),
-        )
-        if args.ops is not None:
-            meta["op"] = "expectation"
-            meta["ops"] = args.ops
-        elif args.verify:
-            meta["op"] = "verify"
-        else:
-            meta["op"] = "dump"
-            meta["site"] = args.dump_op
-    elif command == "clt":
-        meta.update(
-            mode=args.mode, eps=args.eps, q=_fmt(args.q), t=_fmt(args.t),
-            ns=args.ns, seed=str(_resolve_seed(args.seed)),
-        )
-        if args.pairing is not None:
-            meta["pairing"] = args.pairing
+        meta["kind"] = ("field" if args.n is not None
+                        else "mixed" if args.labels is None else "joint")
+    for key, value in vars(args).items():
+        if key == "seed":
+            value = _resolve_seed(value)
+        if value is None or value is False or key in _NOT_META:
+            continue
+        if (command, key) in _OPS:
+            meta["op"] = _OPS[command, key]
+        if value is not True:  # a store_true flag is its op alone
+            meta[key] = _fmt(value) if isinstance(value, float) else _SPELL.get(key, str)(value)
     return meta
 
 

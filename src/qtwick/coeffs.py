@@ -60,7 +60,9 @@ def _derive_seeds(master: int, ranks: np.ndarray) -> np.ndarray:
 
 def derive_seed(master: int, k: int) -> int:
     """Seed of sub-task k: splitmix64 applied to master + (k+1) steps of the
-    golden-ratio increment.  Stable across versions and platforms."""
+    golden-ratio increment.  Stable across versions and platforms.  master
+    is read modulo 2^64, so master and master + 2^64 (or -5 and 2^64 - 5)
+    derive the same seeds."""
     return int(_derive_seeds(master, np.array([k & _MASK64], dtype=np.uint64))[0])
 
 

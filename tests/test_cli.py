@@ -723,6 +723,78 @@ def test_a_csv_metadata_value_holds_no_newline(capsys, tmp_path):
     assert run(capsys, "--check", str(tmp_path / "artifact.json"))[0] == 0
 
 
+def test_a_csv_line_break_is_refused_before_the_command_runs(capsys, monkeypatch, tmp_path):
+    def unreachable(meta, fmt):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli.ARTIFACTS, "jw", unreachable)
+    argv = ("jw", "--n", "4", "--q", "0.5", "--t", "1", "--ops", "1*,\n1", "--format", "csv")
+    assert run(capsys, *argv) == (2, "", "error: csv metadata entry 'ops' holds a line break\n")
+    # clt spells its sizes before the refusal runs, so this one line break goes
+    target = tmp_path / "clt.csv"
+    assert run(capsys, "clt", "--mode", "moment", "--eps", "1*", "--q", "0", "--t", "1",
+               "--ns", "10,\n20", "--format", "csv", "--out", str(target))[0] == 0
+    assert "\n# ns: 10,20\n" in target.read_text(encoding="utf-8")
+    assert run(capsys, "--check", str(target))[:2] == (0, f"ok: {target}\n")
+
+
+# every command and op, and the metadata keys it writes after command and
+# version: each flag given, keyed by its dest in the order the subcommand
+# declares it, with the op a group flag selects just before that flag's value
+KEY_ORDERS = [
+    (("pairings", "--n", "2"), "n"),
+    (("wick", "--field", "2"), "kind n"),
+    (("wick", "--field", "2", "--q", "0.5", "--t", "1"), "kind n q t"),
+    (("wick", "--eps", "1*1*"), "kind eps"),
+    (("wick", "--eps", "1*1*", "--q", "0.5", "--t", "1"), "kind eps q t"),
+    (("wick", "--eps", "1*1*", "--labels", "1,1,2,2"), "kind eps labels"),
+    (("wick", "--eps", "1*1*", "--labels", "1,1,2,2", "--q", "0.5", "--t", "1"),
+     "kind eps labels q t"),
+    (("fock", "--d", "2", "--m", "3", "--q", "0.5", "--t", "1", "--ops", "a1,c1"),
+     "d m q t op ops"),
+    (("fock", "--d", "2", "--m", "3", "--q", "0.5", "--t", "1", "--residual"), "d m q t op"),
+    (("fock", "--d", "2", "--m", "3", "--q", "0.5", "--t", "1", "--gram", "2"),
+     "d m q t op degree"),
+    (("coeffs", "--n", "4", *CHAIN), "n q t seed"),
+    (("coeffs", "--n", "4", *CHAIN, "--lookup", "1,*,1,2"), "n q t seed lookup"),
+    (("jw", "--n", "4", *CHAIN, "--ops", "1,1*"), "n q t seed op ops"),
+    (("jw", "--n", "4", *CHAIN, "--verify"), "n q t seed op"),
+    (("jw", "--n", "4", *CHAIN, "--dump-op", "2*"), "n q t seed op site"),
+    (("clt", "--mode", "moment", "--eps", "1*", "--q", "0", "--t", "1", "--ns", "5,10"),
+     "mode eps q t seed ns"),
+    (("clt", "--mode", "lambda", "--eps", "11**", "--q", "0.5", "--t", "1.25", "--ns", "4,8",
+      "--pairing", "1-3,2-4"), "mode eps q t seed ns pairing"),
+]
+
+
+@pytest.mark.parametrize("argv, keys", KEY_ORDERS)
+def test_metadata_keys_follow_the_declared_flags(capsys, argv, keys):
+    keys = ["command", "version", *keys.split()]
+    assert list(cli._meta_from_args(cli._parser().parse_args(list(argv)))) == keys
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and list(cli._preamble(out)) == keys
+
+
+def test_a_clt_artifact_is_checked_from_its_metadata_as_it_stands(capsys, tmp_path):
+    target = tmp_path / "clt.csv"
+    argv = ("clt", "--mode", "lambda", "--eps", "11**", "--q", "0.5", "--t", "1.25",
+            "--ns", " 4, 8", "--pairing", "2-4, 1-3", "--seed", "3")
+    assert run(capsys, *argv, "--out", str(target))[0] == 0
+    text = target.read_text(encoding="utf-8")
+    assert "# seed: 3\n# ns: 4,8\n# pairing: 1-3;2-4\n" in text
+    target.write_text("# note: hand-added\n" + text, encoding="utf-8")
+    assert run(capsys, "--check", str(target))[:2] == (0, f"ok: {target}\n")
+
+
+def test_a_malformed_ns_is_refused_before_a_malformed_pairing(capsys):
+    assert run(capsys, "clt", "--mode", "lambda", "--eps", "11**", "--q", "0.5", "--t", "1",
+               "--ns", "10,x", "--pairing", "1-x") == (
+        2, "", "error: metadata entry 'ns' is malformed: '10,x'\n")
+    assert run(capsys, "clt", "--mode", "lambda", "--eps", "11**", "--q", "0.5", "--t", "1",
+               "--ns", "10,20", "--pairing", "1-x") == (
+        2, "", "error: bad pair token '1-x'; use w-z\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("--check", "{tmp}/nonexistent.csv"),
     ("--check", "{tmp}"),

@@ -112,6 +112,14 @@ def test_derive_seed_pins():
         assert derive_seed(master, k) == _brute.derive_seed(master, k)
 
 
+@pytest.mark.parametrize("seed, same", [(1, 2**64 + 1), (-5, 2**64 - 5)])
+def test_seeds_are_read_modulo_2_to_the_64(seed, same):
+    assert np.array_equal(sample_packed(30, 0.5, 1.25, seed), sample_packed(30, 0.5, 1.25, same))
+    assert not np.array_equal(sample_packed(30, 0.5, 1.25, seed),
+                              sample_packed(30, 0.5, 1.25, seed + 1))
+    assert derive_seed(seed, 7) == derive_seed(same, 7)
+
+
 def test_pair_rank_is_cutoff_free():
     assert _pair_rank(1, 2) == 0
     assert _pair_rank(2, 3) == 2

@@ -83,6 +83,12 @@ def test_canonical_normalizes_leading_coefficient():
     assert _brute.canonical(MonomialOperator(1, (diagonal(0.0, 0.0),))) is None
 
 
+def test_apply_drops_an_entry_whose_amplitudes_cancel():
+    to_zero = MonomialOperator(1, (((1.0, 0), (-1.0, 0)),))
+    assert to_zero.apply({0: 1.0, 1: 1.0}) == {}
+    assert to_zero.apply({0: 1.0, 1: 2.0}) == {0: -1.0}
+
+
 def test_compose_matches_sequential_application():
     rng = random.Random(17)
     table = sampled_table(4, 0.5, 1.25, 8)
@@ -381,6 +387,13 @@ def test_failures_read_as_the_oracles_list(monkeypatch):
     assert got[-1] == want[-1] and got[3:40:2] == want[3:40:2]
     with pytest.raises(IndexError):
         got[len(got)]
+
+
+def test_failures_compare_only_with_a_sequence():
+    report = check_commutation(2, sampled_table(2, 0.5, 1.25, 1), tolerance=-1.0)
+    assert report.failures != 3 and not report.failures == 3
+    assert report.failures != {"failures": 8}
+    assert repr(report.failures) == "<8 failing relations>"
 
 
 def test_check_commutation_cap():

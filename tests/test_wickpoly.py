@@ -118,6 +118,18 @@ def test_custom_covariance():
     assert got.terms == brute
 
 
+def test_covariance_keys_are_letter_pairs():
+    with pytest.raises(ValueError, match="covariance key \\('1','x'\\) not over"):
+        wick_mixed("1*", cov={("1", "x"): 1})
+
+
+def test_polynomials_hash_by_their_terms():
+    p = QTPolynomial({(1, 0): 2, (0, 1): Fraction(1, 2)})
+    assert hash(p) == hash(QTPolynomial({(0, 1): Fraction(1, 2), (1, 0): 2}))
+    assert len({p, QTPolynomial(dict(p.terms)), QTPolynomial.one()}) == 2
+    assert p != {(1, 0): 2, (0, 1): Fraction(1, 2)} and p != "2*q + t/2"
+
+
 def test_against_brute_oracle():
     rng = random.Random(11)
     for r in (2, 4, 6, 8):
