@@ -50,7 +50,8 @@ MAX_SUM_STATES = 12_000_000
 # shared 2-core host: 2 pairs (N = 3162) 36-70 ms, 3 (N = 215) 0.4-0.5 ms,
 # 4 (N = 56) 1.2 ms, 5 (N = 25) 7-13 ms, 6 (N = 14) 25 ms, 7 (N = 10) 85-90 ms.
 # A fresh `clt --mode lambda` run takes 0.16-0.39 s and 30-32 MB (2 pairs:
-# 0.37-0.41 s, 154 MB), mostly starting Python and numpy
+# 0.37-0.41 s, 154 MB; 1 pair at 4096 sites, which reads its whole table:
+# 0.35-0.45 s, 166 MB), mostly starting Python and numpy
 MAX_ESTIMATE_TUPLES = 10**7
 
 
@@ -305,14 +306,14 @@ def limit_coefficient_estimate(
     the contraction folds stay +-1 or 0, so every partial sum is an integer
     of magnitude at most N^n <= MAX_ESTIMATE_TUPLES < 2^53: the float sums
     are exact in any order, and the result is t^E * S / N^n rounded once.
-    Any other table raises ValidationError.
+    Any other table raises ValidationError.  A class of fewer than two
+    pairs is the empty product, 1.0, after the same checks.
     """
     _check_estimate(pairing, eps, n_sites)
-    table._check_covers(n_sites)
-    n = pairing.n
-    if n == 1:
-        return 1.0  # the empty product over N tuples
     _two_point_signs(table, n_sites)
+    n = pairing.n
+    if n < 2:
+        return 1.0  # the empty product, over N^n tuples
     block = pairing.block_of()
     odd: set[tuple[int, int]] = set()  # block pairs an odd number of factors join
     exponent = 0
@@ -405,24 +406,18 @@ def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("; ".join(problems))
     top = max(config.ns)
     table = sampled_table(top, config.q, config.t, config.seed)
-    target: Optional[float]
+    eps, pairing = config.eps, config.pairing
+    target: Optional[float] = None
     if config.mode == "moment":
-        target = wick_mixed(config.eps).evaluate(config.q, config.t)
+        target = wick_mixed(eps).evaluate(config.q, config.t)
+        engine = lambda n: partial_sum_moment(n, eps, table)
     else:
-        assert config.pairing is not None
-        if pair_pattern_is_default(config.pairing, config.eps):
-            target = pair_limit_monomial(config.pairing, config.eps).evaluate(
-                config.q, config.t
-            )
-        else:
-            target = None
+        if pair_pattern_is_default(pairing, eps):
+            target = pair_limit_monomial(pairing, eps).evaluate(config.q, config.t)
+        engine = lambda n: limit_coefficient_estimate(pairing, eps, n, table)
     report = ExperimentReport(config=config)
     for n in config.ns:
-        if config.mode == "moment":
-            value = partial_sum_moment(n, config.eps, table)
-        else:
-            assert config.pairing is not None
-            value = limit_coefficient_estimate(config.pairing, config.eps, n, table)
+        value = engine(n)
         err = None if target is None else abs(value - target)
         report.rows.append(ExperimentRow(n=n, value=value, target=target, abs_err=err))
     return report

@@ -113,8 +113,16 @@ def _draw(ranks: np.ndarray, seed: int, p_plus: float) -> np.ndarray:
 def sample_ranks(ranks: Sequence[int] | np.ndarray, q: float, t: float, seed: int) -> np.ndarray:
     """Draw the base coefficients of the pairs of the given ranks, in the
     order given: the same values sample_packed draws at those ranks, at a
-    cost that does not grow with the size of the table."""
-    return _draw(np.array(ranks, dtype=np.uint64), seed, _two_point(q, t))
+    cost that does not grow with the size of the table.  A rank that is not
+    an integer in 0..2^64-1 raises ValidationError."""
+    p_plus = _two_point(q, t)
+    if isinstance(ranks, np.ndarray) and ranks.dtype.kind in "iu":
+        ok = ranks.size == 0 or ranks.min() >= 0
+    else:
+        ok = all(isinstance(k, (int, np.integer)) and 0 <= k <= _MASK64 for k in ranks)
+    if not ok:
+        raise ValidationError("pair ranks must be integers in 0..2^64-1")
+    return _draw(np.array(ranks, dtype=np.uint64), seed, p_plus)
 
 
 def sample_packed(n: int, q: float, t: float, seed: int) -> np.ndarray:
@@ -198,16 +206,13 @@ class CoefficientTable:
     The base values live in one float64 array indexed by pair rank, so the
     table restricted to n sites is the prefix of length n(n-1)/2.  `base` is
     either a mapping {(i, j): value}, which must give every pair up to its
-    last one, or a sequence of nonzero values in pair-rank order.  A float64
-    array that owns its data is taken over without a copy and made read-only.
+    last one, or a sequence of nonzero values in pair-rank order, which is
+    copied.
     """
 
     def __init__(self, base: Mapping[tuple[int, int], float] | Sequence[float], t: float):
         self.t = _check_scale(t)
-        if isinstance(base, Mapping):
-            base = _pack(base)
-        owned = isinstance(base, np.ndarray) and base.dtype == np.float64 and base.base is None
-        packed = base if owned else np.array(base, dtype=np.float64)
+        packed = _pack(base) if isinstance(base, Mapping) else np.array(base, dtype=np.float64)
         if packed.ndim != 1:
             raise ValidationError("packed base values must form a 1-d array")
         if not packed.all():
@@ -225,6 +230,8 @@ class CoefficientTable:
         return _pair_count(n) <= self._size
 
     def _check_covers(self, n: int) -> None:
+        if n < 0:
+            raise ValidationError(f"need n >= 0 sites, got {n}")
         if not self.covers(n):
             raise ValidationError(f"table does not cover all pairs up to {n}")
 
@@ -283,7 +290,8 @@ class _SampledTable(CoefficientTable):
         self._read_ranks = False
 
     def packed(self, n: int) -> np.ndarray:
-        if self._packed is None and self.covers(n):
+        self._check_covers(n)
+        if self._packed is None:
             self._packed = sample_packed(*self._law)
             self._packed.flags.writeable = False
         return super().packed(n)
@@ -352,8 +360,6 @@ def normal_order(
     check_eps(eps)
     if len(values) != len(eps):
         raise ValueError(f"{len(values)} values but pattern of length {len(eps)}")
-    if not values:
-        raise ValueError("the empty word has no pairing")
     where: dict[int, list[int]] = {}
     for pos, v in enumerate(values, start=1):
         where.setdefault(v, []).append(pos)
@@ -366,19 +372,19 @@ def normal_order(
 
 
 def pair_pattern_is_default(pairing: PairPartition, eps: str) -> bool:
-    """True when every pair opens with '1' and closes with '*'."""
+    """True when every pair opens with '1' and closes with '*'; eps must
+    hold one letter per position of the pairing."""
     check_eps(eps)
+    if len(eps) != pairing.size:
+        raise ValueError(
+            f"pattern of length {len(eps)} for a pairing of {pairing.size} positions"
+        )
     return all(eps[w - 1] == "1" and eps[z - 1] == "*" for w, z in pairing.pairs)
 
 
 def pair_limit_monomial(pairing: PairPartition, eps: str) -> QTPolynomial:
     """Limiting monomial q^cross * t^nest of a pairing class under the default
     covariance; zero unless every pair has the ('1','*') pattern."""
-    check_eps(eps)
-    if len(eps) != pairing.size:
-        raise ValueError(
-            f"pattern of length {len(eps)} for a pairing of {pairing.size} positions"
-        )
     if not pair_pattern_is_default(pairing, eps):
         return QTPolynomial.zero()
     return QTPolynomial.monomial(*cross_nest_counts(pairing))

@@ -158,7 +158,8 @@ def _parse_fock_ops(text: str) -> list:
 
 def vacuum_moment(op_seq: Sequence[OperatorKind], p: FockParams) -> float:
     """Apply a product of operators (written left to right) to the vacuum and
-    return the resulting vacuum coefficient."""
+    return the resulting vacuum coefficient.  Every operator is checked, also
+    after the state has died."""
     state = vacuum()
     for kind in reversed(op_seq):
         name = kind[0]
@@ -172,8 +173,6 @@ def vacuum_moment(op_seq: Sequence[OperatorKind], p: FockParams) -> float:
             state = number_scale(state, p)
         else:
             raise ValueError(f"unknown operator kind {kind!r}")
-        if not state:
-            return 0.0
     return state.get((), 0.0)
 
 

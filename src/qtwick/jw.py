@@ -21,6 +21,7 @@ import numpy as np
 
 from .coeffs import CoefficientTable, _coefficient, _pair_rank
 from .errors import SizeLimitError, ValidationError
+from .floats import _check_finite
 from .wickpoly import LETTERS
 
 # check_commutation forms the 4n(n-1) relation scalars as [n, n] arrays and
@@ -63,6 +64,8 @@ class MonomialOperator:
     def apply(self, state: SparseState) -> SparseState:
         out: SparseState = {}
         for mask, amp in state.items():
+            if mask >> self.n:
+                raise ValueError(f"state mask {mask:#b} has bits outside the {self.n} slots")
             coeff = amp * self.scalar
             new_mask = 0
             for j, action in enumerate(self.slots):
@@ -269,6 +272,7 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
     product.  So each side reduces to its scalar, (c_lo * c_hi) on the left
     and ((mu * c_lo) * c_hi) on the right, with lo, hi = min, max of i, j.
     """
+    _check_finite("tolerance", tolerance)
     if n > MAX_VERIFY_SITES:
         raise SizeLimitError(f"verifying {n} sites exceeds the {MAX_VERIFY_SITES}-site cap")
     ascending = np.less.outer(np.arange(n), np.arange(n))

@@ -145,6 +145,15 @@ def test_fock_bad_ops_token(capsys):
     assert code == 2 and "token" in err
 
 
+def test_fock_ops_checks_every_letter(capsys):
+    # a1 acts first and kills the vacuum; a5 is refused all the same
+    for ops in ("a5,a1", "a1,a5"):
+        code, out, err = run(
+            capsys, "fock", "--d", "2", "--m", "3", "--q", "0.5", "--t", "1", "--ops", ops,
+        )
+        assert code == 2 and out == "" and err == "error: letter 5 outside 1..2\n"
+
+
 def test_coeffs_dump_and_lookup(capsys):
     code, out, _ = run(
         capsys, "coeffs", "--n", "3", "--q", "0.5", "--t", "1.25", "--seed", "1",

@@ -308,6 +308,18 @@ def test_estimate_single_pair_is_one():
     assert limit_coefficient_estimate(PairPartition(((1, 2),)), "1*", 10, table) == 1.0
 
 
+def test_a_class_of_fewer_than_two_pairs_is_one_after_every_check():
+    table = sampled_table(5, 0.5, 1.25, 0)
+    assert limit_coefficient_estimate(PairPartition(()), "", 5, table) == 1.0
+    with pytest.raises(ValidationError, match="does not cover"):
+        limit_coefficient_estimate(PairPartition(()), "", 6, table)
+    # a one-pair class reads its table, as every class does
+    half = CoefficientTable({(1, 2): 0.5}, 1.0)
+    with pytest.raises(ValidationError, match="two-point table"):
+        limit_coefficient_estimate(PairPartition(((1, 2),)), "1*", 2, half)
+    assert limit_coefficient_estimate(PairPartition(((1, 2),)), "1*", 1, half) == 1.0
+
+
 def test_estimate_disjoint_counts_offdiagonal_tuples():
     for n in (5, 40):
         table = sampled_table(n, 0.5, 1.25, 3)

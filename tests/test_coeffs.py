@@ -15,6 +15,7 @@ from qtwick import (
     CoefficientTable,
     SizeLimitError,
     NonPairClassError,
+    NormalOrderResult,
     PairPartition,
     QTPolynomial,
     ValidationError,
@@ -399,16 +400,49 @@ def test_only_the_first_single_read_draws_single_ranks(monkeypatch):
     assert drawn[0] == 1 and sum(drawn[1:]) == count
 
 
-def test_owned_array_is_taken_over():
+def test_a_sequence_is_copied_and_left_writable():
     packed = sample_packed(40, 0.5, 1.25, 1)
     table = CoefficientTable(packed, 1.25)
-    assert not packed.flags.writeable
-    assert np.shares_memory(table.packed(40), packed)
-    # anything else, a view among them, is copied and left as it was
+    assert packed.flags.writeable
+    assert not np.shares_memory(table.packed(40), packed)
+    assert np.array_equal(table.packed(40), packed)
+    first = packed[0]
+    packed[0] = -first
+    assert table.base_value(1, 2) == first
+    # a view is copied too
     whole = np.ones(10)
     view = CoefficientTable(whole[:6], 2.0)
     whole[0] = -1.0
     assert whole.flags.writeable and view.base_value(1, 2) == 1.0
+
+
+def test_a_negative_site_count_is_refused():
+    table = CoefficientTable([1.0, -1.0, 1.0], 1.25)
+    assert table.base_matrix(0).shape == (0, 0)
+    for read in (table.base_matrix, table.packed, lambda n: vacuum_expectation([], n, table)):
+        with pytest.raises(ValidationError, match="need n >= 0"):
+            read(-1)
+    # a sampled table refuses before it draws anything
+    sampled = sampled_table(5, 0.5, 1.25, 1)
+    with pytest.raises(ValidationError, match="need n >= 0"):
+        sampled.base_matrix(-1)
+    assert sampled._packed is None
+
+
+@pytest.mark.parametrize("ranks", [
+    [-1], np.array([-1]), [1.5], np.array([1.5]), [2**64], [0, -1, 2**63], ["3"], [[1]],
+])
+def test_sample_ranks_refuses_a_rank_outside_uint64(ranks):
+    with pytest.raises(ValidationError, match="0..2\\^64-1"):
+        sample_ranks(ranks, 0.5, 1.25, 1)
+
+
+def test_sample_ranks_takes_every_uint64_rank():
+    top = 2**64 - 1
+    want = sample_ranks(np.array([0, 2**63, top], dtype=np.uint64), 0.5, 1.25, 1)
+    for ranks in ([0, 2**63, top], np.array([0, 2**63, top], dtype=object)):
+        assert np.array_equal(sample_ranks(ranks, 0.5, 1.25, 1), want)
+    assert sample_ranks([], 0.5, 1.25, 1).shape == (0,)
 
 
 def _double_loop_matrix(table, n):
@@ -513,8 +547,8 @@ def test_normal_order_trivial_cases(table):
         normal_order((1, 2, 1), "111", table)
     with pytest.raises(ValueError):
         normal_order((1, 1), "1", table)
-    with pytest.raises(ValueError):
-        normal_order((), "", table)
+    # the empty word has the empty pairing
+    assert normal_order((), "", table) == NormalOrderResult(1.0, PairPartition(()), "")
 
 
 def test_normal_order_matches_closed_form_exhaustively():
@@ -553,6 +587,12 @@ def test_pair_limit_monomial():
     assert pair_limit_monomial(crossing, "1*1*") == QTPolynomial.zero()
     with pytest.raises(ValueError):
         pair_limit_monomial(crossing, "1*")
+
+
+@pytest.mark.parametrize("eps", ["", "1", "1*1*"])
+def test_pair_pattern_is_default_refuses_a_pattern_of_the_wrong_length(eps):
+    with pytest.raises(ValueError, match="pattern of length"):
+        pair_pattern_is_default(PairPartition(((1, 2),)), eps)
 
 
 def test_sampled_table_round_trip():

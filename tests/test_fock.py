@@ -153,6 +153,27 @@ def test_mixed_operator_moments():
         vacuum_moment([("bogus", 1)], P)
 
 
+def test_vacuum_moment_checks_every_operator_after_the_vacuum_dies():
+    dead = [("annihilate", 1)]  # acts first and kills the vacuum
+    assert vacuum_moment([("create", 2), ("number",)] + dead, P) == 0.0
+    with pytest.raises(ValueError, match="letter 5 outside 1..2"):
+        vacuum_moment([("annihilate", 5)] + dead, P)
+    with pytest.raises(ValueError, match="bogus"):
+        vacuum_moment([("bogus", 1)] + dead, P)
+
+
+def test_commutator_residual_reads_only_where_f_stands_and_whether_g_is_f():
+    # a word enters a_f c_g - q c_g a_f - <f,g> t^N only through the
+    # positions that hold f, so d letters reach no value that 2 do not
+    for q, t in ((0.5, 1.25), (-0.4, 0.7), (1.0, 1.0), (0.9, 0.6), (-1.3, 0.5), (0.0, 2.0)):
+        for d, m in itertools.product((3, 4), range(1, 7)):
+            two = FockParams(2, m, q, t)
+            for f, g in itertools.product(range(1, d + 1), repeat=2):
+                got = commutator_residual(f, g, FockParams(d, m, q, t))
+                want = commutator_residual(1, 1 if f == g else 2, two)
+                assert got.hex() == want.hex(), (q, t, d, m, f, g)
+
+
 @pytest.mark.parametrize("qt", [(0.5, 1.25), (0.3, 0.9), (-0.4, 0.7), (1.0, 1.0), (-1.0, 1.0)])
 def test_commutator_residual_small(qt):
     q, t = qt

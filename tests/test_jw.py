@@ -89,6 +89,14 @@ def test_apply_drops_an_entry_whose_amplitudes_cancel():
     assert to_zero.apply({0: 1.0, 1: 2.0}) == {0: -1.0}
 
 
+def test_apply_refuses_a_state_outside_its_slots():
+    op = build_jw(2, 1, TB, adjoint=True)
+    for mask in (0b100, -1):
+        with pytest.raises(ValueError, match=f"state mask {mask:#b} has bits outside the 2 slots"):
+            op.apply({0: 1.0, mask: 1.0})
+    assert op.apply({0: 1.0}) == {0b1: 1.0}
+
+
 def test_compose_matches_sequential_application():
     rng = random.Random(17)
     table = sampled_table(4, 0.5, 1.25, 8)
@@ -280,7 +288,9 @@ def generic_tables(draw):
 @settings(max_examples=120, deadline=None)
 @given(
     case=generic_tables(),
-    tolerance=st.one_of(st.just(1e-12), st.floats(max_value=0.0, allow_nan=False)),
+    tolerance=st.one_of(
+        st.just(1e-12), st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
+    ),
 )
 def test_check_commutation_matches_oracle_property(case, tolerance):
     n, table = case
@@ -351,6 +361,16 @@ def test_vacuum_expectation_rejects_a_site_outside_the_chain():
             vacuum_expectation([(site, True), (1, False)], 3, table)
     with pytest.raises(ValidationError, match="does not cover"):
         vacuum_expectation([(1, False), (1, True)], 4, table)
+
+
+def test_check_commutation_refuses_a_negative_size_and_a_non_finite_tolerance():
+    table = sampled_table(2, 0.5, 1.25, 1)
+    with pytest.raises(ValidationError, match="need n >= 0"):
+        check_commutation(-1, table)
+    for tolerance in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="finite tolerance"):
+            check_commutation(2, table, tolerance=tolerance)
+    assert check_commutation(0, table).ok
 
 
 def test_check_commutation_flags_at_negative_tolerance():
