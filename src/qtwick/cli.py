@@ -159,17 +159,17 @@ def _fock_artifact(meta: Metadata, fmt: str) -> str:
     if op == "moment":
         value = _finite(meta, "the vacuum moment",
                         vacuum_moment(_parse_fock_ops(meta["ops"]), params))
-        return _render(meta, ["value"], [[_fmt(value)]], fmt, [f"value = {_fmt(value)}"])
+        cell = _fmt(value)
+        return _render(meta, ["value"], [[cell]], fmt, [f"value = {cell}"])
     if op == "residual":
         _check_residual_size(params, params.d**2)
         rows = []
-        text_lines = []
         for f in range(1, params.d + 1):
             for g in range(1, params.d + 1):
                 r = _finite(meta, f"the residual at f={f}, g={g}",
                             commutator_residual(f, g, params))
                 rows.append([str(f), str(g), _fmt(r)])
-                text_lines.append(f"f={f} g={g} residual={_fmt(r)}")
+        text_lines = [f"f={f} g={g} residual={r}" for f, g, r in rows]
         return _render(meta, ["f", "g", "residual"], rows, fmt, text_lines)
     if op == "gram":
         import numpy as np
@@ -179,7 +179,7 @@ def _fock_artifact(meta: Metadata, fmt: str) -> str:
             raise _overflow(meta, "the Gram matrix")
         eigs = np.linalg.eigvalsh(gram)
         rows = [[str(k), _fmt(v)] for k, v in enumerate(eigs)]
-        text_lines = [f"eig[{k}] = {_fmt(v)}" for k, v in enumerate(eigs)]
+        text_lines = [f"eig[{k}] = {v}" for k, v in rows]
         return _render(meta, ["index", "eigenvalue"], rows, fmt, text_lines)
     raise ValidationError(f"unknown fock op {op!r}")
 

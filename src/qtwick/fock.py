@@ -12,6 +12,7 @@ annihilators (Bozejko-Speicher), not as a sum over S_n.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -28,9 +29,10 @@ FockVector = dict[Word, float]
 MAX_INNER_DEGREE = 22
 # 2048 words: 0.3 s, and 0.6 s more for the spectrum, 200 MB (4096: 5.5 s)
 MAX_GRAM_WORDS = 2048
-# letters of the words commutator_residual creates, sum_{k <= m-2} (k+1) d^k
-# per call and d^2 times that for the whole `fock --residual` table; at the
-# cap d=1 (m=512) takes 2.4 s, d=362 (m=2) 1.8 s, d >= 2 with m >= 3 0.6 s
+# letters of the words commutator_residual creates, which it spells over
+# min(d, 2) letters: sum_{k <= m-2} (k+1) min(d,2)^k per call and d^2 times
+# that for the whole `fock --residual` table; at the cap d=1 (m=512) takes
+# 3.3 s, d=362 (m=2) 2.3 s, d=2 (m=12), d=4 (m=10) and d=20 (m=7) 0.4-0.6 s
 MAX_RESIDUAL_LETTERS = 131_072
 
 OperatorKind = Union[tuple[str, int], tuple[str]]
@@ -46,10 +48,14 @@ class FockParams:
     t: float
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError("need d >= 1")
-        if self.m < 1:
-            raise ValueError("need m >= 1")
+        for name in ("d", "m"):
+            value = getattr(self, name)
+            try:  # numpy integers too, kept as Python ints so d**k cannot wrap
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValidationError(f"need an integer {name}, got {name}={value!r}") from None
+            if getattr(self, name) < 1:
+                raise ValidationError(f"need {name} >= 1")
         _check_finite("q", self.q)
         _check_scale(self.t)
 
@@ -202,7 +208,7 @@ def _check_residual_size(p: FockParams, calls: int = 1) -> None:
     create more than MAX_RESIDUAL_LETTERS letters."""
     letters = 0
     for k in range(p.m - 1):
-        letters += calls * (k + 1) * p.d**k
+        letters += calls * (k + 1) * min(p.d, 2) ** k
         if letters > MAX_RESIDUAL_LETTERS:
             raise SizeLimitError(
                 f"{calls} commutator residual(s) at d={p.d}, m={p.m} exceed the"
@@ -213,14 +219,21 @@ def _check_residual_size(p: FockParams, calls: int = 1) -> None:
 def commutator_residual(f: int, g: int, p: FockParams) -> float:
     """Largest Euclidean-norm defect of the relation
     annihilate(f) create(g) - q * create(g) annihilate(f) = <f,g> * (t-number scale)
-    over all basis words of degree <= m - 2."""
+    over all basis words of degree <= m - 2.
+
+    A word enters the relation only through the positions that hold f (and
+    whether g is f), so the words over f and one other letter reach every
+    defect: the walk spells them with g, or with any letter but f when g is
+    f, and with f alone at d = 1."""
     _check_letter(f, p)
     _check_letter(g, p)
     _check_residual_size(p)
     delta = 1.0 if f == g else 0.0
+    other = g if g != f else 2 if f == 1 else 1
+    letters = (f, other) if p.d > 1 else (f,)
     worst = 0.0
     for deg in range(0, p.m - 1):
-        for w in itertools.product(range(1, p.d + 1), repeat=deg):
+        for w in itertools.product(letters, repeat=deg):
             v = {w: 1.0}
             lhs = annihilate(f, create(g, v, p), p)
             mid = scale(create(g, annihilate(f, v, p), p), p.q)

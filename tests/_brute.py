@@ -3,9 +3,10 @@ the library: set partitions come from restricted-growth strings and are
 filtered down to pairings, chord statistics come from interval containment,
 the counted pairing walk places every pair node by node with no shared
 completions, the inner product sums over all of S_n without letter grouping,
-chain moments walk a dict of occupation bitmasks one state and one site at a
-time in floats or exactly in integers, chain vacuum walks apply whole
-operators over every slot, normal ordering walks each partner left one
+the commutator residual walks every word over all d letters, chain moments
+walk a dict of occupation bitmasks one state and one site at a time in floats
+or exactly in integers, chain vacuum walks apply whole operators over every
+slot, normal ordering walks each partner left one
 transposition at a time instead of reading crossings and nestings, the
 chain's exchange relations compose whole operators slot by slot, the pairing
 estimator sums the transposition walk's coefficients over every tuple as
@@ -24,6 +25,7 @@ import numpy as np
 from qtwick import __version__
 from qtwick.coeffs import _closed_form_factors, sampled_table
 from qtwick.floats import _fmt
+from qtwick.fock import _check_letter, add, annihilate, create, number_scale, scale
 from qtwick.jw import CommutationCheck, CommutationReport, MonomialOperator, build_jw
 from qtwick.pairings import PairPartition
 from qtwick.wickpoly import LETTERS
@@ -137,6 +139,25 @@ def inner_product_full_sn(u, v, q: float, t: float) -> float:
         )
         total += q**inv * t ** (top - inv)
     return total
+
+
+def commutator_residual_all_words(f: int, g: int, p) -> float:
+    """The largest defect of a_f c_g - q c_g a_f = <f,g> t^N over every one
+    of the d^k basis words of each degree k <= m - 2, with no size cap."""
+    _check_letter(f, p)
+    _check_letter(g, p)
+    delta = 1.0 if f == g else 0.0
+    worst = 0.0
+    for deg in range(0, p.m - 1):
+        for w in itertools.product(range(1, p.d + 1), repeat=deg):
+            v = {w: 1.0}
+            lhs = annihilate(f, create(g, v, p), p)
+            mid = scale(create(g, annihilate(f, v, p), p), p.q)
+            rhs = scale(number_scale(v, p), delta)
+            resid = add(add(lhs, scale(mid, -1.0)), scale(rhs, -1.0))
+            norm = np.sqrt(sum(c * c for c in resid.values()))
+            worst = max(worst, norm)
+    return float(worst)
 
 
 _MASK64 = (1 << 64) - 1

@@ -24,7 +24,7 @@ from qtwick import (
 from qtwick.cli import main
 from qtwick.fock import MAX_GRAM_WORDS, MAX_INNER_DEGREE
 
-from _brute import inner_product_full_sn
+from _brute import commutator_residual_all_words, inner_product_full_sn
 
 P = FockParams(d=2, m=4, q=0.3, t=0.8)
 
@@ -38,6 +38,17 @@ def test_params_validation():
         FockParams(d=1, m=1, q=0.0, t=0.0)
     assert FockParams(d=1, m=1, q=0.3, t=0.8).hilbert
     assert not FockParams(d=1, m=1, q=0.8, t=0.8).hilbert
+
+
+@pytest.mark.parametrize("d, m", [(2.0, 3), (2, 3.0), ("2", 3), (None, 3), (2, np.float64(3))])
+def test_params_refuse_a_non_integer_size(d, m):
+    with pytest.raises(ValidationError, match=r"^need an integer [dm], got"):
+        FockParams(d, m, 0.5, 1.0)
+
+
+def test_params_take_any_integer_as_a_python_int():
+    p = FockParams(np.int64(3), np.uint8(4), 0.5, 1.0)
+    assert (type(p.d), type(p.m)) == (int, int) and p == FockParams(3, 4, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("q, t", [(0.5, float("inf")), (float("nan"), 1.0), (0.5, float("nan"))])
@@ -174,6 +185,26 @@ def test_commutator_residual_reads_only_where_f_stands_and_whether_g_is_f():
                 assert got.hex() == want.hex(), (q, t, d, m, f, g)
 
 
+def _residual_or_error(residual, f, g, p):
+    try:
+        return residual(f, g, p).hex()
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def test_commutator_residual_matches_the_walk_over_every_word():
+    seen = set()
+    for q, t in ((0.5, 1.25), (0.9, 0.6), (-0.4, 0.7), (-1.3, 0.5), (1e100, 1e-20)):
+        for d, m in itertools.product(range(1, 5), range(1, 7)):
+            p = FockParams(d, m, q, t)
+            for f, g in itertools.product(range(1, d + 1), repeat=2):
+                got = _residual_or_error(commutator_residual, f, g, p)
+                want = _residual_or_error(commutator_residual_all_words, f, g, p)
+                assert got == want, (q, t, d, m, f, g)
+                seen.add(got)
+    assert {"inf", "OverflowError"} <= seen
+
+
 @pytest.mark.parametrize("qt", [(0.5, 1.25), (0.3, 0.9), (-0.4, 0.7), (1.0, 1.0), (-1.0, 1.0)])
 def test_commutator_residual_small(qt):
     q, t = qt
@@ -184,16 +215,18 @@ def test_commutator_residual_small(qt):
 
 
 def test_residual_cap(capsys):
-    # one call at d=4, m=8 creates 36409 letters, the table of 16 calls 582544
-    params = FockParams(d=4, m=8, q=0.5, t=1.25)
-    assert commutator_residual(1, 2, params) <= 1e-12
+    # a call spells its words over min(d, 2) letters: (m-2) 2^(m-1) + 1
+    # letters at d >= 2, 98305 at m=14 and 212993 at m=15; the d=4 table of
+    # 16 calls creates 65552 at m=10 and 147472 at m=11
     flags = ["--q", "0.5", "--t", "1.25", "--residual"]
-    assert main(["fock", "--d", "4", "--m", "8"] + flags) == 2
+    assert main(["fock", "--d", "4", "--m", "10"] + flags) == 0
+    assert main(["fock", "--d", "4", "--m", "11"] + flags) == 2
     assert main(["fock", "--d", "100000", "--m", "2"] + flags) == 2
     err = capsys.readouterr().err
     assert err.count("letter cap") == 2 and "internal error" not in err
+    assert commutator_residual(1, 2, FockParams(d=4, m=14, q=0.5, t=1.25)) <= 1e-12
     with pytest.raises(SizeLimitError):
-        commutator_residual(1, 2, FockParams(d=4, m=10, q=0.5, t=1.25))
+        commutator_residual(1, 2, FockParams(d=4, m=15, q=0.5, t=1.25))
     with pytest.raises(SizeLimitError):
         commutator_residual(1, 1, FockParams(d=1, m=10**9, q=0.5, t=1.25))
     # criterion 06 (d=3, m=6) and the benchmark's residual table (d=2, m=6) fit
