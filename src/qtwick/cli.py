@@ -138,8 +138,9 @@ def _wick_artifact(meta: Metadata, fmt: str) -> str:
     if "q" in meta and "t" in meta:
         q = _check_finite("q", meta.number("q", float))
         t = _check_finite("t", meta.number("t", float))
-        value = _finite(meta, "the value", poly.evaluate(q, t))
-        text_lines.append(f"value = {_fmt(value)}")
+        if fmt == "text":  # the one format that writes the value
+            value = _finite(meta, "the value", poly.evaluate(q, t))
+            text_lines.append(f"value = {_fmt(value)}")
     return _render(meta, ["deg_q", "deg_t", "coeff"], rows, fmt, text_lines)
 
 

@@ -24,13 +24,14 @@ import numpy as np
 
 from .coeffs import (
     CoefficientTable,
+    _check_pattern,
     _closed_form_factors,
     _table_law,
     pair_limit_monomial,
-    pair_pattern_is_default,
     sampled_table,
 )
 from .errors import SizeLimitError, ValidationError
+from .floats import _check_int
 from .pairings import PairPartition
 from .wickpoly import LETTERS, check_eps, wick_mixed
 
@@ -77,12 +78,10 @@ def peak_popcount(eps: str) -> int:
 
 def _check_moment(n_sites: int, eps: str) -> None:
     """Raise the refusal partial_sum_moment makes before it reads a table:
-    a word that is not over '1'/'*', fewer than one site, or a run past
-    the site, order or state cap."""
+    a word that is not over '1'/'*', a site count that is no integer or
+    below one, or a run past the site, order or state cap."""
     check_eps(eps)
-    if n_sites < 1:
-        raise ValidationError("need at least one site")
-    if n_sites > MAX_SUM_SIZE:
+    if _check_int("n_sites", n_sites, 1) > MAX_SUM_SIZE:
         raise SizeLimitError(f"{n_sites} sites exceed the {MAX_SUM_SIZE}-site cap")
     if len(eps) > MAX_SUM_LENGTH:
         raise SizeLimitError(f"moment order {len(eps)} exceeds {MAX_SUM_LENGTH}")
@@ -97,14 +96,11 @@ def _check_moment(n_sites: int, eps: str) -> None:
 def _check_estimate(pairing: PairPartition, eps: str, n_sites: int) -> None:
     """Raise the refusal limit_coefficient_estimate makes before it reads a
     table: a word that is not over '1'/'*' or does not fit the pairing, a
-    run past the tuple cap, or fewer sites than pairs."""
-    check_eps(eps)
+    site count that is no integer or negative, a run past the tuple cap, or
+    fewer sites than pairs."""
+    _check_pattern(pairing, eps)
     n = pairing.n
-    if len(eps) != 2 * n:
-        raise ValidationError(
-            f"pattern of length {len(eps)} for a pairing of {2 * n} positions"
-        )
-    if n_sites**n > MAX_ESTIMATE_TUPLES:
+    if _check_int("n_sites", n_sites, 0) ** n > MAX_ESTIMATE_TUPLES:
         raise SizeLimitError(
             f"{n_sites}^{n} tuples exceed the {MAX_ESTIMATE_TUPLES} cap"
         )
@@ -364,11 +360,12 @@ class ExperimentConfig:
         eps_ok = isinstance(self.eps, str) and bool(self.eps) and set(self.eps) <= set(LETTERS)
         if not eps_ok:
             problems.append(f"eps {self.eps!r} must be a nonempty string over '1'/'*'")
-        ns_ok = bool(self.ns) and min(self.ns) >= 1 and list(self.ns) == sorted(set(self.ns))
+        sizes_ok = not any(_refusal(_check_int, "n", n, 1) for n in self.ns)
+        ns_ok = bool(self.ns) and sizes_ok and list(self.ns) == sorted(set(self.ns))
         if not self.ns:
             problems.append("ns must be a nonempty increasing list of sizes")
         elif not ns_ok:
-            problems.append(f"ns {self.ns!r} must be strictly increasing and positive")
+            problems.append(f"ns {self.ns!r} must be strictly increasing positive integers")
         if self.mode == "lambda" and self.pairing is None:
             problems.append("lambda mode needs a pairing")
         if self.mode == "moment" and self.pairing is not None:
@@ -412,8 +409,9 @@ def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
         target = wick_mixed(eps).evaluate(config.q, config.t)
         engine = lambda n: partial_sum_moment(n, eps, table)
     else:
-        if pair_pattern_is_default(pairing, eps):
-            target = pair_limit_monomial(pairing, eps).evaluate(config.q, config.t)
+        limit = pair_limit_monomial(pairing, eps)
+        if limit:  # zero unless every pair opens with '1' and closes with '*'
+            target = limit.evaluate(config.q, config.t)
         engine = lambda n: limit_coefficient_estimate(pairing, eps, n, table)
     report = ExperimentReport(config=config)
     for n in config.ns:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPairClassError, SizeLimitError, ValidationError
-from .floats import _check_finite, _check_scale
+from .floats import _check_finite, _check_int, _check_scale
 from .pairings import PairPartition, cross_nest, cross_nest_counts
 from .wickpoly import LETTERS, QTPolynomial, check_eps
 
@@ -91,9 +91,7 @@ def _table_law(n: int, q: float, t: float) -> float:
     q and t first, then n.  sampled_table makes them before it draws
     anything, so that it refuses what sampling the whole table would."""
     p_plus = _two_point(q, t)
-    if n < 1:
-        raise ValidationError("need n >= 1")
-    if n > MAX_TABLE_SITES:
+    if _check_int("n", n, 1) > MAX_TABLE_SITES:
         raise SizeLimitError(f"{n} sites exceed the {MAX_TABLE_SITES}-site table cap")
     return p_plus
 
@@ -230,9 +228,7 @@ class CoefficientTable:
         return _pair_count(n) <= self._size
 
     def _check_covers(self, n: int) -> None:
-        if n < 0:
-            raise ValidationError(f"need n >= 0 sites, got {n}")
-        if not self.covers(n):
+        if not self.covers(_check_int("n", n, 0)):
             raise ValidationError(f"table does not cover all pairs up to {n}")
 
     def packed(self, n: int) -> np.ndarray:
@@ -244,12 +240,13 @@ class CoefficientTable:
         """Base value, as a Python float, of the pair of one rank below
         _size, or the base values of an array of such ranks.  Every read of
         fewer than all pairs goes through here."""
-        if isinstance(ranks, (int, np.integer)):
+        if isinstance(ranks, int):
             return self._packed.item(ranks)
         return self._packed[ranks]
 
     def base_value(self, i: int, j: int) -> float:
         """Base value mu(i, j) for 0 < i < j."""
+        i, j = _check_int("i", i), _check_int("j", j)
         if 0 < i < j and (rank := _pair_rank(i, j)) < self._size:
             return self._read(rank)
         raise ValidationError(f"table has no base value for pair ({i},{j})")
@@ -258,6 +255,7 @@ class CoefficientTable:
         """Coefficient mu_{left,right}(i, j) for i != j."""
         if left not in LETTERS or right not in LETTERS:
             raise ValueError(f"letters must be '1' or '*', got ({left!r},{right!r})")
+        i, j = _check_int("i", i), _check_int("j", j)
         if i == j:
             raise ValueError("coefficients are only defined for distinct indices")
         m = self.base_value(i, j) if i < j else self.base_value(j, i)
@@ -303,7 +301,7 @@ class _SampledTable(CoefficientTable):
                 _, q, t, seed = self._law
                 distinct, read = np.unique(ranks, return_inverse=True)
                 values = sample_ranks(distinct, q, t, seed)[read]
-                return values.item() if isinstance(ranks, (int, np.integer)) else values
+                return values.item() if isinstance(ranks, int) else values
             self.packed(self._law[0])
         return super()._read(ranks)
 
@@ -336,16 +334,6 @@ def _closed_form_factors(pairing: PairPartition) -> list[tuple[int, int]]:
     return factors
 
 
-def _beta_closed_form(
-    values: Sequence[int], eps: str, pairing: PairPartition, table: CoefficientTable
-) -> float:
-    """Product over crossings and nestings of the coefficients the reordering incurs."""
-    beta = 1.0
-    for x, y in _closed_form_factors(pairing):
-        beta *= table.lookup(eps[x - 1], eps[y - 1], values[x - 1], values[y - 1])
-    return beta
-
-
 def normal_order(
     values: Sequence[int], eps: str, table: CoefficientTable
 ) -> NormalOrderResult:
@@ -366,19 +354,27 @@ def normal_order(
     if any(len(block) != 2 for block in where.values()):
         raise NonPairClassError(f"tuple {values!r} is not a perfect pairing of its positions")
     pairing = PairPartition(tuple(map(tuple, where.values())))
-    beta = _beta_closed_form(values, eps, pairing, table)
+    beta = 1.0
+    for x, y in _closed_form_factors(pairing):
+        beta *= table.lookup(eps[x - 1], eps[y - 1], values[x - 1], values[y - 1])
     pattern = "".join(eps[w - 1] + eps[z - 1] for w, z in pairing.pairs)
     return NormalOrderResult(beta=beta, pairing=pairing, pattern=pattern)
+
+
+def _check_pattern(pairing: PairPartition, eps: str) -> None:
+    """Refuse eps unless it is a word over '1'/'*' with one letter per
+    position of the pairing."""
+    check_eps(eps)
+    if len(eps) != pairing.size:
+        raise ValidationError(
+            f"pattern of length {len(eps)} for a pairing of {pairing.size} positions"
+        )
 
 
 def pair_pattern_is_default(pairing: PairPartition, eps: str) -> bool:
     """True when every pair opens with '1' and closes with '*'; eps must
     hold one letter per position of the pairing."""
-    check_eps(eps)
-    if len(eps) != pairing.size:
-        raise ValueError(
-            f"pattern of length {len(eps)} for a pairing of {pairing.size} positions"
-        )
+    _check_pattern(pairing, eps)
     return all(eps[w - 1] == "1" and eps[z - 1] == "*" for w, z in pairing.pairs)
 
 

@@ -2,6 +2,7 @@
 engine share.  Numpy-free, so that the command-line front end loads none."""
 
 import math
+import operator
 
 from .errors import ValidationError
 
@@ -21,3 +22,18 @@ def _check_scale(t: float) -> float:
     if _check_finite("t", t) <= 0:
         raise ValidationError("need t > 0")
     return float(t)
+
+
+def _check_int(name: str, value: object, low: float = -math.inf, high: float = math.inf) -> int:
+    """value as a Python int, so that arithmetic on it cannot wrap: any
+    integer, numpy's too, in low..high; anything else raises
+    ValidationError.  Every count, letter and site is checked here."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"need an integer {name}, got {name}={value!r}") from None
+    if not low <= k <= high:
+        if high == math.inf:
+            raise ValidationError(f"need {name} >= {low}")
+        raise ValidationError(f"{name} {k} outside {low}..{high}")
+    return k

@@ -12,14 +12,13 @@ annihilators (Bozejko-Speicher), not as a sum over S_n.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import SizeLimitError, TruncationError, ValidationError
-from .floats import _check_finite, _check_scale
+from .floats import _check_finite, _check_int, _check_scale
 
 Word = tuple[int, ...]
 FockVector = dict[Word, float]
@@ -49,13 +48,7 @@ class FockParams:
 
     def __post_init__(self) -> None:
         for name in ("d", "m"):
-            value = getattr(self, name)
-            try:  # numpy integers too, kept as Python ints so d**k cannot wrap
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValidationError(f"need an integer {name}, got {name}={value!r}") from None
-            if getattr(self, name) < 1:
-                raise ValidationError(f"need {name} >= 1")
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
         _check_finite("q", self.q)
         _check_scale(self.t)
 
@@ -69,9 +62,8 @@ def vacuum() -> FockVector:
     return {(): 1.0}
 
 
-def _check_letter(i: int, p: FockParams) -> None:
-    if not 1 <= i <= p.d:
-        raise ValueError(f"letter {i} outside 1..{p.d}")
+def _check_letter(i: int, p: FockParams) -> int:
+    return _check_int("letter", i, 1, p.d)
 
 
 def _check_degree(degree: int, p: FockParams) -> None:
@@ -101,7 +93,7 @@ def scale(v: FockVector, c: float) -> FockVector:
 
 def create(i: int, v: FockVector, p: FockParams) -> FockVector:
     """Prepend letter i to every word; leaving the truncated algebra is an error."""
-    _check_letter(i, p)
+    i = _check_letter(i, p)
     out: FockVector = {}
     for w, c in v.items():
         if len(w) + 1 > p.m:
@@ -116,7 +108,7 @@ def create(i: int, v: FockVector, p: FockParams) -> FockVector:
 def annihilate(i: int, v: FockVector, p: FockParams) -> FockVector:
     """Remove letter i at each position k (1-based), weighting the term by
     q^(k-1) * t^(n-k); the vacuum maps to zero."""
-    _check_letter(i, p)
+    i = _check_letter(i, p)
     out: FockVector = {}
     for w, c in v.items():
         n = len(w)
@@ -162,23 +154,24 @@ def _parse_fock_ops(text: str) -> list:
     return ops
 
 
+# the operators of vacuum_moment by name and length of their kind: a letter
+# follows every name but "number"
+_OPERATORS = {("create", 2): create, ("annihilate", 2): annihilate, ("field", 2): field,
+              ("number", 1): number_scale}
+
+
 def vacuum_moment(op_seq: Sequence[OperatorKind], p: FockParams) -> float:
     """Apply a product of operators (written left to right) to the vacuum and
     return the resulting vacuum coefficient.  Every operator is checked, also
-    after the state has died."""
+    after the state has died; a malformed kind raises ValueError."""
     state = vacuum()
     for kind in reversed(op_seq):
-        name = kind[0]
-        if name == "create":
-            state = create(kind[1], state, p)
-        elif name == "annihilate":
-            state = annihilate(kind[1], state, p)
-        elif name == "field":
-            state = field(kind[1], state, p)
-        elif name == "number":
-            state = number_scale(state, p)
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
+        try:  # a kind that is no sequence, or whose name is unhashable, is malformed too
+            apply = _OPERATORS[(*kind[:1], len(kind))]
+        except (KeyError, TypeError):
+            raise ValueError(f"bad operator kind {kind!r}; use (name, letter) for create,"
+                             " annihilate or field, or ('number',)") from None
+        state = apply(*kind[1:], state, p)
     return state.get((), 0.0)
 
 
@@ -225,8 +218,7 @@ def commutator_residual(f: int, g: int, p: FockParams) -> float:
     whether g is f), so the words over f and one other letter reach every
     defect: the walk spells them with g, or with any letter but f when g is
     f, and with f alone at d = 1."""
-    _check_letter(f, p)
-    _check_letter(g, p)
+    f, g = _check_letter(f, p), _check_letter(g, p)
     _check_residual_size(p)
     delta = 1.0 if f == g else 0.0
     other = g if g != f else 2 if f == 1 else 1
@@ -252,8 +244,7 @@ def gram_matrix(n: int, p: FockParams) -> np.ndarray:
     q^k * t^(n-1-k) in the row of (v_k, v without position k).  The upper
     triangle is mirrored, so the result is exactly symmetric.
     """
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = _check_int("n", n, 0)
     _check_degree(n, p)
     count = p.d**n
     if count > MAX_GRAM_WORDS:

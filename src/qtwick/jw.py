@@ -21,7 +21,7 @@ import numpy as np
 
 from .coeffs import CoefficientTable, _coefficient, _pair_rank
 from .errors import SizeLimitError, ValidationError
-from .floats import _check_finite
+from .floats import _check_finite, _check_int
 from .wickpoly import LETTERS
 
 # check_commutation forms the 4n(n-1) relation scalars as [n, n] arrays and
@@ -84,16 +84,11 @@ class MonomialOperator:
         return out
 
 
-def _check_site(site: int, n: int) -> None:
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside 1..{n}")
-
-
 def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> MonomialOperator:
     """Chain element i (or its adjoint) on an n-slot chain.  The occupied-bit
     entry of the diagonal factor at slot k is sqrt(t) * mu(k, i) for k < i
     and sqrt(t) for k > i; slot i holds the ladder factor."""
-    _check_site(i, n)
+    i = _check_int("site", i, 1, n)
     table._check_covers(n)
     # mu(k, i) for k = 1..i-1 are consecutive in pair-rank order
     first = _pair_rank(1, i)
@@ -136,8 +131,7 @@ def _vacuum_walk(
     each factor, rightmost first, how many of those it reads and how many
     occupied slots lie above its site.
     """
-    for site, _ in op_seq:
-        _check_site(site, n)
+    op_seq = [(_check_int("site", site, 1, n), adjoint) for site, adjoint in op_seq]
     occupied: list[int] = []  # ascending
     ranks: list[int] = []
     factors: list[tuple[int, int]] = []
@@ -273,6 +267,7 @@ def check_commutation(n: int, table: CoefficientTable, tolerance: float = 1e-12)
     and ((mu * c_lo) * c_hi) on the right, with lo, hi = min, max of i, j.
     """
     _check_finite("tolerance", tolerance)
+    n = _check_int("n", n, 0)
     if n > MAX_VERIFY_SITES:
         raise SizeLimitError(f"verifying {n} sites exceeds the {MAX_VERIFY_SITES}-site cap")
     ascending = np.less.outer(np.arange(n), np.arange(n))

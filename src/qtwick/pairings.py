@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
+from .floats import _check_int
 
 # (2n-1)!! pairings: n = 7 means 135,135 of them, listed in 0.13-0.21 s and
 # 50-69 MB; n = 8 would mean 2,027,025, listed in 0.9-1.3 s but at
@@ -104,8 +105,7 @@ def _placements(n: int, prefix, token, last) -> list:
     leaves the same free points, lists their completions (suffix, crossings,
     nestings).  token(w, z) stands for a pair (w, z) and last(w, z) for the
     pair placed last, each made once.  Hard-capped at n <= MAX_ENUMERATION_PAIRS."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _check_int("n", n, 1)
     if n > MAX_ENUMERATION_PAIRS:
         raise SizeLimitError(
             f"refusing to enumerate (2n-1)!! pairings for n={n} > {MAX_ENUMERATION_PAIRS}"

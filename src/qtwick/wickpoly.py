@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import SizeLimitError
+from .floats import _check_int
 
 Scalar = Union[int, float, Fraction]
 
@@ -209,8 +210,7 @@ def _pairing_sum(eps: str, labels: tuple, cov: Mapping[tuple[str, str], Fraction
 
 def wick_field(n: int) -> QTPolynomial:
     """Sum of q^cross * t^nest over all pair partitions of {1,...,2n}."""
-    if n < 0:
-        raise ValueError("need n >= 0")
+    n = _check_int("n", n, 0)
     _check_pair_count(2 * n)
     return _pairing_sum("1" * (2 * n), (None,) * (2 * n), {("1", "1"): Fraction(1)})
 

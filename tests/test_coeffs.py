@@ -591,7 +591,7 @@ def test_pair_limit_monomial():
 
 @pytest.mark.parametrize("eps", ["", "1", "1*1*"])
 def test_pair_pattern_is_default_refuses_a_pattern_of_the_wrong_length(eps):
-    with pytest.raises(ValueError, match="pattern of length"):
+    with pytest.raises(ValidationError, match="pattern of length"):
         pair_pattern_is_default(PairPartition(((1, 2),)), eps)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -160,14 +161,21 @@ def test_mixed_operator_moments():
     assert vacuum_moment([("create", 1), ("annihilate", 1)], P) == 0.0
     got = vacuum_moment([("annihilate", 1), ("number",), ("create", 1)], P)
     assert got == pytest.approx(0.8)
+    assert vacuum_moment([("field", 1)] * 4, FockParams(d=1, m=4, q=0.5, t=1.25)) == 2.75  # README
     with pytest.raises(ValueError, match="bogus"):
         vacuum_moment([("bogus", 1)], P)
+
+
+@pytest.mark.parametrize("kind", [("create",), ("number", 3), ("hop", 1), (["create"], 1), 5])
+def test_vacuum_moment_refuses_a_malformed_operator_kind(kind):
+    with pytest.raises(ValueError, match=f"^bad operator kind {re.escape(repr(kind))};"):
+        vacuum_moment([kind], P)
 
 
 def test_vacuum_moment_checks_every_operator_after_the_vacuum_dies():
     dead = [("annihilate", 1)]  # acts first and kills the vacuum
     assert vacuum_moment([("create", 2), ("number",)] + dead, P) == 0.0
-    with pytest.raises(ValueError, match="letter 5 outside 1..2"):
+    with pytest.raises(ValidationError, match="letter 5 outside 1..2"):
         vacuum_moment([("annihilate", 5)] + dead, P)
     with pytest.raises(ValueError, match="bogus"):
         vacuum_moment([("bogus", 1)] + dead, P)
@@ -374,5 +382,5 @@ def test_inner_product_refuses_the_degree_before_the_letters():
         inner_product(word, word, FockParams(d=1, m=degree - 1, q=0.5, t=1.0))
     with pytest.raises(SizeLimitError):
         inner_product(word, word, FockParams(d=1, m=degree, q=0.5, t=1.0))
-    with pytest.raises(ValueError, match=r"^letter 2 outside 1..1$"):
+    with pytest.raises(ValidationError, match=r"^letter 2 outside 1..1$"):
         inner_product({(2,): 1.0}, {(2,): 1.0}, FockParams(d=1, m=degree, q=0.5, t=1.0))

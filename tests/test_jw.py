@@ -357,7 +357,7 @@ def test_vacuum_expectation_rejects_a_site_outside_the_chain():
     table = sampled_table(3, 0.5, 1.25, 0)
     # the rightmost factor kills the vacuum before the bad site would act
     for site in (0, 4):
-        with pytest.raises(ValueError, match=f"site {site} outside 1..3"):
+        with pytest.raises(ValidationError, match=f"site {site} outside 1..3"):
             vacuum_expectation([(site, True), (1, False)], 3, table)
     with pytest.raises(ValidationError, match="does not cover"):
         vacuum_expectation([(1, False), (1, True)], 4, table)

@@ -1,10 +1,14 @@
 """README's size-cap table lists every MAX_* constant of the package with its
-current value, and its python examples run as doctests."""
+current value, its python examples run as doctests, and its shell examples
+run through the command line."""
 
 import doctest
 import importlib
 import pathlib
 import re
+import shlex
+
+from qtwick import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -47,3 +51,22 @@ def test_readme_python_blocks_run_as_doctests():
         runner.run(test, clear_globs=False)
     assert examples > 0
     assert runner.summarize(verbose=False).failed == 0
+
+
+def _shell_commands():
+    """The `qtwick ...` lines of README.md's ```sh blocks, as argument lists
+    without the program name and any trailing comment."""
+    text = (ROOT / "README.md").read_text()
+    lines = [line for block in re.findall(r"^```sh\n(.*?)^```$", text, re.M | re.S)
+             for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qtwick ")]
+
+
+def test_readme_shell_examples_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the examples write and check report.csv here
+    monkeypatch.delenv("QTWICK_SEED", raising=False)
+    commands = _shell_commands()
+    assert len(commands) == 9
+    for argv in commands:  # in order, as a reader types them
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
