@@ -41,9 +41,9 @@ MAX_SUM_LENGTH = 8
 # dense int64 vector, and a step lists ranks of the smaller of its two states
 # only; `clt --mode moment` in a fresh process on a shared 2-core host:
 # 111*** at 400 sites (10.6M states), whose halves are mirrors meeting at the
-# peak, takes 1.1-1.7 s and 114 MB; 111*1*** and 1*111*** at 400 sites, whose
-# right half steps down from the peak, 2.1-2.9 s and 114 MB; 1111**** at 130
-# sites (11.4M) 1.1-1.4 s and 122 MB
+# peak, takes 0.56-0.82 s and 117 MB; 111*1*** and 1*111*** at 400 sites, whose
+# right half steps down from the peak, 1.0-1.5 s and 117 MB; 1111**** at 130
+# sites (11.4M), which holds the level-2 edges (17 MB), 0.58-0.91 s and 138 MB
 MAX_SUM_STATES = 12_000_000
 # the estimator contracts [N, N] matrices in about N^n multiply-adds, so the
 # tuple count is its flop budget; with N >= n it stops at 7 pairs (8^8 > 10^7).
@@ -108,61 +108,62 @@ def _check_estimate(pairing: PairPartition, eps: str, n_sites: int) -> None:
         raise ValidationError(f"need at least {n} sites for {n} distinct values")
 
 
-def _unrank(ranks: np.ndarray, k: int, binom: np.ndarray) -> np.ndarray:
-    """Sorted 0-based site sets, one row per colex rank sum_r C(site_r, r+1)."""
-    sites = np.empty((ranks.size, k), dtype=np.int64)
-    rest = ranks.copy()
-    for r in range(k, 0, -1):
-        col = binom[:, r]
-        top = np.searchsorted(col, rest, side="right") - 1
-        sites[:, r - 1] = top
-        rest -= col[top]
-    return sites
+class _EdgeTables:
+    """The edges of both letter sums by popcount k: row r of level k lists,
+    for the set S of colex rank r and each free site i in increasing order,
+    the rank of S + {i} and the product of mu(s, i) over s in S below i.
+    Level 0 is the row (i, 1); level k is read off level k - 1, held whole
+    (C(n, k-1) rows, small next to the C(n, peak) state).  With m = max S
+    and r' = r - C(m, k) the rank of S - {m}, a column c < m - k + 1 is row
+    r' at c, its key raised by C(m, k+1); a column above m, site c + k, has
+    the key r + C(c+k, k+1) and the weight at c + 1 of row r' times mu(m, c+k)."""
+
+    def __init__(self, up: np.ndarray, binom: np.ndarray):
+        self.n = n = up.shape[0]
+        self.up, self.binom = up, binom
+        self.held = [(np.arange(n)[None, :], np.ones((1, n), dtype=np.int64))]
+
+    def chunks(self, ranks: np.ndarray, k: int):
+        """(ranks, keys, weights) of level k's rows, about _CHUNK edges at a time."""
+        for j in range(len(self.held), k):
+            keys = np.empty((int(self.binom[self.n, j]), self.n - j), dtype=np.int64)
+            weights = np.empty_like(keys)
+            for chunk, chunk_keys, chunk_weights in self.chunks(np.arange(len(keys)), j):
+                keys[chunk], weights[chunk] = chunk_keys, chunk_weights
+            self.held.append((keys, weights))
+        step = max(1, _CHUNK // (self.n - k))
+        for lo in range(0, ranks.size, step):
+            chunk = ranks[lo:lo + step]
+            yield (chunk, *self._rows(chunk, k))
+
+    def _rows(self, ranks: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Level k's rows at ranks, from level k if it is held, else level k - 1."""
+        if k < len(self.held):
+            keys, weights = self.held[k]
+            return keys[ranks], weights[ranks]
+        binom, (keys, weights) = self.binom, self.held[k - 1]
+        m = np.searchsorted(binom[:, k], ranks, side="right") - 1
+        prev = ranks - binom[m, k]
+        keys, weights = keys[prev], weights[prev]
+        below = np.arange(self.n - k) < (m - k + 1)[:, None]
+        return (np.where(below, keys[:, :-1] + binom[m, k + 1, None],
+                         ranks[:, None] + binom[k:self.n, k + 1]),
+                np.where(below, weights[:, :-1], weights[:, 1:] * self.up[m, k:]))
 
 
-def _edges(sites: np.ndarray, up: np.ndarray, binom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges from each sorted site set of popcount k to the sets one
-    free site larger: [rows, n - k] arrays of their colex ranks and of the
-    sign products weighing them."""
-    rows, k = sites.shape
-    n = up.shape[0]
-    weights = np.ones((rows, n), dtype=up.dtype)
-    for r in range(k):
-        weights *= up[sites[:, r]]
-    occupied = np.zeros((rows, n), dtype=np.int64)
-    occupied[np.arange(rows)[:, None], sites] = 1
-    # slot of the new site in the sorted set: the occupied sites below it
-    pos = np.cumsum(occupied, axis=1) - occupied
-    slot = np.arange(k)
-    below = np.zeros((rows, k + 1), dtype=np.int64)
-    np.cumsum(binom[sites, slot + 1], axis=1, out=below[:, 1:])
-    above = np.zeros((rows, k + 1), dtype=np.int64)
-    above[:, :k] = np.cumsum(binom[sites, slot + 2][:, ::-1], axis=1)[:, ::-1]
-    keys = np.take_along_axis(below + above, pos, axis=1)
-    keys += binom[np.arange(n), pos + 1]
-    free = occupied == 0
-    return keys[free].reshape(rows, n - k), weights[free].reshape(rows, n - k)
-
-
-def _apply_sum(
-    vec: np.ndarray, k: int, letter: str, up: np.ndarray, binom: np.ndarray
-) -> np.ndarray:
+def _apply_sum(vec: np.ndarray, k: int, letter: str, edges: _EdgeTables) -> np.ndarray:
     """Apply the sum over all sites of the chain element (letter '1') or its
     adjoint (letter '*'), with sqrt(t) factored out, to the popcount-k state
     with the given dense integer amplitudes indexed by colex rank, and return
     the result the same way.  Both read the edges out of the lower popcount: a
     creation scatters along them, an annihilation gathers back along them."""
-    n = up.shape[0]
     create = letter == "*"
     low = k if create else k - 1
-    out = np.zeros(int(binom[n, k + 1 if create else low]), dtype=np.int64)
-    if not 0 <= low < n:
+    out = np.zeros(int(edges.binom[edges.n, k + 1 if create else low]), dtype=np.int64)
+    if not 0 <= low < edges.n:
         return out
     ranks = np.flatnonzero(vec) if create else np.arange(out.size)
-    step = max(1, _CHUNK // (n - low))
-    for lo in range(0, ranks.size, step):
-        chunk = ranks[lo:lo + step]
-        keys, weights = _edges(_unrank(chunk, low, binom), up, binom)
+    for chunk, keys, weights in edges.chunks(ranks, low):
         if create:
             np.add.at(out, keys.ravel(), (vec[chunk, None] * weights).ravel())
         else:
@@ -170,12 +171,12 @@ def _apply_sum(
     return out
 
 
-def _walk(word: str, up: np.ndarray, binom: np.ndarray) -> np.ndarray:
+def _walk(word: str, edges: _EdgeTables) -> np.ndarray:
     """The dense amplitudes of word's letter sums applied right to left to
     the vacuum."""
     vec, k = np.ones(1, dtype=np.int64), 0
     for letter in reversed(word):
-        vec = _apply_sum(vec, k, letter, up, binom)
+        vec = _apply_sum(vec, k, letter, edges)
         k += 1 if letter == "*" else -1
     return vec
 
@@ -266,7 +267,7 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
             return 0.0
     if k:
         return 0.0
-    binom = _binomials(n_sites, peak_popcount(eps) + 1)
+    edges = _EdgeTables(up, _binomials(n_sites, peak_popcount(eps) + 1))
     # int64 cannot wrap.  A creation multiplies the sum of a half's
     # amplitudes' magnitudes by at most N, an annihilation by at most the
     # peak popcount p, so after c creations and a annihilations every
@@ -280,8 +281,8 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     half = len(eps) // 2
     right = eps[half:]
     left = eps[:half][::-1].translate(_SWAP)
-    v = _walk(right, up, binom)
-    u = v if left == right else _walk(left, up, binom)
+    v = _walk(right, edges)
+    u = v if left == right else _walk(left, edges)
     return _round_once(int(np.dot(u, v)), table.t, t_power, n_sites, half)
 
 

@@ -88,6 +88,7 @@ def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> 
     """Chain element i (or its adjoint) on an n-slot chain.  The occupied-bit
     entry of the diagonal factor at slot k is sqrt(t) * mu(k, i) for k < i
     and sqrt(t) for k > i; slot i holds the ladder factor."""
+    n = _check_int("n", n, 1)
     i = _check_int("site", i, 1, n)
     table._check_covers(n)
     # mu(k, i) for k = 1..i-1 are consecutive in pair-rank order

@@ -36,8 +36,9 @@ def check_eps(eps: str) -> str:
 class QTPolynomial:
     """Polynomial in two commuting variables q and t with exact Fraction coefficients.
 
-    Terms live in a dict keyed by (q-degree, t-degree); zero coefficients are
-    never stored, so equality is plain dict equality.
+    Terms live in a dict keyed by (q-degree, t-degree), integers >= 0 (any
+    other degree raises ValidationError); zero coefficients are never
+    stored, so equality is plain dict equality.
     """
 
     __slots__ = ("terms",)
@@ -45,11 +46,10 @@ class QTPolynomial:
     def __init__(self, terms: Optional[Mapping[tuple[int, int], Scalar]] = None):
         clean: dict[tuple[int, int], Fraction] = {}
         for (a, b), c in (terms or {}).items():
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent in term ({a},{b})")
+            key = (_check_int("q-degree", a, 0), _check_int("t-degree", b, 0))
             frac = Fraction(c)
             if frac:
-                clean[(a, b)] = frac
+                clean[key] = frac
         self.terms = clean
 
     @classmethod

@@ -180,14 +180,50 @@ def test_annihilation_sum_is_the_transpose_of_the_creation_sum():
     for n in range(1, 8):
         for seed in (0, 1):
             up = clt._upper_signs(sampled_table(n, 0.0, 1.25, seed), n)
-            binom = clt._binomials(n, n + 1)
+            edges = clt._EdgeTables(up, clt._binomials(n, n + 1))
 
             def matrix(k, letter):
-                return np.column_stack([clt._apply_sum(unit, k, letter, up, binom)
+                return np.column_stack([clt._apply_sum(unit, k, letter, edges)
                                         for unit in np.eye(math.comb(n, k), dtype=np.int64)])
 
             for k in range(n):
                 assert np.array_equal(matrix(k + 1, "1"), matrix(k, "*").T), (n, seed, k)
+
+
+def _enumerated_edges(n, k, table):
+    """Level k's rows listed directly: for each sorted site set S in colex
+    order and each free site i, the colex rank of S + {i} and the product
+    of mu(s, i) over the s in S below i."""
+    rows = {}
+    for s in itertools.combinations(range(n), k):
+        row = []
+        for i in sorted(set(range(n)) - set(s)):
+            key = sum(math.comb(x, r + 1) for r, x in enumerate(sorted(s + (i,))))
+            row.append((key, math.prod(table.base_value(x + 1, i + 1) for x in s if x < i)))
+        rows[sum(math.comb(x, r + 1) for r, x in enumerate(s))] = row
+    return [rows[r] for r in range(len(rows))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=36, max_size=36))
+def test_edge_tables_equal_the_enumerated_edges(signs):
+    table = CoefficientTable(signs, 1.25)
+    for n in range(1, 10):
+        edges = clt._EdgeTables(clt._upper_signs(table, n), clt._binomials(n, n + 1))
+
+        def listed(k):
+            return [list(zip(keys, weights)) for _, chunk_keys, chunk_weights
+                    in edges.chunks(np.arange(math.comb(n, k)), k)
+                    for keys, weights in zip(chunk_keys.tolist(), chunk_weights.tolist())]
+
+        expected = [_enumerated_edges(n, k, table) for k in range(n)]
+        # each level sliced off the level below, which it then holds whole
+        for k in range(n):
+            assert listed(k) == expected[k], (n, k)
+        assert len(edges.held) == max(n - 1, 1)
+        # and the held levels read back
+        for k in range(len(edges.held)):
+            assert listed(k) == expected[k], (n, k)
 
 
 @pytest.fixture
@@ -221,7 +257,8 @@ def test_a_mirror_word_walks_one_half(applied_letters):
 def test_a_step_down_from_the_peak_holds_one_peak_vector():
     # 111*1*** and 1*111*** step down from popcount 3: the annihilation
     # gathers into the lower vector, so nothing but the dense C(200, 3)
-    # amplitudes (10.5 MB) and a chunk's temporaries is alive at the peak
+    # amplitudes (10.5 MB), the held level-1 edges (0.6 MB) and a chunk's
+    # temporaries is alive at the peak
     table = sampled_table(200, 0.5, 1.25, 0)
     table.packed(200)  # the draw happens on the first bulk read
     for eps in ("1*111***", "111*1***"):
@@ -232,6 +269,25 @@ def test_a_step_down_from_the_peak_holds_one_peak_vector():
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * math.comb(200, 3), (eps, peak)
+
+
+def test_a_peak_4_word_holds_one_peak_vector_and_the_level_2_edges():
+    # 1111**** climbs to popcount 4 from the edges of level 3, sliced off
+    # the level-2 edges held whole (keys and weights, C(80, 2) rows of 78):
+    # beside those two, only the level-3 amplitudes, their nonzero ranks
+    # and a chunk's temporaries are alive at the peak
+    n = 80
+    table = sampled_table(n, 0.5, 1.25, 0)
+    table.packed(n)  # the draw happens on the first bulk read
+    tracemalloc.start()
+    try:
+        partial_sum_moment(n, "1111****", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = 2 * 8 * math.comb(n, 2) * (n - 2)
+    below = 2 * 8 * math.comb(n, 3)
+    assert peak <= 8 * math.comb(n, 4) + held + below + 32 * 8 * clt._CHUNK, peak
 
 
 def test_binomials_equal_math_comb():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -47,6 +48,19 @@ def test_build_validation():
         build_jw(3, 1, TB)  # table only covers 2 sites
     single = build_jw(1, 1, CoefficientTable({}, 2.0))
     assert single.slots == (LOWER,)
+
+
+def test_build_refuses_n_then_the_site_then_coverage():
+    # TB covers 2 sites; each refusal wins over every one after it
+    for args, message in (
+        ((4.0, 5), "need an integer n, got n=4.0"),
+        ((0, 1), "need n >= 1"),
+        ((4, 5), "site 5 outside 1..4"),
+        ((4, 2.0), "need an integer site, got site=2.0"),
+        ((4, 1), "table does not cover all pairs up to 4"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build_jw(*args, TB)
 
 
 def test_apply_and_compose():

@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from qtwick import (
     QTPolynomial,
     SizeLimitError,
+    ValidationError,
     enumerate_counted_pairings,
     wick_field,
     wick_joint,
@@ -41,6 +44,21 @@ def test_polynomial_arithmetic():
 def test_polynomial_rejects_negative_exponents():
     with pytest.raises(ValueError):
         QTPolynomial({(-1, 0): 1})
+
+
+def test_polynomial_degrees_are_integers_at_least_zero():
+    for make, message in (
+        (lambda: QTPolynomial({(1.5, 0): 1}), "need an integer q-degree, got q-degree=1.5"),
+        (lambda: QTPolynomial.monomial(2.0, 1), "need an integer q-degree, got q-degree=2.0"),
+        (lambda: QTPolynomial({(0, 0.5): 1}), "need an integer t-degree, got t-degree=0.5"),
+        (lambda: QTPolynomial({(-1, 0): 1}), "need q-degree >= 0"),
+        (lambda: QTPolynomial.monomial(0, -2), "need t-degree >= 0"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make()
+    # numpy's integers are integers, stored as Python ints
+    p = QTPolynomial.monomial(np.int64(2), np.int8(1))
+    assert p.terms == {(2, 1): 1} and all(type(d) is int for d in next(iter(p.terms)))
 
 
 def test_evaluate():
