@@ -37,9 +37,10 @@ from .wickpoly import LETTERS, check_eps, wick_mixed
 
 MAX_SUM_SIZE = 400
 MAX_SUM_LENGTH = 8
-# the moment walk holds at most C(N, d) states, d = peak_popcount(eps), as a
-# dense int64 vector, and a step lists ranks of the smaller of its two states
-# only; `clt --mode moment` in a fresh process on a shared 2-core host:
+# a moment walk that runs holds at most C(N, d) states, d = peak_popcount(eps),
+# as a dense int64 vector, and a step lists ranks of the smaller of its two
+# states only; a word whose walk cannot return to the vacuum is not charged.
+# `clt --mode moment` in a fresh process on a shared 2-core host:
 # 111*** at 400 sites (10.6M states), whose halves are mirrors meeting at the
 # peak, takes 0.56-0.82 s and 117 MB; 111*1*** and 1*111*** at 400 sites, whose
 # right half steps down from the peak, 1.0-1.5 s and 117 MB; 1111**** at 130
@@ -63,34 +64,44 @@ _CHUNK = 1 << 13
 _SWAP = str.maketrans("1*", "*1")
 
 
-def peak_popcount(eps: str) -> int:
-    """Largest number of occupied sites along the moment walk of eps: the
-    excess of '*' over '1' in a suffix, up to the first suffix whose excess
-    goes negative, after which the state is zero."""
-    k = peak = 0
+def _popcounts(eps: str) -> list[int]:
+    """h[j], j = 0..len(eps), the excess of '*' over '1' in eps[j:]: eps[j]
+    acts on popcount h[j + 1] in the walk of the right half, and on h[j] in
+    the walk of the left half, read backwards with its letters swapped."""
+    h = [0]
     for letter in reversed(eps):
-        k += 1 if letter == "*" else -1
-        if k < 0:
-            break
-        peak = max(peak, k)
-    return peak
+        h.append(h[-1] + (1 if letter == "*" else -1))
+    return h[::-1]
 
 
-def _check_moment(n_sites: int, eps: str) -> None:
+def peak_popcount(eps: str) -> int:
+    """Largest excess of '*' over '1' in a suffix of eps: the most sites the
+    moment walk of eps holds occupied, when it runs."""
+    return max(_popcounts(eps))
+
+
+def _check_moment(n_sites: int, eps: str) -> Optional[list[int]]:
     """Raise the refusal partial_sum_moment makes before it reads a table:
     a word that is not over '1'/'*', a site count that is no integer or
-    below one, or a run past the site, order or state cap."""
+    below one, or a run past the site, order or state cap.  Return eps's
+    popcounts, or None for a walk that cannot return to the vacuum, which
+    never runs and is not charged: h[0] != 0, a suffix with more '1' than
+    '*', or a popcount above n_sites, which holds no set."""
     check_eps(eps)
     if _check_int("n_sites", n_sites, 1) > MAX_SUM_SIZE:
         raise SizeLimitError(f"{n_sites} sites exceed the {MAX_SUM_SIZE}-site cap")
     if len(eps) > MAX_SUM_LENGTH:
         raise SizeLimitError(f"moment order {len(eps)} exceeds {MAX_SUM_LENGTH}")
-    peak = peak_popcount(eps)
+    h = _popcounts(eps)
+    peak = max(h)
+    if h[0] or min(h) < 0 or peak > n_sites:
+        return None
     if math.comb(n_sites, peak) > MAX_SUM_STATES:
         raise SizeLimitError(
             f"{eps!r} at {n_sites} sites reaches C({n_sites},{peak}) states,"
             f" over the {MAX_SUM_STATES}-state cap"
         )
+    return h
 
 
 def _check_estimate(pairing: PairPartition, eps: str, n_sites: int) -> None:
@@ -160,8 +171,6 @@ def _apply_sum(vec: np.ndarray, k: int, letter: str, edges: _EdgeTables) -> np.n
     create = letter == "*"
     low = k if create else k - 1
     out = np.zeros(int(edges.binom[edges.n, k + 1 if create else low]), dtype=np.int64)
-    if not 0 <= low < edges.n:
-        return out
     ranks = np.flatnonzero(vec) if create else np.arange(out.size)
     for chunk, keys, weights in edges.chunks(ranks, low):
         if create:
@@ -171,13 +180,12 @@ def _apply_sum(vec: np.ndarray, k: int, letter: str, edges: _EdgeTables) -> np.n
     return out
 
 
-def _walk(word: str, edges: _EdgeTables) -> np.ndarray:
-    """The dense amplitudes of word's letter sums applied right to left to
-    the vacuum."""
-    vec, k = np.ones(1, dtype=np.int64), 0
-    for letter in reversed(word):
+def _walk(steps: list[tuple[str, int]], edges: _EdgeTables) -> np.ndarray:
+    """The dense amplitudes of the letter sums of steps, (letter, popcount
+    it acts on) in the order they act, applied to the vacuum."""
+    vec = np.ones(1, dtype=np.int64)
+    for letter, k in steps:
         vec = _apply_sum(vec, k, letter, edges)
-        k += 1 if letter == "*" else -1
     return vec
 
 
@@ -252,22 +260,11 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     both.  The moment is M * t^E / N^(r/2), rounded once.  Any other table
     raises ValidationError.
     """
-    _check_moment(n_sites, eps)
+    h = _check_moment(n_sites, eps)
     up = _upper_signs(table, n_sites)
-    # an unbalanced word, or one with a suffix holding more '1' than '*',
-    # annihilates the vacuum; on any other word the left half, after reading
-    # a prefix of eps, holds as many sites as the walk of the rest of eps, so
-    # neither half climbs past the peak popcount
-    k = t_power = 0
-    for letter in reversed(eps):
-        if letter == "*":
-            t_power += k
-        k += 1 if letter == "*" else -1
-        if k < 0:
-            return 0.0
-    if k:
+    if h is None:
         return 0.0
-    edges = _EdgeTables(up, _binomials(n_sites, peak_popcount(eps) + 1))
+    edges = _EdgeTables(up, _binomials(n_sites, max(h) + 1))
     # int64 cannot wrap.  A creation multiplies the sum of a half's
     # amplitudes' magnitudes by at most N, an annihilation by at most the
     # peak popcount p, so after c creations and a annihilations every
@@ -279,11 +276,13 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     # 400^4 * 3^4 < 2.1e12 < 2^53
     # (test_moment_amplitudes_stay_below_2_53_within_the_caps)
     half = len(eps) // 2
-    right = eps[half:]
-    left = eps[:half][::-1].translate(_SWAP)
+    right = list(zip(reversed(eps[half:]), reversed(h[half + 1:])))
+    left = list(zip(eps[:half].translate(_SWAP), h))
     v = _walk(right, edges)
     u = v if left == right else _walk(left, edges)
-    return _round_once(int(np.dot(u, v)), table.t, t_power, n_sites, half)
+    # an annihilation back to k undoes each creation from k, so E is half
+    # the sum of every step's lower popcount
+    return _round_once(int(np.dot(u, v)), table.t, sum(map(min, h, h[1:])) // 2, n_sites, half)
 
 
 def limit_coefficient_estimate(
@@ -371,9 +370,9 @@ class ExperimentConfig:
             problems.append("lambda mode needs a pairing")
         if self.mode == "moment" and self.pairing is not None:
             problems.append("moment mode takes no pairing")
-        # q and t are checked whatever ns is
+        # q, t and the seed are checked whatever ns is
         top = max(self.ns) if ns_ok else 1
-        problems += _refusal(_table_law, top, self.q, self.t)
+        problems += _refusal(_table_law, top, self.q, self.t, self.seed)
         if eps_ok and ns_ok:
             if self.mode == "moment":
                 problems += _refusal(_check_moment, top, self.eps)

@@ -52,18 +52,20 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 def _derive_seeds(master: int, ranks: np.ndarray) -> np.ndarray:
     """derive_seed(master, k) for each k of a uint64 array of ranks, computed
     in place: every step writes into `ranks`, as a fresh array per step
-    would cost a page fault per page at the sampler's chunk size."""
+    would cost a page fault per page at the sampler's chunk size.  A master
+    that is no integer raises ValidationError."""
     ranks *= np.uint64(_GAMMA)
-    ranks += np.uint64((master + _GAMMA) & _MASK64)
+    ranks += np.uint64((_check_int("seed", master) + _GAMMA) & _MASK64)
     return _splitmix64(ranks)
 
 
 def derive_seed(master: int, k: int) -> int:
     """Seed of sub-task k: splitmix64 applied to master + (k+1) steps of the
     golden-ratio increment.  Stable across versions and platforms.  master
-    is read modulo 2^64, so master and master + 2^64 (or -5 and 2^64 - 5)
-    derive the same seeds."""
-    return int(_derive_seeds(master, np.array([k & _MASK64], dtype=np.uint64))[0])
+    and k are read modulo 2^64, so master and master + 2^64 (or -5 and
+    2^64 - 5) derive the same seeds."""
+    ranks = np.array([_check_int("k", k) & _MASK64], dtype=np.uint64)
+    return int(_derive_seeds(master, ranks)[0])
 
 
 def _pair_rank(i: int, j: int) -> int:
@@ -86,13 +88,15 @@ def _two_point(q: float, t: float) -> float:
     return 0.5 * (1.0 + q / t)
 
 
-def _table_law(n: int, q: float, t: float) -> float:
+def _table_law(n: int, q: float, t: float, seed: int) -> float:
     """P(+1) of a sampled n-site table, after the checks sample_packed makes:
-    q and t first, then n.  sampled_table makes them before it draws
-    anything, so that it refuses what sampling the whole table would."""
+    q and t first, then n, then the seed.  sampled_table makes them before
+    it draws anything, so that it refuses what sampling the whole table
+    would."""
     p_plus = _two_point(q, t)
     if _check_int("n", n, 1) > MAX_TABLE_SITES:
         raise SizeLimitError(f"{n} sites exceed the {MAX_TABLE_SITES}-site table cap")
+    _check_int("seed", seed)
     return p_plus
 
 
@@ -132,7 +136,7 @@ def sample_packed(n: int, q: float, t: float, seed: int) -> np.ndarray:
     its rank alone: the sample for a smaller n is a prefix of the sample for
     a larger one, and sample_ranks draws any subset with the same bits.
     """
-    p_plus = _table_law(n, q, t)
+    p_plus = _table_law(n, q, t, seed)
     count = _pair_count(n)
     out = np.empty(count)
     # in chunks, so that the bits and uniforms of the whole table are never
@@ -280,7 +284,7 @@ class _SampledTable(CoefficientTable):
     costs about one whole draw."""
 
     def __init__(self, n: int, q: float, t: float, seed: int):
-        _table_law(n, q, t)
+        _table_law(n, q, t, seed)
         self.t = float(t)
         self._law = (n, q, t, seed)
         self._packed = None

@@ -130,8 +130,9 @@ def _vacuum_walk(
     the vacuum coefficient is then 0.0.  Otherwise it returns the ranks of
     the base values mu(slot, site) the factors read, in read order, and for
     each factor, rightmost first, how many of those it reads and how many
-    occupied slots lie above its site.
+    occupied slots lie above its site.  It checks n before any site.
     """
+    n = _check_int("n", n, 0)
     op_seq = [(_check_int("site", site, 1, n), adjoint) for site, adjoint in op_seq]
     occupied: list[int] = []  # ascending
     ranks: list[int] = []

@@ -22,6 +22,12 @@ MAX_ENUMERATION_PAIRS = 7
 Pairs = tuple[tuple[int, int], ...]
 
 
+def _pair(a: object, b: object) -> tuple[int, int]:
+    """Two positions as integers, the smaller first."""
+    a, b = _check_int("position", a), _check_int("position", b)
+    return (a, b) if a < b else (b, a)
+
+
 @dataclass(frozen=True)
 class PairPartition:
     """Perfect matching of {1,...,2n} in canonical (w, z) order."""
@@ -29,11 +35,11 @@ class PairPartition:
     pairs: Pairs
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
+        canon = tuple(sorted(_pair(a, b) for a, b in self.pairs))
         object.__setattr__(self, "pairs", canon)
         flat = sorted(x for p in canon for x in p)
         if flat != list(range(1, 2 * len(canon) + 1)):
-            raise ValueError(
+            raise ValidationError(
                 f"pairs {self.pairs!r} do not partition 1..{2 * len(canon)}"
             )
 

@@ -630,6 +630,16 @@ def test_clt_csv_to_file_and_check(capsys, tmp_path):
     assert code == 2 and "does not match" in err
 
 
+@pytest.mark.parametrize("eps", ["****", "11****"])
+def test_clt_a_word_that_never_walks_is_not_charged_the_state_cap(capsys, tmp_path, eps):
+    target = tmp_path / "report.csv"
+    argv = ("clt", "--mode", "moment", "--eps", eps, *CHAIN, "--ns", "10,400")
+    assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+    rows = [line.split(",") for line in target.read_text().splitlines()[-2:]]
+    assert [(row[0], row[6]) for row in rows] == [("10", "0"), ("400", "0")]
+    assert run(capsys, "--check", str(target)) == (0, f"ok: {target}\n", "")
+
+
 def test_clt_lambda_via_cli(capsys):
     code, out, _ = run(
         capsys, "clt", "--mode", "lambda", "--eps", "11**", "--q", "0.5",

@@ -241,7 +241,20 @@ def test_dying_words_return_zero_before_any_walk(applied_letters):
     table = sampled_table(12, 0.5, 1.25, 0)
     for eps in ("*1", "1**1", "11***1", "111****1"):
         assert partial_sum_moment(12, eps, table) == 0.0
+    # popcount 4 holds no set of 3 sites, so the walk would die at its top
+    assert partial_sum_moment(3, "1111****", table) == 0.0
     assert applied_letters == []
+
+
+def test_the_state_cap_charges_only_a_walk_that_runs(applied_letters):
+    # neither word returns to the vacuum, so C(400, 4) states are never held
+    for eps in ("****", "11****"):
+        config = ExperimentConfig("moment", eps, 0.5, 1.25, (10, 400), 0)
+        assert config.validate() == []
+        assert [row.value for row in convergence_experiment(config).rows] == [0.0, 0.0]
+    assert applied_letters == []
+    with pytest.raises(SizeLimitError, match="states"):
+        partial_sum_moment(400, "1111****", sampled_table(400, 0.5, 1.25, 0))
 
 
 def test_a_mirror_word_walks_one_half(applied_letters):
@@ -319,7 +332,10 @@ def test_peak_popcount():
     assert peak_popcount("1111****") == 4
     assert peak_popcount("1*1*1*1*") == 1
     assert peak_popcount("**") == 2
-    assert peak_popcount("****1") == 0  # the first factor kills the vacuum
+    # the first factor kills the vacuum, so this walk never runs
+    assert peak_popcount("****1") == 3
+    assert clt._popcounts("****1") == [3, 2, 1, 0, -1, 0]
+    assert clt._popcounts("11**") == [0, 1, 2, 1, 0]
 
 
 def test_state_cap():
@@ -630,7 +646,7 @@ GOOD_MOMENT = ExperimentConfig(mode="moment", eps="11**", q=0.5, t=1.25, ns=(5, 
 
 
 def _table_check(cfg):
-    _table_law(max(cfg.ns), cfg.q, cfg.t)
+    _table_law(max(cfg.ns), cfg.q, cfg.t, cfg.seed)
 
 
 def _moment_check(cfg):
@@ -646,6 +662,7 @@ def _estimate_check(cfg):
     pytest.param(dict(t=-1.0), _table_check, id="t>0"),
     pytest.param(dict(q=2.0, t=1.0), _table_check, id="|q|<=t"),
     pytest.param(dict(ns=(MAX_TABLE_SITES + 1,)), _table_check, id="table-sites"),
+    pytest.param(dict(seed=2.0), _table_check, id="seed"),
     pytest.param(dict(ns=(MAX_SUM_SIZE + 1,)), _moment_check, id="sum-size"),
     pytest.param(dict(eps="1*" * (MAX_SUM_LENGTH // 2 + 1)), _moment_check, id="sum-length"),
     pytest.param(dict(eps="1111****", ns=(400,)), _moment_check, id="sum-states"),

@@ -367,6 +367,19 @@ def test_vacuum_expectation_matches_the_operator_walk_bit_for_bit(case):
     assert (got.hex(), math.copysign(1.0, got)) == (want.hex(), math.copysign(1.0, want))
 
 
+def test_vacuum_expectation_refuses_n_then_the_site_then_coverage():
+    # TB covers 2 sites; each refusal wins over every one after it, as in build_jw
+    for args, message in (
+        (([(5, False)], 4.0), "need an integer n, got n=4.0"),
+        (([(5, False)], -1), "need n >= 0"),
+        (([(5, False)], 4), "site 5 outside 1..4"),
+        (([(2.0, False)], 4), "need an integer site, got site=2.0"),
+        (([(1, False), (1, True)], 4), "table does not cover all pairs up to 4"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            vacuum_expectation(*args, TB)
+
+
 def test_vacuum_expectation_rejects_a_site_outside_the_chain():
     table = sampled_table(3, 0.5, 1.25, 0)
     # the rightmost factor kills the vacuum before the bad site would act
