@@ -9,8 +9,9 @@ pairing class.  Both engines take two-point tables only (every base value
 with sqrt(t) factored out, the estimator contracts integer sign matrices,
 and each rounds its exact value once.  Experiments sample a single
 coefficient table at the largest requested size and evaluate every smaller
-size on its restriction; they return rows of numbers, which the command
-line renders."""
+size on its restriction; a moment experiment does so from one walk, whose
+leading creations run once at the largest size and serve every smaller one.
+Experiments return rows of numbers, which the command line renders."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -42,9 +43,11 @@ MAX_SUM_LENGTH = 8
 # states only; a word whose walk cannot return to the vacuum is not charged.
 # `clt --mode moment` in a fresh process on a shared 2-core host:
 # 111*** at 400 sites (10.6M states), whose halves are mirrors meeting at the
-# peak, takes 0.56-0.82 s and 117 MB; 111*1*** and 1*111*** at 400 sites, whose
-# right half steps down from the peak, 1.0-1.5 s and 117 MB; 1111**** at 130
-# sites (11.4M), which holds the level-2 edges (17 MB), 0.58-0.91 s and 138 MB
+# peak, takes 0.55-0.60 s and 117 MB; 111*1*** and 1*111*** at 400 sites, whose
+# right half steps down from the peak, 0.94-1.33 s and 117 MB; 1111**** at 130
+# sites (11.4M), which holds the level-2 edges (17 MB), 0.60-0.87 s and 138 MB.
+# A run of several sizes walks the largest and reads the others off it:
+# 111*** at 10,100,200,400 sites takes 0.54-0.81 s and 117 MB
 MAX_SUM_STATES = 12_000_000
 # the estimator contracts [N, N] matrices in about N^n multiply-adds, so the
 # tuple count is its flop budget; with N >= n it stops at 7 pairs (8^8 > 10^7).
@@ -180,10 +183,9 @@ def _apply_sum(vec: np.ndarray, k: int, letter: str, edges: _EdgeTables) -> np.n
     return out
 
 
-def _walk(steps: list[tuple[str, int]], edges: _EdgeTables) -> np.ndarray:
+def _walk(vec: np.ndarray, steps: list[tuple[str, int]], edges: _EdgeTables) -> np.ndarray:
     """The dense amplitudes of the letter sums of steps, (letter, popcount
-    it acts on) in the order they act, applied to the vacuum."""
-    vec = np.ones(1, dtype=np.int64)
+    it acts on) in the order they act, applied to vec."""
     for letter, k in steps:
         vec = _apply_sum(vec, k, letter, edges)
     return vec
@@ -260,11 +262,26 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     both.  The moment is M * t^E / N^(r/2), rounded once.  Any other table
     raises ValidationError.
     """
-    h = _check_moment(n_sites, eps)
-    up = _upper_signs(table, n_sites)
-    if h is None:
-        return 0.0
-    edges = _EdgeTables(up, _binomials(n_sites, max(h) + 1))
+    return _moments((n_sites,), eps, table)[0]
+
+
+def _moments(ns: Sequence[int], eps: str, table: CoefficientTable) -> list[float]:
+    """partial_sum_moment at each size of ns, a nonempty sequence, from one
+    walk.  Every size is checked first, then the table is read once, at the
+    top size max(ns).  The leading creations of each half run once, from the
+    vacuum at the top size: a creation reaches a set inside the first n
+    sites only from such a set, through a site below n and with the same
+    signs, and in colex order those sets hold the first C(n, c) ranks, so
+    size n starts its half from that prefix of the vector and walks the rest
+    on the first n sites.  A word made of creations on each side, such as
+    111***, costs one walk and a dot product per size."""
+    # a walk that runs at some size runs at the top size, which goes first
+    sizes = sorted({n for n in ns if _check_moment(n, eps) is not None}, reverse=True)
+    top = max(ns)
+    up = _upper_signs(table, top)
+    h = _popcounts(eps)
+    binom = _binomials(top, max(h) + 1)
+    top_edges = _EdgeTables(up, binom)
     # int64 cannot wrap.  A creation multiplies the sum of a half's
     # amplitudes' magnitudes by at most N, an annihilation by at most the
     # peak popcount p, so after c creations and a annihilations every
@@ -278,11 +295,24 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     half = len(eps) // 2
     right = list(zip(reversed(eps[half:]), reversed(h[half + 1:])))
     left = list(zip(eps[:half].translate(_SWAP), h))
-    v = _walk(right, edges)
-    u = v if left == right else _walk(left, edges)
+    halves = [right] if left == right else [right, left]
+    creations = [next((j for j, (letter, _) in enumerate(steps) if letter == "1"), len(steps))
+                 for steps in halves]
+    starts: list[Optional[np.ndarray]] = [None] * len(halves)
     # an annihilation back to k undoes each creation from k, so E is half
     # the sum of every step's lower popcount
-    return _round_once(int(np.dot(u, v)), table.t, sum(map(min, h, h[1:])) // 2, n_sites, half)
+    t_power = sum(map(min, h, h[1:])) // 2
+    moments = dict.fromkeys(ns, 0.0)
+    for n in sizes:
+        edges = top_edges if n == top else _EdgeTables(up[:n, :n], binom[:n + 1])
+        ends = []
+        for j, steps in enumerate(halves):
+            c = creations[j]
+            if starts[j] is None:
+                starts[j] = _walk(np.ones(1, dtype=np.int64), steps[:c], top_edges)
+            ends.append(_walk(starts[j][:binom[n, c]], steps[c:], edges))
+        moments[n] = _round_once(int(np.dot(ends[-1], ends[0])), table.t, t_power, n, half)
+    return [moments[n] for n in ns]
 
 
 def limit_coefficient_estimate(
@@ -397,7 +427,10 @@ class ExperimentReport:
 
 def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one experiment: a single sampled table at max(ns), each size read off
-    the restriction, plus the limiting target when one is defined."""
+    the restriction, plus the limiting target when one is defined.  Moment
+    mode evaluates every size in one call of the moment engine, which walks
+    the leading creations once, at max(ns); lambda mode runs the estimator
+    once per size."""
     problems = config.validate()
     if problems:
         raise ValidationError("; ".join(problems))
@@ -407,15 +440,14 @@ def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
     target: Optional[float] = None
     if config.mode == "moment":
         target = wick_mixed(eps).evaluate(config.q, config.t)
-        engine = lambda n: partial_sum_moment(n, eps, table)
+        values = _moments(config.ns, eps, table)
     else:
         limit = pair_limit_monomial(pairing, eps)
         if limit:  # zero unless every pair opens with '1' and closes with '*'
             target = limit.evaluate(config.q, config.t)
-        engine = lambda n: limit_coefficient_estimate(pairing, eps, n, table)
+        values = [limit_coefficient_estimate(pairing, eps, n, table) for n in config.ns]
     report = ExperimentReport(config=config)
-    for n in config.ns:
-        value = engine(n)
+    for n, value in zip(config.ns, values):
         err = None if target is None else abs(value - target)
         report.rows.append(ExperimentRow(n=n, value=value, target=target, abs_err=err))
     return report

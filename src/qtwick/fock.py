@@ -91,9 +91,23 @@ def scale(v: FockVector, c: float) -> FockVector:
     return {w: c * x for w, x in v.items()}
 
 
-def create(i: int, v: FockVector, p: FockParams) -> FockVector:
-    """Prepend letter i to every word; leaving the truncated algebra is an error."""
-    i = _check_letter(i, p)
+def _check_word(w: object, p: FockParams) -> None:
+    """Refuse w unless it is a tuple of letters 1..d."""
+    if not isinstance(w, tuple):
+        raise ValidationError(f"need a word as a tuple of letters, got {w!r}")
+    for x in w:
+        _check_letter(x, p)
+
+
+def _check_vector(v: FockVector, p: FockParams) -> FockVector:
+    """A caller's vector, every word checked; the walks inside this module
+    call the operators' unchecked bodies on the words they build."""
+    for w in v:
+        _check_word(w, p)
+    return v
+
+
+def _create(i: int, v: FockVector, p: FockParams) -> FockVector:
     out: FockVector = {}
     for w, c in v.items():
         if len(w) + 1 > p.m:
@@ -105,10 +119,7 @@ def create(i: int, v: FockVector, p: FockParams) -> FockVector:
     return out
 
 
-def annihilate(i: int, v: FockVector, p: FockParams) -> FockVector:
-    """Remove letter i at each position k (1-based), weighting the term by
-    q^(k-1) * t^(n-k); the vacuum maps to zero."""
-    i = _check_letter(i, p)
+def _annihilate(i: int, v: FockVector, p: FockParams) -> FockVector:
     out: FockVector = {}
     for w, c in v.items():
         n = len(w)
@@ -125,9 +136,24 @@ def annihilate(i: int, v: FockVector, p: FockParams) -> FockVector:
     return out
 
 
+def _field(i: int, v: FockVector, p: FockParams) -> FockVector:
+    return add(_create(i, v, p), _annihilate(i, v, p))
+
+
+def create(i: int, v: FockVector, p: FockParams) -> FockVector:
+    """Prepend letter i to every word; leaving the truncated algebra is an error."""
+    return _create(_check_letter(i, p), _check_vector(v, p), p)
+
+
+def annihilate(i: int, v: FockVector, p: FockParams) -> FockVector:
+    """Remove letter i at each position k (1-based), weighting the term by
+    q^(k-1) * t^(n-k); the vacuum maps to zero."""
+    return _annihilate(_check_letter(i, p), _check_vector(v, p), p)
+
+
 def field(i: int, v: FockVector, p: FockParams) -> FockVector:
     """Self-adjoint field: creation plus annihilation of the same letter."""
-    return add(create(i, v, p), annihilate(i, v, p))
+    return _field(_check_letter(i, p), _check_vector(v, p), p)
 
 
 def number_scale(v: FockVector, p: FockParams) -> FockVector:
@@ -156,7 +182,7 @@ def _parse_fock_ops(text: str) -> list:
 
 # the operators of vacuum_moment by name and length of their kind: a letter
 # follows every name but "number"
-_OPERATORS = {("create", 2): create, ("annihilate", 2): annihilate, ("field", 2): field,
+_OPERATORS = {("create", 2): _create, ("annihilate", 2): _annihilate, ("field", 2): _field,
               ("number", 1): number_scale}
 
 
@@ -171,7 +197,7 @@ def vacuum_moment(op_seq: Sequence[OperatorKind], p: FockParams) -> float:
         except (KeyError, TypeError):
             raise ValueError(f"bad operator kind {kind!r}; use (name, letter) for create,"
                              " annihilate or field, or ('number',)") from None
-        state = apply(*kind[1:], state, p)
+        state = apply(*(_check_letter(i, p) for i in kind[1:]), state, p)
     return state.get((), 0.0)
 
 
@@ -185,13 +211,12 @@ def inner_product(u: FockVector, v: FockVector, p: FockParams) -> float:
     for vec in (u, v):
         for w in vec:
             _check_degree(len(w), p)
-            for x in w:
-                _check_letter(x, p)
+            _check_word(w, p)
     total = 0.0
     for w1, c1 in sorted(u.items()):
         state = {w2: c2 for w2, c2 in v.items() if len(w2) == len(w1)}
         for i in w1:
-            state = annihilate(i, state, p)
+            state = _annihilate(i, state, p)
         total += c1 * state.get((), 0.0)
     return total
 
@@ -227,8 +252,8 @@ def commutator_residual(f: int, g: int, p: FockParams) -> float:
     for deg in range(0, p.m - 1):
         for w in itertools.product(letters, repeat=deg):
             v = {w: 1.0}
-            lhs = annihilate(f, create(g, v, p), p)
-            mid = scale(create(g, annihilate(f, v, p), p), p.q)
+            lhs = _annihilate(f, _create(g, v, p), p)
+            mid = scale(_create(g, _annihilate(f, v, p), p), p.q)
             rhs = scale(number_scale(v, p), delta)
             resid = add(add(lhs, scale(mid, -1.0)), scale(rhs, -1.0))
             norm = np.sqrt(sum(c * c for c in resid.values()))

@@ -22,8 +22,12 @@ MAX_ENUMERATION_PAIRS = 7
 Pairs = tuple[tuple[int, int], ...]
 
 
-def _pair(a: object, b: object) -> tuple[int, int]:
-    """Two positions as integers, the smaller first."""
+def _pair(pair: object) -> tuple[int, int]:
+    """A pair of two positions as integers, the smaller first."""
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        raise ValidationError(f"need a pair of two positions, got {pair!r}") from None
     a, b = _check_int("position", a), _check_int("position", b)
     return (a, b) if a < b else (b, a)
 
@@ -35,7 +39,11 @@ class PairPartition:
     pairs: Pairs
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(_pair(a, b) for a, b in self.pairs))
+        try:
+            given = tuple(self.pairs)
+        except TypeError:
+            raise ValidationError(f"need a sequence of pairs, got {self.pairs!r}") from None
+        canon = tuple(sorted(map(_pair, given)))
         object.__setattr__(self, "pairs", canon)
         flat = sorted(x for p in canon for x in p)
         if flat != list(range(1, 2 * len(canon) + 1)):

@@ -267,6 +267,48 @@ def test_a_mirror_word_walks_one_half(applied_letters):
         assert "".join(applied_letters) == walked, eps
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    eps=st.text(alphabet="1*", max_size=8).filter(lambda e: peak_popcount(e) <= 4),
+    ns=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+    seed=st.integers(0, 2**64 - 1),
+    ratio=st.floats(-1.0, 1.0),
+    t=st.floats(0.1, 4.0),
+)
+# sizes below the peak popcount hold no set and give 0.0 beside larger ones
+@example(eps="1111****", ns=[1, 3, 4, 12], seed=0, ratio=0.0, t=1.25)
+@example(eps="11*1**", ns=[1, 2, 5, 12], seed=1, ratio=0.4, t=1.25)
+def test_one_walk_equals_the_oracle_at_every_size(eps, ns, seed, ratio, t):
+    table = sampled_table(max(ns), ratio * t, t, seed)
+    got = clt._moments(ns, eps, table)
+    assert list(map(float.hex, got)) == [_brute.exact_moment(n, eps, table).hex() for n in ns]
+
+
+def test_one_walk_applies_the_creation_prefix_once(applied_letters):
+    table = sampled_table(60, 0.5, 1.25, 0)
+    ns = (20, 40, 60)
+    # 111*** is all creations: one walk at 60 sites and a dot product per
+    # size; 11*1** walks ** once and its tail 1 at each size; 1*11** walks
+    # both halves at 60 sites (**1, then *1*), then the tails 1 and 1* at 40
+    # and at 20
+    for eps, walked in (("111***", "***"), ("11*1**", "**111"),
+                        ("1*11**", "**1*1*" + "11*" * 2)):
+        applied_letters.clear()
+        got = clt._moments(ns, eps, table)
+        assert "".join(applied_letters) == walked, eps
+        assert got == [partial_sum_moment(n, eps, table) for n in ns], eps
+
+
+def test_one_walk_checks_every_size_before_it_reads_the_table():
+    table = sampled_table(3, 0.5, 1.25, 0)
+    with pytest.raises(SizeLimitError, match="site cap"):
+        clt._moments((3, 401), "1*", table)
+    with pytest.raises(ValidationError, match="n_sites"):
+        clt._moments((3, 2.5), "1*", table)
+    with pytest.raises(ValidationError, match="does not cover"):
+        clt._moments((3, 4), "1*", table)
+
+
 def test_a_step_down_from_the_peak_holds_one_peak_vector():
     # 111*1*** and 1*111*** step down from popcount 3: the annihilation
     # gathers into the lower vector, so nothing but the dense C(200, 3)

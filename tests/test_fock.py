@@ -77,6 +77,28 @@ def test_truncation_and_letter_errors():
         annihilate(0, vacuum(), P)
 
 
+@pytest.mark.parametrize("operator, vector, message", [
+    (annihilate, {(1.0, 2): 1.0}, r"^need an integer letter, got letter=1.0$"),
+    (create, {(7,): 1.0}, r"^letter 7 outside 1..2$"),
+    (field, {(0,): 1.0}, r"^letter 0 outside 1..2$"),
+    (create, {(1,): 1.0, 5: 1.0}, r"^need a word as a tuple of letters, got 5$"),
+    (annihilate, {"12": 1.0}, r"^need a word as a tuple of letters, got '12'$"),
+])
+def test_operators_check_the_words_of_a_callers_vector(operator, vector, message):
+    with pytest.raises(ValidationError, match=message):
+        operator(1, vector, P)
+
+
+def test_operators_keep_numpy_letters_bit_for_bit():
+    words = {(np.int64(2), np.int32(1)): 0.7, (np.int16(1),): -1.5, (): 2.0}
+    plain = {tuple(map(int, w)): c for w, c in words.items()}
+    for operator in (create, annihilate, field):
+        for i in (1, np.int64(2)):
+            got, want = operator(i, words, P), operator(int(i), plain, P)
+            assert list(got) == list(want)
+            assert [c.hex() for c in got.values()] == [c.hex() for c in want.values()]
+
+
 def test_field_and_number():
     got = field(1, {(2,): 1.0}, P)
     assert got == {(1, 2): 1.0}

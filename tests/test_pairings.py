@@ -76,6 +76,18 @@ def test_pair_partition_rejects_bad_input():
             PairPartition(pairs)
 
 
+@pytest.mark.parametrize("pairs, message", [
+    (((1, 2, 3),), r"^need a pair of two positions, got \(1, 2, 3\)$"),
+    (((1,),), r"^need a pair of two positions, got \(1,\)$"),
+    (((1, 2), 3), r"^need a pair of two positions, got 3$"),
+    (5, r"^need a sequence of pairs, got 5$"),
+    (None, r"^need a sequence of pairs, got None$"),
+])
+def test_pair_partition_refuses_a_malformed_pair_naming_it(pairs, message):
+    with pytest.raises(ValidationError, match=message):
+        PairPartition(pairs)
+
+
 @pytest.mark.parametrize(
     "pairs, expected",
     [
