@@ -9,8 +9,11 @@ pairing class.  Both engines take two-point tables only (every base value
 with sqrt(t) factored out, the estimator contracts integer sign matrices,
 and each rounds its exact value once.  Experiments sample a single
 coefficient table at the largest requested size and evaluate every smaller
-size on its restriction; a moment experiment does so from one walk, whose
-leading creations run once at the largest size and serve every smaller one.
+size on its restriction, in one call of its engine: a moment experiment
+from one walk, whose leading creations run once at the largest size and
+serve every smaller one, and a lambda experiment from one read of the
+table, whose matrices are built once at the largest size (and not at all
+for a two-pair class) and contracted on their leading blocks per size.
 Experiments return rows of numbers, which the command line renders."""
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .coeffs import (
     CoefficientTable,
     _check_pattern,
     _closed_form_factors,
+    _pair_count,
     _table_law,
     pair_limit_monomial,
     sampled_table,
@@ -49,14 +53,16 @@ MAX_SUM_LENGTH = 8
 # A run of several sizes walks the largest and reads the others off it:
 # 111*** at 10,100,200,400 sites takes 0.54-0.81 s and 117 MB
 MAX_SUM_STATES = 12_000_000
-# the estimator contracts [N, N] matrices in about N^n multiply-adds, so the
-# tuple count is its flop budget; with N >= n it stops at 7 pairs (8^8 > 10^7).
-# In-process per class at the cap, best of 5 with OPENBLAS_NUM_THREADS=1 on a
-# shared 2-core host: 2 pairs (N = 3162) 36-70 ms, 3 (N = 215) 0.4-0.5 ms,
-# 4 (N = 56) 1.2 ms, 5 (N = 25) 7-13 ms, 6 (N = 14) 25 ms, 7 (N = 10) 85-90 ms.
-# A fresh `clt --mode lambda` run takes 0.16-0.39 s and 30-32 MB (2 pairs:
-# 0.37-0.41 s, 154 MB; 1 pair at 4096 sites, which reads its whole table:
-# 0.35-0.45 s, 166 MB), mostly starting Python and numpy
+# from 3 pairs the estimator contracts [N, N] matrices in about N^n
+# multiply-adds, so the tuple count is its flop budget; with N >= n it stops at
+# 7 pairs (8^8 > 10^7).  A 2-pair class sums the N(N-1)/2 base values it reads
+# and builds no matrix.  In-process per class at the cap on a drawn table, best
+# of 5 with OPENBLAS_NUM_THREADS=1 on a shared 2-core host: 2 pairs (N = 3162)
+# 11 ms, 3 (N = 215) 0.5 ms, 4 (N = 56) 1.2 ms, 5 (N = 25) 7-13 ms, 6 (N = 14)
+# 25 ms, 7 (N = 10) 85-90 ms.  A fresh `clt --mode lambda` run takes
+# 0.15-0.39 s and 30-32 MB (2 pairs: 0.23-0.28 s, 78 MB; 1 pair at 4096 sites,
+# which reads its whole table: 0.26-0.36 s, 111 MB), mostly starting Python
+# and numpy
 MAX_ESTIMATE_TUPLES = 10**7
 
 
@@ -214,7 +220,7 @@ def _two_point_signs(table: CoefficientTable, n_sites: int) -> np.ndarray:
     """The base values of every pair up to n_sites in pair-rank order; a table
     with any other value than +1 or -1 among them raises ValidationError."""
     u = table.packed(n_sites)
-    if not (np.abs(u) == 1.0).all():
+    if not ((u == 1.0) | (u == -1.0)).all():
         raise ValidationError("the clt engines need a two-point table, every base value +1 or -1")
     return u
 
@@ -229,10 +235,8 @@ def _round_once(total: int, t: float, t_power: int, n_sites: int, n_power: int) 
 
 
 def _contract(a: dict[tuple[int, int], np.ndarray], k: int) -> float:
-    """Sum over value tuples (v_0, ..., v_{k-1}) of the product over block
-    pairs x < y of a[x, y][v_x, v_y], each edge an [N, N] matrix."""
-    if k == 2:
-        return a[0, 1].sum()
+    """Sum over value tuples (v_0, ..., v_{k-1}), k >= 3, of the product
+    over block pairs x < y of a[x, y][v_x, v_y], each edge an [N, N] matrix."""
     if k == 3:
         return ((a[0, 1] @ a[1, 2]) * a[0, 2]).sum()
     total = 0.0
@@ -328,18 +332,33 @@ def limit_coefficient_estimate(
     the integer sum over tuples of the product of the base values.  S is a
     contraction over block pairs of the sign matrix (an odd number of
     factors join the two blocks) or the all-ones matrix (an even number),
-    both with a zero diagonal, which keeps the values distinct.  The edges
-    the contraction folds stay +-1 or 0, so every partial sum is an integer
-    of magnitude at most N^n <= MAX_ESTIMATE_TUPLES < 2^53: the float sums
-    are exact in any order, and the result is t^E * S / N^n rounded once.
-    Any other table raises ValidationError.  A class of fewer than two
-    pairs is the empty product, 1.0, after the same checks.
+    both with a zero diagonal, which keeps the values distinct; with two
+    blocks it is the sum of that one matrix, twice the sum of the base
+    values or N(N-1), and no matrix is built.  The edges the contraction
+    folds stay +-1 or 0, so every partial sum is an integer of magnitude at
+    most N^n <= MAX_ESTIMATE_TUPLES < 2^53: the float sums are exact in any
+    order, and the result is t^E * S / N^n rounded once.  Any other table
+    raises ValidationError.  A class of fewer than two pairs is the empty
+    product, 1.0, after the same checks.
     """
-    _check_estimate(pairing, eps, n_sites)
-    _two_point_signs(table, n_sites)
+    return _estimates((n_sites,), pairing, eps, table)[0]
+
+
+def _estimates(
+    ns: Sequence[int], pairing: PairPartition, eps: str, table: CoefficientTable
+) -> list[float]:
+    """limit_coefficient_estimate at each size of ns, a nonempty sequence.
+    Every size is checked first, then the table is read once, at the top
+    size max(ns): a class of three or more blocks builds its sign and
+    distinct matrices there, and size n contracts their leading [:n, :n]
+    blocks, which are the matrices of the first n sites."""
+    for n_sites in ns:
+        _check_estimate(pairing, eps, n_sites)
+    top = max(ns)
+    signs = _two_point_signs(table, top)
     n = pairing.n
     if n < 2:
-        return 1.0  # the empty product, over N^n tuples
+        return [1.0] * len(ns)  # the empty product, over N^n tuples
     block = pairing.block_of()
     odd: set[tuple[int, int]] = set()  # block pairs an odd number of factors join
     exponent = 0
@@ -347,15 +366,23 @@ def limit_coefficient_estimate(
         odd ^= {(block[x] - 1, block[y] - 1)}
         letters = (eps[x - 1], eps[y - 1])
         exponent += (letters == ("*", "1")) - (letters == ("1", "*"))
-    pairs = list(itertools.combinations(range(n), 2))
-    signs = distinct = None
-    if odd:
-        signs = table.base_matrix(n_sites)
-    if len(odd) < len(pairs):
-        distinct = np.ones((n_sites, n_sites))
-        np.fill_diagonal(distinct, 0.0)
-    a = {pair: signs if pair in odd else distinct for pair in pairs}
-    return _round_once(int(_contract(a, n)), table.t, exponent, n_sites, n)
+    if n == 2:
+        # each pair i < j is the tuples (i, j) and (j, i)
+        sums = [2 * int(signs[:_pair_count(n_sites)].sum()) if odd
+                else n_sites * (n_sites - 1) for n_sites in ns]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+        sign_matrix = distinct = None
+        if odd:
+            sign_matrix = table.base_matrix(top)
+        if len(odd) < len(pairs):
+            distinct = np.ones((top, top))
+            np.fill_diagonal(distinct, 0.0)
+        a = {pair: sign_matrix if pair in odd else distinct for pair in pairs}
+        sums = [int(_contract({pair: m[:n_sites, :n_sites] for pair, m in a.items()}, n))
+                for n_sites in ns]
+    return [_round_once(total, table.t, exponent, n_sites, n)
+            for total, n_sites in zip(sums, ns)]
 
 
 def _refusal(check: Callable[..., object], *args: object) -> list[str]:
@@ -427,10 +454,10 @@ class ExperimentReport:
 
 def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one experiment: a single sampled table at max(ns), each size read off
-    the restriction, plus the limiting target when one is defined.  Moment
-    mode evaluates every size in one call of the moment engine, which walks
-    the leading creations once, at max(ns); lambda mode runs the estimator
-    once per size."""
+    the restriction, plus the limiting target when one is defined.  Each
+    mode evaluates every size in one call of its engine, which reads the
+    table once, at max(ns): the moment walk runs the leading creations
+    there, and the estimator builds any matrices it contracts there."""
     problems = config.validate()
     if problems:
         raise ValidationError("; ".join(problems))
@@ -445,7 +472,7 @@ def convergence_experiment(config: ExperimentConfig) -> ExperimentReport:
         limit = pair_limit_monomial(pairing, eps)
         if limit:  # zero unless every pair opens with '1' and closes with '*'
             target = limit.evaluate(config.q, config.t)
-        values = [limit_coefficient_estimate(pairing, eps, n, table) for n in config.ns]
+        values = _estimates(config.ns, pairing, eps, table)
     report = ExperimentReport(config=config)
     for n, value in zip(config.ns, values):
         err = None if target is None else abs(value - target)

@@ -10,6 +10,7 @@ the (*, *) entry for i < j.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -102,14 +103,13 @@ def _table_law(n: int, q: float, t: float, seed: int) -> float:
 
 def _draw(ranks: np.ndarray, seed: int, p_plus: float) -> np.ndarray:
     """Base values of the pairs of a uint64 array of ranks, which it
-    overwrites: the pair of rank k is +1 when the top 53 bits of
-    derive_seed(seed, k), as a uniform on [0, 1), fall below p_plus, and -1
-    otherwise."""
+    overwrites: the pair of rank k is +1 when the top 53 bits b of
+    derive_seed(seed, k), as a uniform b * 2^-53 on [0, 1), fall below
+    p_plus, and -1 otherwise.  Both b * 2^-53 and p_plus * 2^53 are exact,
+    so that is the integer test b < ceil(p_plus * 2^53)."""
     bits = _derive_seeds(seed, ranks)
     bits >>= 11
-    u = bits.astype(np.float64)
-    u *= 2.0**-53
-    return np.where(u < p_plus, 1.0, -1.0)
+    return np.where(bits < np.uint64(math.ceil(p_plus * 2.0**53)), 1.0, -1.0)
 
 
 def sample_ranks(ranks: Sequence[int] | np.ndarray, q: float, t: float, seed: int) -> np.ndarray:

@@ -171,6 +171,22 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _unshift(x: int, shift: int) -> int:
+    """The y with y ^ (y >> shift) == x: each pass fixes shift more top bits."""
+    y = x
+    for _ in range(64 // shift):
+        y = x ^ (y >> shift)
+    return y
+
+
+def unsplitmix64(x: int) -> int:
+    """Inverse of splitmix64 on Python ints: each xorshift step undone by
+    iterating it, each multiplication by the odd constant's inverse mod 2^64."""
+    x = _unshift(x & _MASK64, 31)
+    x = _unshift(x * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64, 27)
+    return _unshift(x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64, 30)
+
+
 def derive_seed(master: int, k: int) -> int:
     return splitmix64((master + (k + 1) * 0x9E3779B97F4A7C15) & _MASK64)
 

@@ -468,6 +468,16 @@ def test_estimate_matches_tuple_average(pairs, eps, n, q, t, seed):
     assert got == pytest.approx(brute, rel=1e-12)
 
 
+def _random_class(draw, pairs: int) -> tuple[PairPartition, str]:
+    """A pairing class of the given number of pairs, a shuffle of the 2n
+    positions paired in order, and any letters."""
+    order = draw(st.permutations(range(1, 2 * pairs + 1)))
+    pairing = PairPartition(tuple(zip(order[::2], order[1::2])))
+    eps = "".join(draw(st.lists(st.sampled_from("1*"), min_size=pairing.size,
+                                max_size=pairing.size)))
+    return pairing, eps
+
+
 @st.composite
 def estimator_cases(draw):
     """(pairing, eps, N, table): any pairing class of one to seven pairs,
@@ -479,11 +489,7 @@ def estimator_cases(draw):
     # oracles take 0.05-0.3 s on it
     wide = draw(st.integers(0, 15)) == 0
     pairs = draw(st.integers(5, 7) if wide else st.integers(1, 4))
-    # a shuffle of the 2n positions, paired in order
-    order = draw(st.permutations(range(1, 2 * pairs + 1)))
-    pairing = PairPartition(tuple(zip(order[::2], order[1::2])))
-    eps = "".join(draw(st.lists(st.sampled_from("1*"), min_size=pairing.size,
-                                max_size=pairing.size)))
+    pairing, eps = _random_class(draw, pairs)
     n_sites = draw(st.integers(pairs, 7 if wide else 12))
     if draw(st.booleans()):
         t = draw(st.floats(0.2, 3.0))
@@ -518,6 +524,99 @@ def test_estimate_matches_the_exact_oracle_bit_for_bit(case):
         grid = _brute.limit_coefficient_estimate(pairing, eps, n_sites, table)
         scale = abs(_brute.limit_coefficient_estimate(pairing, eps, n_sites, plus))
         assert got == pytest.approx(grid, rel=1e-12, abs=1e-12 * scale)
+
+
+@st.composite
+def estimate_runs(draw):
+    """(pairing, eps, ns, table): a class of one to four pairs, an
+    increasing list of one to four sizes from the number of pairs to 10,
+    and a two-point table of max(ns) sites or more, sampled or of random
+    signs built by hand."""
+    pairs = draw(st.integers(1, 4))
+    pairing, eps = _random_class(draw, pairs)
+    ns = sorted(draw(st.lists(st.integers(pairs, 10), min_size=1, max_size=4, unique=True)))
+    sites = max(ns) + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        t = draw(st.floats(0.2, 3.0))
+        ratio = draw(st.one_of(st.sampled_from((1.0, -1.0, 0.0)), st.floats(-1.0, 1.0)))
+        table = sampled_table(sites, ratio * t, t, draw(st.integers(0, 2**64 - 1)))
+    else:
+        count = sites * (sites - 1) // 2
+        signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=count, max_size=count))
+        table = CoefficientTable(signs, 10.0 ** draw(st.floats(-2, 2)))
+    return pairing, eps, tuple(ns), table
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=estimate_runs())
+def test_one_read_estimates_every_size_bit_for_bit(run):
+    pairing, eps, ns, table = run
+    got = [value.hex() for value in clt._estimates(ns, pairing, eps, table)]
+    assert got == [limit_coefficient_estimate(pairing, eps, n, table).hex() for n in ns]
+    assert got == [_brute.exact_estimate(pairing, eps, n, table).hex() for n in ns]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_read_refuses_a_table_two_point_only_on_a_prefix(data):
+    # the pairs of the first `prefix` sites are +-1, every later one is not
+    pairs = data.draw(st.integers(1, 4))
+    pairing, eps = _random_class(data.draw, pairs)
+    prefix = data.draw(st.integers(pairs, 8))
+    sites = data.draw(st.integers(prefix + 1, 10))
+    head = prefix * (prefix - 1) // 2
+    values = data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=head, max_size=head))
+    values += data.draw(st.lists(st.sampled_from((0.5, -2.0, 1.5, -0.25)),
+                                 min_size=sites * (sites - 1) // 2 - head,
+                                 max_size=sites * (sites - 1) // 2 - head))
+    table = CoefficientTable(values, 1.25)
+    ns = tuple(sorted(data.draw(st.lists(st.integers(pairs, sites), min_size=1, max_size=4,
+                                         unique=True))))
+    if max(ns) > prefix:
+        with pytest.raises(ValidationError, match="two-point"):
+            clt._estimates(ns, pairing, eps, table)
+    else:
+        got = clt._estimates(ns, pairing, eps, table)
+        assert got == [_brute.exact_estimate(pairing, eps, n, table) for n in ns]
+
+
+def test_one_read_checks_every_size_before_it_reads_the_table():
+    table = sampled_table(3, 0.5, 1.25, 0)
+    with pytest.raises(SizeLimitError, match="tuples"):
+        clt._estimates((3, 10**4), CROSSING, "11**", table)
+    with pytest.raises(ValidationError, match="n_sites"):
+        clt._estimates((3, 2.5), CROSSING, "11**", table)
+    with pytest.raises(ValidationError, match="distinct values"):
+        clt._estimates((3, 1), CROSSING, "11**", table)
+    with pytest.raises(ValidationError, match="does not cover"):
+        clt._estimates((3, 4), CROSSING, "11**", table)
+
+
+def test_a_two_pair_class_builds_no_matrix():
+    # 1000 sites: an [N, N] float matrix is 8 MB, the table's pairs 4 MB
+    n = 1000
+    table = sampled_table(n, 0.5, 1.25, 3)
+    table.packed(n)  # the draw happens on the first bulk read
+    for pairing, eps in ((CROSSING, "11**"), (NESTING, "1**1"), (DISJOINT, "1*1*")):
+        tracemalloc.start()
+        try:
+            got = clt._estimates((10, 500, n), pairing, eps, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (pairing, eps, peak)
+        assert got == [limit_coefficient_estimate(pairing, eps, m, table) for m in (10, 500, n)]
+
+
+def test_a_wide_class_builds_its_matrices_once(monkeypatch):
+    table = sampled_table(30, 0.5, 1.25, 3)
+    built = []
+    real = table.base_matrix
+    monkeypatch.setattr(table, "base_matrix", lambda n: built.append(n) or real(n))
+    pairing = PairPartition(((1, 4), (2, 6), (3, 5)))
+    got = clt._estimates((5, 12, 30), pairing, "111***", table)
+    assert built == [30]
+    assert got == [_brute.exact_estimate(pairing, "111***", n, table) for n in (5, 12, 30)]
 
 
 # sha256 of the csv and json artifacts of `clt --mode lambda` runs, keyed by

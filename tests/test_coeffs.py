@@ -272,6 +272,34 @@ def test_sample_ranks_matches_scalar_oracle(seed):
         assert sample_ranks(ranks, q, t, seed).tolist() == want
 
 
+def _rank_drawing(seed: int, top_bits: int, low_bits: int) -> int:
+    """The rank k whose derive_seed(seed, k) is top_bits << 11 | low_bits."""
+    x = _brute.unsplitmix64(top_bits << 11 | low_bits)
+    return ((x - seed) * pow(0x9E3779B97F4A7C15, -1, 1 << 64) - 1) & ((1 << 64) - 1)
+
+
+# p_plus = 0, 1, 1/2, 0.2 (whose p_plus * 2^53 is no integer, and rounds half
+# to even below its ceiling) and 1 - 2^-53, the largest float below 1
+@pytest.mark.parametrize("p_plus", [0.0, 1.0, 0.5, 0.2, 1.0 - 2.0**-53])
+@pytest.mark.parametrize("seed", [0, 9, -5, 2**64 + 5])
+def test_the_draw_rule_holds_on_both_sides_of_its_boundary(p_plus, seed):
+    q = 2.0 * p_plus - 1.0  # at t = 1
+    assert 0.5 * (1.0 + q) == p_plus
+    cut = math.ceil(p_plus * 2**53)
+    # the top 53 bits just below the cut draw +1, at the cut -1
+    sides = [(b, sign) for b, sign in ((cut - 1, 1.0), (cut, -1.0)) if 0 <= b < 2**53]
+    assert len(sides) == (1 if p_plus in (0.0, 1.0) else 2)
+    ranks, want = [], []
+    for b, sign in sides:
+        for low in (0, 2**11 - 1):
+            k = _rank_drawing(seed, b, low)
+            assert _brute.derive_seed(seed, k) >> 11 == b
+            assert (_brute.uniform01(_brute.derive_seed(seed, k)) < p_plus) == (sign > 0)
+            ranks.append(k)
+            want.append(sign)
+    assert sample_ranks(ranks, q, 1.0, seed).tolist() == want
+
+
 def test_sample_ranks_checks_the_law():
     for q, t, message in ((2.0, 1.25, "two-point law"), (math.nan, 1.0, "finite q"),
                           (0.5, 0.0, "t > 0"), (0.5, math.inf, "finite t")):
