@@ -195,7 +195,7 @@ def _chain_params(meta: Metadata) -> tuple[int, float, float, int]:
 def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
     import numpy as np
 
-    from .coeffs import MAX_LISTED_SITES, _pair_rank, sampled_table
+    from .coeffs import MAX_LISTED_SITES, sampled_table
 
     n, q, t, seed = _chain_params(meta)
     if "lookup" in meta:
@@ -215,7 +215,8 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
         )
     if n > MAX_LISTED_SITES:
         raise SizeLimitError(f"listing {n} sites exceeds the {MAX_LISTED_SITES}-site cap")
-    packed = sampled_table(n, q, t, seed).packed(n)
+    table = sampled_table(n, q, t, seed)
+    table.packed(n)  # the whole table, drawn once before the rows read it
     # n site indices and the two sampled values -1.0 and +1.0, each rendered
     # once: row (i, j) reads first[i] + cells[(mu > 0) * (n + 1) + j], as fmt
     # lays out a row
@@ -229,12 +230,19 @@ def _coeffs_artifact(meta: Metadata, fmt: str) -> str:
     values = [_fmt(x) + end for x in (-1.0, 1.0)]
     cells = [s + v for v in values for s in second]
     sites = np.arange(n + 1)
-    rank1 = _pair_rank(1, sites)  # the pair (i, j) has rank rank1[j] + i - 1
     rows = []
-    for i in range(1, n):
-        # the cell indices of row i only: no array over all pairs stays alive
-        index = (packed[rank1[i + 1:] + (i - 1)] > 0) * (n + 1) + sites[i + 1:]
-        rows.append(first[i] + (sep + first[i]).join(map(cells.__getitem__, index.tolist())))
+    # a block of rows of about 8192 pairs per read, which costs what a read
+    # of one row does; no array over all pairs stays alive
+    step = max(1, 8192 // n)
+    for a in range(1, n, step):
+        block = np.arange(a, min(a + step, n))
+        # row i of the block at every column j > a: a pair at or below the
+        # diagonal reads (i, i + 1) instead, and the row's slice drops it
+        j = np.maximum(sites[a + 1:], block[:, None] + 1)
+        index = (table._read(block[:, None], j) > 0) * (n + 1) + j
+        for r, i in enumerate(block.tolist()):
+            row = map(cells.__getitem__, index[r, r:].tolist())
+            rows.append(first[i] + (sep + first[i]).join(row))
     return _render(meta, ["i", "j", "mu"], [], fmt, body=sep.join(rows) if rows else None)
 
 

@@ -30,7 +30,6 @@ from .coeffs import (
     CoefficientTable,
     _check_pattern,
     _closed_form_factors,
-    _pair_count,
     _table_law,
     pair_limit_monomial,
     sampled_table,
@@ -42,9 +41,10 @@ from .wickpoly import LETTERS, check_eps, wick_mixed
 
 MAX_SUM_SIZE = 400
 MAX_SUM_LENGTH = 8
-# a moment walk that runs holds at most C(N, d) states, d = peak_popcount(eps),
-# as a dense int64 vector, and a step lists ranks of the smaller of its two
-# states only; a word whose walk cannot return to the vacuum is not charged.
+# a moment walk that runs holds at most C(N, d) states, d the peak of the
+# popcount profile of eps (max(_popcounts(eps))), as a dense int64 vector,
+# and a step lists ranks of the smaller of its two states only; a word whose
+# walk cannot return to the vacuum is not charged.
 # `clt --mode moment` in a fresh process on a shared 2-core host:
 # 111*** at 400 sites (10.6M states), whose halves are mirrors meeting at the
 # peak, takes 0.55-0.60 s and 117 MB; 111*1*** and 1*111*** at 400 sites, whose
@@ -81,12 +81,6 @@ def _popcounts(eps: str) -> list[int]:
     for letter in reversed(eps):
         h.append(h[-1] + (1 if letter == "*" else -1))
     return h[::-1]
-
-
-def peak_popcount(eps: str) -> int:
-    """Largest excess of '*' over '1' in a suffix of eps: the most sites the
-    moment walk of eps holds occupied, when it runs."""
-    return max(_popcounts(eps))
 
 
 def _check_moment(n_sites: int, eps: str) -> Optional[list[int]]:
@@ -207,22 +201,13 @@ def _binomials(n: int, cols: int) -> np.ndarray:
     return binom
 
 
-def _upper_signs(table: CoefficientTable, n_sites: int) -> np.ndarray:
-    """up[j, i] = mu(j+1, i+1) above the diagonal and 1 elsewhere, so a
-    product over the rows of a set's sites leaves sites below them alone;
-    the strict lower triangle of up.T, row by row, is the pair-rank order."""
-    up = np.ones((n_sites, n_sites), dtype=np.int64)
-    up.T[np.tri(n_sites, n_sites, -1, dtype=bool)] = _two_point_signs(table, n_sites)
-    return up
-
-
-def _two_point_signs(table: CoefficientTable, n_sites: int) -> np.ndarray:
-    """The base values of every pair up to n_sites in pair-rank order; a table
-    with any other value than +1 or -1 among them raises ValidationError."""
+def _two_point_signs(table: CoefficientTable, n_sites: int) -> None:
+    """Refuse a table with any other base value than +1 or -1 among the
+    pairs up to n_sites with ValidationError; both engines check this before
+    they read the table by prefix (packed) or as a matrix (base_matrix)."""
     u = table.packed(n_sites)
     if not ((u == 1.0) | (u == -1.0)).all():
         raise ValidationError("the clt engines need a two-point table, every base value +1 or -1")
-    return u
 
 
 def _round_once(total: int, t: float, t_power: int, n_sites: int, n_power: int) -> float:
@@ -282,7 +267,9 @@ def _moments(ns: Sequence[int], eps: str, table: CoefficientTable) -> list[float
     # a walk that runs at some size runs at the top size, which goes first
     sizes = sorted({n for n in ns if _check_moment(n, eps) is not None}, reverse=True)
     top = max(ns)
-    up = _upper_signs(table, top)
+    _two_point_signs(table, top)
+    # the edges read the strict upper triangle only: up[j, i] = mu(j+1, i+1)
+    up = table.base_matrix(top).astype(np.int64)
     h = _popcounts(eps)
     binom = _binomials(top, max(h) + 1)
     top_edges = _EdgeTables(up, binom)
@@ -355,7 +342,7 @@ def _estimates(
     for n_sites in ns:
         _check_estimate(pairing, eps, n_sites)
     top = max(ns)
-    signs = _two_point_signs(table, top)
+    _two_point_signs(table, top)
     n = pairing.n
     if n < 2:
         return [1.0] * len(ns)  # the empty product, over N^n tuples
@@ -368,7 +355,7 @@ def _estimates(
         exponent += (letters == ("*", "1")) - (letters == ("1", "*"))
     if n == 2:
         # each pair i < j is the tuples (i, j) and (j, i)
-        sums = [2 * int(signs[:_pair_count(n_sites)].sum()) if odd
+        sums = [2 * int(table.packed(n_sites).sum()) if odd
                 else n_sites * (n_sites - 1) for n_sites in ns]
     else:
         pairs = list(itertools.combinations(range(n), 2))

@@ -69,10 +69,11 @@ def derive_seed(master: int, k: int) -> int:
     return int(_derive_seeds(master, ranks)[0])
 
 
-def _pair_rank(i: int, j: int) -> int:
+def _pair_rank(i: int | np.ndarray, j: int | np.ndarray) -> int | np.ndarray:
     """Rank of the pair (i, j), i < j, in an ordering independent of any cutoff:
-    pairs are ranked by j first, then i."""
-    return (j - 1) * (j - 2) // 2 + (i - 1)
+    pairs are ranked by j first, then i.  That is (j-1)(j-2)/2 + i - 1, or
+    j(j-3)/2 + i with j(j-3) even: three steps on int arrays, not five."""
+    return (j * (j - 3) >> 1) + i
 
 
 def _pair_count(n: int) -> int:
@@ -209,7 +210,8 @@ class CoefficientTable:
     table restricted to n sites is the prefix of length n(n-1)/2.  `base` is
     either a mapping {(i, j): value}, which must give every pair up to its
     last one, or a sequence of nonzero values in pair-rank order, which is
-    copied.
+    copied.  Only this module knows that order: the engines read the table
+    by pair (_read), by prefix (packed) or as a matrix (base_matrix).
     """
 
     def __init__(self, base: Mapping[tuple[int, int], float] | Sequence[float], t: float):
@@ -240,10 +242,11 @@ class CoefficientTable:
         self._check_covers(n)
         return self._packed[:_pair_count(n)]
 
-    def _read(self, ranks: int | Sequence[int] | np.ndarray) -> float | np.ndarray:
-        """Base value, as a Python float, of the pair of one rank below
-        _size, or the base values of an array of such ranks.  Every read of
-        fewer than all pairs goes through here."""
+    def _read(self, i: int | np.ndarray, j: int | np.ndarray) -> float | np.ndarray:
+        """Base value mu(i, j), as a Python float, of one pair i < j the table
+        holds, or the base values of broadcastable int arrays of such pairs.
+        Every read of fewer than all pairs goes through here."""
+        ranks = _pair_rank(i, j)
         if isinstance(ranks, int):
             return self._packed.item(ranks)
         return self._packed[ranks]
@@ -251,8 +254,8 @@ class CoefficientTable:
     def base_value(self, i: int, j: int) -> float:
         """Base value mu(i, j) for 0 < i < j."""
         i, j = _check_int("i", i), _check_int("j", j)
-        if 0 < i < j and (rank := _pair_rank(i, j)) < self._size:
-            return self._read(rank)
+        if 0 < i < j and _pair_rank(i, j) < self._size:
+            return self._read(i, j)
         raise ValidationError(f"table has no base value for pair ({i},{j})")
 
     def lookup(self, left: str, right: str, i: int, j: int) -> float:
@@ -278,7 +281,7 @@ class CoefficientTable:
 
 
 class _SampledTable(CoefficientTable):
-    """sampled_table's table.  Its first read draws only the distinct ranks
+    """sampled_table's table.  Its first read draws only the distinct pairs
     it asks for, unless it is a bulk read (packed, base_matrix); any later
     read draws the whole table, so that reading every pair one at a time
     costs about one whole draw."""
@@ -289,7 +292,7 @@ class _SampledTable(CoefficientTable):
         self._law = (n, q, t, seed)
         self._packed = None
         self._size = _pair_count(n)
-        self._read_ranks = False
+        self._read_pairs = False
 
     def packed(self, n: int) -> np.ndarray:
         self._check_covers(n)
@@ -298,16 +301,17 @@ class _SampledTable(CoefficientTable):
             self._packed.flags.writeable = False
         return super().packed(n)
 
-    def _read(self, ranks: int | Sequence[int] | np.ndarray) -> float | np.ndarray:
+    def _read(self, i: int | np.ndarray, j: int | np.ndarray) -> float | np.ndarray:
         if self._packed is None:
-            if not self._read_ranks:
-                self._read_ranks = True
+            if not self._read_pairs:
+                self._read_pairs = True
                 _, q, t, seed = self._law
+                ranks = _pair_rank(i, j)
                 distinct, read = np.unique(ranks, return_inverse=True)
-                values = sample_ranks(distinct, q, t, seed)[read]
+                values = sample_ranks(distinct, q, t, seed)[read].reshape(np.shape(ranks))
                 return values.item() if isinstance(ranks, int) else values
             self.packed(self._law[0])
-        return super()._read(ranks)
+        return super()._read(i, j)
 
 
 def sampled_table(n: int, q: float, t: float, seed: int) -> CoefficientTable:

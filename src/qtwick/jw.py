@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coeffs import CoefficientTable, _coefficient, _pair_rank
+from .coeffs import CoefficientTable, _coefficient
 from .errors import SizeLimitError, ValidationError
 from .floats import _check_finite, _check_int
 from .wickpoly import LETTERS
@@ -87,15 +87,14 @@ class MonomialOperator:
 def build_jw(n: int, i: int, table: CoefficientTable, adjoint: bool = False) -> MonomialOperator:
     """Chain element i (or its adjoint) on an n-slot chain.  The occupied-bit
     entry of the diagonal factor at slot k is sqrt(t) * mu(k, i) for k < i
-    and sqrt(t) for k > i; slot i holds the ladder factor."""
+    and sqrt(t) for k > i; slot i holds the ladder factor.  It reads column
+    i of the table, the pairs (k, i) for k < i, and no other base value."""
     n = _check_int("n", n, 1)
     i = _check_int("site", i, 1, n)
     table._check_covers(n)
-    # mu(k, i) for k = 1..i-1 are consecutive in pair-rank order
-    first = _pair_rank(1, i)
     sq = math.sqrt(table.t)
     entries = np.full(n, sq)
-    np.multiply(sq, table._read(np.arange(first, first + i - 1)), out=entries[:i - 1])
+    np.multiply(sq, table._read(np.arange(1, i), i), out=entries[:i - 1])
     entries = entries.tolist()
     # one action per distinct entry: a sampled table has at most three
     actions = {x: diagonal(1.0, x) for x in set(entries)}
@@ -121,21 +120,22 @@ def _parse_sites(text: str) -> list[tuple[int, bool]]:
 
 def _vacuum_walk(
     op_seq: Sequence[tuple[int, bool]], n: int
-) -> Optional[tuple[list[int], list[tuple[int, int]]]]:
+) -> Optional[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
     """The occupancy walk of vacuum_expectation, which reads no coefficient.
 
     From the vacuum every factor keeps one basis state, so the walk holds the
     occupied sites alone.  It returns None when a factor lowers an empty
     slot or raises an occupied one, or when the word leaves a slot occupied:
-    the vacuum coefficient is then 0.0.  Otherwise it returns the ranks of
-    the base values mu(slot, site) the factors read, in read order, and for
-    each factor, rightmost first, how many of those it reads and how many
-    occupied slots lie above its site.  It checks n before any site.
+    the vacuum coefficient is then 0.0.  Otherwise it returns the pairs
+    (slot, site), slot < site, whose base values mu(slot, site) the factors
+    read, in read order, and for each factor, rightmost first, how many of
+    those it reads and how many occupied slots lie above its site.  It
+    checks n before any site.
     """
     n = _check_int("n", n, 0)
     op_seq = [(_check_int("site", site, 1, n), adjoint) for site, adjoint in op_seq]
     occupied: list[int] = []  # ascending
-    ranks: list[int] = []
+    pairs: list[tuple[int, int]] = []
     factors: list[tuple[int, int]] = []
     for site, adjoint in reversed(op_seq):
         k = bisect.bisect_left(occupied, site)
@@ -143,14 +143,13 @@ def _vacuum_walk(
             return None
         if not adjoint:
             del occupied[k]
-        # the other occupied slots: below `site` they read mu(slot, site), of
-        # rank first + slot; above it they read no coefficient
-        first = _pair_rank(1, site) - 1
-        ranks += [first + slot for slot in occupied[:k]]
+        # the other occupied slots: below `site` they read mu(slot, site);
+        # above it they read no coefficient
+        pairs += [(slot, site) for slot in occupied[:k]]
         factors.append((k, len(occupied) - k))
         if adjoint:
             occupied.insert(k, site)
-    return None if occupied else (ranks, factors)
+    return None if occupied else (pairs, factors)
 
 
 def vacuum_expectation(
@@ -171,10 +170,11 @@ def vacuum_expectation(
     table._check_covers(n)
     if walk is None:
         return 0.0
-    ranks, factors = walk
+    pairs, factors = walk
     sq = math.sqrt(table.t)
     amp = 1.0
-    values = iter(table._read(ranks).tolist())
+    slots, sites = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    values = iter(table._read(slots, sites).tolist())
     for below, above in factors:
         for m in itertools.islice(values, below):
             entry = sq * m

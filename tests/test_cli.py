@@ -572,9 +572,10 @@ def test_a_chain_word_draws_only_the_pairs_it_reads(capsys, monkeypatch):
     word = ",".join([str(s) for s in sites] + [f"{s}*" for s in reversed(sites)])
     walk = _vacuum_walk(_parse_sites(word), n)
     assert walk is not None
+    pairs, _ = walk
     code, out, _ = run(capsys, "jw", "--n", str(n), *CHAIN, "--ops", word)
     assert code == 0 and out.startswith("value = ")
-    assert drawn == [len(set(walk[0]))] and 0 < drawn[0] < len(walk[0])
+    assert drawn == [len(set(pairs))] and 0 < drawn[0] < len(pairs)
     drawn.clear()
     code, _, _ = run(capsys, "jw", "--n", str(n), *CHAIN, "--dump-op", "4000*")
     assert code == 0 and drawn == [3999]

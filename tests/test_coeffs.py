@@ -428,6 +428,67 @@ def test_only_the_first_single_read_draws_single_ranks(monkeypatch):
     assert drawn[0] == 1 and sum(drawn[1:]) == count
 
 
+@st.composite
+def pair_reads(draw, n):
+    """Pairs i < j <= n, n >= 2, as the engines pass them to _read: two
+    ints, two int arrays, an int i with an array j, an i column against a
+    j row, or no pair at all."""
+    kind = draw(st.sampled_from(["scalar", "array", "broadcast", "grid", "empty"]))
+    if kind == "scalar":
+        j = draw(st.integers(2, n))
+        return draw(st.integers(1, j - 1)), j
+    if kind == "array":
+        pair = st.integers(2, n).flatmap(lambda j: st.tuples(st.integers(1, j - 1), st.just(j)))
+        i, j = zip(*draw(st.lists(pair, min_size=1, max_size=8)))
+        return np.array(i), np.array(j)
+    if kind == "broadcast":
+        i = draw(st.integers(1, n - 1))
+        return i, np.array(draw(st.lists(st.integers(i + 1, n), min_size=1, max_size=8)))
+    if kind == "grid":
+        k = draw(st.integers(2, n))
+        return np.arange(1, k)[:, None], np.arange(k, n + 1)
+    return np.arange(1, 1), draw(st.integers(2, n))
+
+
+def _same_read(got, matrix, i, j):
+    """got is matrix[i - 1, j - 1], bit for bit: a Python float for two int
+    sites, an array of the broadcast shape otherwise."""
+    want = matrix[np.subtract(i, 1), np.subtract(j, 1)]
+    if isinstance(i, int) and isinstance(j, int):
+        return type(got) is float and got.hex() == float(want).hex()
+    return (got.shape == want.shape
+            and list(map(float.hex, got.ravel().tolist())) == list(map(float.hex, want.ravel().tolist())))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 30),
+    extra=st.integers(0, 5),
+    seed=st.integers(-(2**65), 2**65),
+    ratio=st.floats(-1.0, 1.0),
+    t=st.floats(0.1, 4.0),
+)
+def test_a_pair_read_is_the_matrix_entry(data, n, extra, seed, ratio, t):
+    i, j = data.draw(pair_reads(n))
+    # a hand-built table of any nonzero values, covering n + extra sites
+    count = (n + extra) * (n + extra - 1) // 2
+    values = data.draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+        min_size=count, max_size=count))
+    hand = CoefficientTable(values, t)
+    assert _same_read(hand._read(i, j), hand.base_matrix(n), i, j)
+    # a sampled table: its first read draws only those pairs, and a read
+    # after its whole draw reads the drawn table
+    sampled = sampled_table(n + extra, ratio * t, t, seed)
+    first = sampled._read(i, j)
+    assert sampled._packed is None
+    sampled.packed(n + extra)
+    matrix = sampled.base_matrix(n)
+    assert _same_read(first, matrix, i, j)
+    assert _same_read(sampled._read(i, j), matrix, i, j)
+
+
 def test_a_sequence_is_copied_and_left_writable():
     packed = sample_packed(40, 0.5, 1.25, 1)
     table = CoefficientTable(packed, 1.25)

@@ -3,6 +3,7 @@
 Each import check runs in a new interpreter, because this one has loaded
 every module already."""
 
+import ast
 import importlib
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import qtwick
 
+PACKAGE = Path(qtwick.__file__).resolve().parent
 # runs `python -m qtwick ARGS` and reports, on its last stderr line, whether
 # numpy was loaded by the time the process exits
 COMMAND_PROBE = (
@@ -96,3 +98,29 @@ def test_package_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == qtwick.__version__
+
+
+# ------------------------------------------------------------ pair order
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module binds, reads, imports or takes as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            names.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_only_coeffs_knows_the_pair_order():
+    # engines read a table by pair, by prefix or as a matrix; the rank of a
+    # pair and the packed length of n sites stay inside coeffs
+    knowing = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+               if _names(ast.parse(path.read_text())) & {"_pair_rank", "_pair_count"}}
+    assert knowing == {"coeffs"}
