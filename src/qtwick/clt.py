@@ -11,9 +11,11 @@ and each rounds its exact value once.  Experiments sample a single
 coefficient table at the largest requested size and evaluate every smaller
 size on its restriction, in one call of its engine: a moment experiment
 from one walk, whose leading creations run once at the largest size and
-serve every smaller one, and a lambda experiment from one read of the
-table, whose matrices are built once at the largest size (and not at all
-for a two-pair class) and contracted on their leading blocks per size.
+serve every smaller one, and a lambda experiment from at most one read of
+the table, whose matrices are built once at the largest size (and not at
+all for a two-pair class) and contracted on their leading blocks per size.
+A sampled table is two-point by its law, so a class without crossings,
+whose estimate is a count of tuples, draws no table at all.
 Experiments return rows of numbers, which the command line renders."""
 
 from __future__ import annotations
@@ -55,14 +57,16 @@ MAX_SUM_LENGTH = 8
 MAX_SUM_STATES = 12_000_000
 # from 3 pairs the estimator contracts [N, N] matrices in about N^n
 # multiply-adds, so the tuple count is its flop budget; with N >= n it stops at
-# 7 pairs (8^8 > 10^7).  A 2-pair class sums the N(N-1)/2 base values it reads
-# and builds no matrix.  In-process per class at the cap on a drawn table, best
-# of 5 with OPENBLAS_NUM_THREADS=1 on a shared 2-core host: 2 pairs (N = 3162)
-# 11 ms, 3 (N = 215) 0.5 ms, 4 (N = 56) 1.2 ms, 5 (N = 25) 7-13 ms, 6 (N = 14)
-# 25 ms, 7 (N = 10) 85-90 ms.  A fresh `clt --mode lambda` run takes
-# 0.15-0.39 s and 30-32 MB (2 pairs: 0.23-0.28 s, 78 MB; 1 pair at 4096 sites,
-# which reads its whole table: 0.26-0.36 s, 111 MB), mostly starting Python
-# and numpy
+# 7 pairs (8^8 > 10^7).  A class without crossings is a count of tuples and
+# reads no base value, and a 2-pair crossing sums the N(N-1)/2 base values it
+# reads and builds no matrix.  In-process per mutually crossing class at the
+# cap on a drawn table, best of 5 with OPENBLAS_NUM_THREADS=1 on a shared
+# 2-core host: 2 pairs (N = 3162) 1.3-2.0 ms, 3 (N = 215) 0.4-0.6 ms, 4 (N =
+# 56) 1.1-1.2 ms, 5 (N = 25) 6 ms, 6 (N = 14) 22-23 ms, 7 (N = 10) 75-80 ms; a
+# class without crossings 0.02-0.04 ms at any pair count.  A fresh
+# `clt --mode lambda` run takes 0.12-0.28 s and 30-32 MB, mostly starting
+# Python and numpy, except 2 crossing pairs at N = 3162, which draw 5M pairs
+# (68 MB); 1 pair at 4096 sites draws none (30 MB)
 MAX_ESTIMATE_TUPLES = 10**7
 
 
@@ -201,15 +205,6 @@ def _binomials(n: int, cols: int) -> np.ndarray:
     return binom
 
 
-def _two_point_signs(table: CoefficientTable, n_sites: int) -> None:
-    """Refuse a table with any other base value than +1 or -1 among the
-    pairs up to n_sites with ValidationError; both engines check this before
-    they read the table by prefix (packed) or as a matrix (base_matrix)."""
-    u = table.packed(n_sites)
-    if not ((u == 1.0) | (u == -1.0)).all():
-        raise ValidationError("the clt engines need a two-point table, every base value +1 or -1")
-
-
 def _round_once(total: int, t: float, t_power: int, n_sites: int, n_power: int) -> float:
     """total * t^t_power / n_sites^n_power, rounded once to float64; inf with
     the sign of total past its range."""
@@ -267,7 +262,7 @@ def _moments(ns: Sequence[int], eps: str, table: CoefficientTable) -> list[float
     # a walk that runs at some size runs at the top size, which goes first
     sizes = sorted({n for n in ns if _check_moment(n, eps) is not None}, reverse=True)
     top = max(ns)
-    _two_point_signs(table, top)
+    table._check_two_point(top)
     # the edges read the strict upper triangle only: up[j, i] = mu(j+1, i+1)
     up = table.base_matrix(top).astype(np.int64)
     h = _popcounts(eps)
@@ -319,14 +314,15 @@ def limit_coefficient_estimate(
     the integer sum over tuples of the product of the base values.  S is a
     contraction over block pairs of the sign matrix (an odd number of
     factors join the two blocks) or the all-ones matrix (an even number),
-    both with a zero diagonal, which keeps the values distinct; with two
-    blocks it is the sum of that one matrix, twice the sum of the base
-    values or N(N-1), and no matrix is built.  The edges the contraction
+    both with a zero diagonal, which keeps the values distinct.  A class
+    with no odd block pair, such as one of fewer than two pairs or one
+    without crossings, reads no base value: S counts the N!/(N-n)! tuples
+    of distinct values.  With two blocks joined oddly S is twice the sum of
+    the base values, and no matrix is built.  The edges the contraction
     folds stay +-1 or 0, so every partial sum is an integer of magnitude at
     most N^n <= MAX_ESTIMATE_TUPLES < 2^53: the float sums are exact in any
     order, and the result is t^E * S / N^n rounded once.  Any other table
-    raises ValidationError.  A class of fewer than two pairs is the empty
-    product, 1.0, after the same checks.
+    raises ValidationError, whatever the class.
     """
     return _estimates((n_sites,), pairing, eps, table)[0]
 
@@ -335,17 +331,17 @@ def _estimates(
     ns: Sequence[int], pairing: PairPartition, eps: str, table: CoefficientTable
 ) -> list[float]:
     """limit_coefficient_estimate at each size of ns, a nonempty sequence.
-    Every size is checked first, then the table is read once, at the top
-    size max(ns): a class of three or more blocks builds its sign and
-    distinct matrices there, and size n contracts their leading [:n, :n]
-    blocks, which are the matrices of the first n sites."""
+    Every size is checked first, then the table is asked once, at the top
+    size max(ns), whether it is two-point, which draws no sampled table.
+    Only a class with an odd block pair reads base values: two blocks sum
+    the prefix of each size, and three or more build their sign and
+    distinct matrices at the top size, and size n contracts their leading
+    [:n, :n] blocks, which are the matrices of the first n sites."""
     for n_sites in ns:
         _check_estimate(pairing, eps, n_sites)
     top = max(ns)
-    _two_point_signs(table, top)
+    table._check_two_point(top)
     n = pairing.n
-    if n < 2:
-        return [1.0] * len(ns)  # the empty product, over N^n tuples
     block = pairing.block_of()
     odd: set[tuple[int, int]] = set()  # block pairs an odd number of factors join
     exponent = 0
@@ -353,15 +349,16 @@ def _estimates(
         odd ^= {(block[x] - 1, block[y] - 1)}
         letters = (eps[x - 1], eps[y - 1])
         exponent += (letters == ("*", "1")) - (letters == ("1", "*"))
-    if n == 2:
+    if not odd:
+        # every product is 1, so S counts the tuples of distinct values
+        sums = [math.perm(n_sites, n) for n_sites in ns]
+    elif n == 2:
         # each pair i < j is the tuples (i, j) and (j, i)
-        sums = [2 * int(table.packed(n_sites).sum()) if odd
-                else n_sites * (n_sites - 1) for n_sites in ns]
+        sums = [2 * int(table.packed(n_sites).sum()) for n_sites in ns]
     else:
         pairs = list(itertools.combinations(range(n), 2))
-        sign_matrix = distinct = None
-        if odd:
-            sign_matrix = table.base_matrix(top)
+        sign_matrix = table.base_matrix(top)
+        distinct = None
         if len(odd) < len(pairs):
             distinct = np.ones((top, top))
             np.fill_diagonal(distinct, 0.0)

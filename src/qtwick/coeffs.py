@@ -22,8 +22,8 @@ from .pairings import PairPartition, cross_nest, cross_nest_counts
 from .wickpoly import LETTERS, QTPolynomial, check_eps
 
 # a whole sampled table of 4096 sites holds 8.4M pairs (67 MB packed) and
-# samples in 0.11-0.14 s; it admits the largest lambda run (3162 sites, 2
-# pairs).  A sampled_table draws whole on any read but a first single read,
+# samples in 0.04-0.05 s in-process; it admits the largest lambda run (3162
+# sites, 2 pairs).  A sampled_table draws whole on any read but a first single read,
 # which draws only the pairs it reads, at a cost that does not grow with n;
 # the cap still bounds its n
 MAX_TABLE_SITES = 4096
@@ -35,26 +35,30 @@ MAX_LISTED_SITES = 1024
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-# pairs drawn per step of sample_packed
-_SAMPLE_CHUNK = 1 << 16
+# pairs drawn per step of sample_packed: a step's arrays of this length
+# (the ranks, overwritten by their values, and one scratch) fit in L2
+_SAMPLE_CHUNK = 1 << 14
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """Finalizer of the splitmix64 generator, applied in place to a uint64
-    array; numpy's uint64 arithmetic wraps mod 2^64 as the generator needs."""
-    x ^= x >> 30
+    array; numpy's uint64 arithmetic wraps mod 2^64 as the generator needs.
+    Each xorshift writes x >> s into one scratch array, not into a
+    temporary of its own."""
+    tmp = np.empty_like(x)
+    x ^= np.right_shift(x, 30, out=tmp)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> 27
+    x ^= np.right_shift(x, 27, out=tmp)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> 31
+    x ^= np.right_shift(x, 31, out=tmp)
     return x
 
 
 def _derive_seeds(master: int, ranks: np.ndarray) -> np.ndarray:
     """derive_seed(master, k) for each k of a uint64 array of ranks, computed
     in place: every step writes into `ranks`, as a fresh array per step
-    would cost a page fault per page at the sampler's chunk size.  A master
-    that is no integer raises ValidationError."""
+    would cost a page fault per page of a large array.  A master that is no
+    integer raises ValidationError."""
     ranks *= np.uint64(_GAMMA)
     ranks += np.uint64((_check_int("seed", master) + _GAMMA) & _MASK64)
     return _splitmix64(ranks)
@@ -103,14 +107,24 @@ def _table_law(n: int, q: float, t: float, seed: int) -> float:
 
 
 def _draw(ranks: np.ndarray, seed: int, p_plus: float) -> np.ndarray:
-    """Base values of the pairs of a uint64 array of ranks, which it
-    overwrites: the pair of rank k is +1 when the top 53 bits b of
-    derive_seed(seed, k), as a uniform b * 2^-53 on [0, 1), fall below
-    p_plus, and -1 otherwise.  Both b * 2^-53 and p_plus * 2^53 are exact,
-    so that is the integer test b < ceil(p_plus * 2^53)."""
+    """Base values of the pairs of a uint64 array of ranks, returned as a
+    float64 view of its memory: the pair of rank k is +1 when the top 53
+    bits b of derive_seed(seed, k), as a uniform b * 2^-53 on [0, 1), fall
+    below p_plus, and -1 otherwise.  Both b * 2^-53 and p_plus * 2^53 are
+    exact, so that is the integer test b < cut = ceil(p_plus * 2^53), which
+    holds exactly when the whole 64-bit word is below cut << 11."""
     bits = _derive_seeds(seed, ranks)
-    bits >>= 11
-    return np.where(bits < np.uint64(math.ceil(p_plus * 2.0**53)), 1.0, -1.0)
+    cut = math.ceil(p_plus * 2.0**53)
+    # 2 * (word < cut << 11) - 1, written over the words: a take from
+    # [-1, 1] or a bool-float multiply would allocate a copy per call
+    signs = bits.view(np.float64)
+    if cut == 2**53:  # p_plus = 1: cut << 11 = 2^64 is past every word
+        signs.fill(1.0)
+    else:
+        np.copyto(signs, bits < np.uint64(cut << 11))
+        signs *= 2.0
+        signs -= 1.0
+    return signs
 
 
 def sample_ranks(ranks: Sequence[int] | np.ndarray, q: float, t: float, seed: int) -> np.ndarray:
@@ -140,15 +154,15 @@ def sample_packed(n: int, q: float, t: float, seed: int) -> np.ndarray:
     p_plus = _table_law(n, q, t, seed)
     count = _pair_count(n)
     out = np.empty(count)
-    # in chunks, so that the bits and uniforms of the whole table are never
-    # alive.  `chunk` holds each chunk's values until the next chunk is drawn:
-    # the allocator then reuses the freed temporaries of a chunk instead of
-    # returning them to the system and faulting them back in (at 4096 sites,
-    # 0.22 s against 0.11-0.13 s on a 2-core Xeon host)
+    # in chunks, so that the bits of the whole table are never alive and a
+    # chunk's arrays stay in cache; each chunk's ranks are written into one
+    # buffer, which _draw overwrites with their values
+    offsets = np.arange(min(count, _SAMPLE_CHUNK), dtype=np.uint64)
+    ranks = np.empty_like(offsets)
     for start in range(0, count, _SAMPLE_CHUNK):
-        stop = min(start + _SAMPLE_CHUNK, count)
-        chunk = _draw(np.arange(start, stop, dtype=np.uint64), seed, p_plus)
-        out[start:stop] = chunk
+        size = min(_SAMPLE_CHUNK, count - start)
+        chunk = np.add(offsets[:size], start, out=ranks[:size])
+        out[start:start + size] = _draw(chunk, seed, p_plus)
     return out
 
 
@@ -242,6 +256,15 @@ class CoefficientTable:
         self._check_covers(n)
         return self._packed[:_pair_count(n)]
 
+    def _check_two_point(self, n: int) -> None:
+        """Refuse with ValidationError a table with any other base value
+        than +1 or -1 among the pairs up to n, or one that does not cover
+        n sites; the clt engines check this before they read the table."""
+        u = self.packed(n)
+        if not ((u == 1.0) | (u == -1.0)).all():
+            raise ValidationError(
+                "the clt engines need a two-point table, every base value +1 or -1")
+
     def _read(self, i: int | np.ndarray, j: int | np.ndarray) -> float | np.ndarray:
         """Base value mu(i, j), as a Python float, of one pair i < j the table
         holds, or the base values of broadcastable int arrays of such pairs.
@@ -284,7 +307,8 @@ class _SampledTable(CoefficientTable):
     """sampled_table's table.  Its first read draws only the distinct pairs
     it asks for, unless it is a bulk read (packed, base_matrix); any later
     read draws the whole table, so that reading every pair one at a time
-    costs about one whole draw."""
+    costs about one whole draw.  Asking whether it is two-point draws
+    nothing."""
 
     def __init__(self, n: int, q: float, t: float, seed: int):
         _table_law(n, q, t, seed)
@@ -300,6 +324,10 @@ class _SampledTable(CoefficientTable):
             self._packed = sample_packed(*self._law)
             self._packed.flags.writeable = False
         return super().packed(n)
+
+    def _check_two_point(self, n: int) -> None:
+        # the two-point law, which _table_law checked, draws only +1 and -1
+        self._check_covers(n)
 
     def _read(self, i: int | np.ndarray, j: int | np.ndarray) -> float | np.ndarray:
         if self._packed is None:

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,14 +21,16 @@ from qtwick import (
     SizeLimitError,
     ValidationError,
     convergence_experiment,
+    cross_nest_counts,
     limit_coefficient_estimate,
     partial_sum_moment,
     sampled_table,
     vacuum_expectation,
     wick_mixed,
 )
-from qtwick import cli, clt
+from qtwick import cli, clt, coeffs
 from qtwick.clt import (
+    MAX_ESTIMATE_TUPLES,
     MAX_SUM_LENGTH,
     MAX_SUM_SIZE,
     MAX_SUM_STATES,
@@ -617,6 +620,78 @@ def test_a_wide_class_builds_its_matrices_once(monkeypatch):
     got = clt._estimates((5, 12, 30), pairing, "111***", table)
     assert built == [30]
     assert got == [_brute.exact_estimate(pairing, "111***", n, table) for n in (5, 12, 30)]
+
+
+# classes with no crossing, each with its default pattern: the empty class,
+# one pair, a nesting, a nesting beside a pair inside a third, and 4 nested
+CROSSING_FREE = [
+    (PairPartition(()), ""),
+    (PairPartition(((1, 2),)), "1*"),
+    (NESTING, "11**"),
+    (PairPartition(((1, 6), (2, 3), (4, 5))), "11*1**"),
+    (PairPartition(((1, 8), (2, 7), (3, 6), (4, 5))), "1111****"),
+]
+
+
+def _largest_estimate_size(pairs: int) -> int:
+    """The most sites the tuple and table caps admit for a class of pairs."""
+    return max(n for n in range(max(pairs, 1), MAX_TABLE_SITES + 1)
+               if n**pairs <= MAX_ESTIMATE_TUPLES)
+
+
+def _never_drawn(*args):
+    raise AssertionError("a table was drawn")
+
+
+@pytest.mark.parametrize("pairing, eps", CROSSING_FREE, ids=str)
+def test_a_crossing_free_class_on_a_sampled_table_draws_nothing(pairing, eps, monkeypatch):
+    n = pairing.n
+    crossings, nestings = cross_nest_counts(pairing)
+    assert crossings == 0
+    top = _largest_estimate_size(n)
+    ns = sorted({max(n, 1), max(n, 1) + 1, top // 2, top})
+    # each tuple's product is t^E, E the nestings, over the N!/(N-n)! tuples
+    want = [float(Fraction(math.perm(m, n)) * Fraction(1.25) ** nestings / m**n) for m in ns]
+    with monkeypatch.context() as patch:
+        patch.setattr(coeffs, "sample_packed", _never_drawn)
+        patch.setattr(coeffs, "_draw", _never_drawn)
+        assert clt._estimates(ns, pairing, eps, sampled_table(top, 0.5, 1.25, 3)) == want
+        if eps:  # an experiment needs a nonempty word
+            config = ExperimentConfig(mode="lambda", eps=eps, q=0.5, t=1.25, ns=tuple(ns),
+                                      seed=3, pairing=pairing)
+            assert [row.value for row in convergence_experiment(config).rows] == want
+    # the same values as the exact sum over tuples, on sampled tables and on
+    # tables of +-1 built by hand
+    rng = random.Random(n)
+    for m in range(max(n, 1), 8):
+        signs = [rng.choice((1.0, -1.0)) for _ in range(m * (m - 1) // 2)]
+        for table in (sampled_table(m, -0.4, 0.8, m), CoefficientTable(signs, 0.8)):
+            got = limit_coefficient_estimate(pairing, eps, m, table)
+            assert got.hex() == _brute.exact_estimate(pairing, eps, m, table).hex()
+
+
+@pytest.mark.parametrize("config", [
+    ExperimentConfig(mode="lambda", eps="11**", q=0.5, t=1.25, ns=(5, 40, 90), seed=3,
+                     pairing=CROSSING),
+    ExperimentConfig(mode="lambda", eps="111***", q=0.5, t=1.25, ns=(5, 12, 30), seed=3,
+                     pairing=PairPartition(((1, 4), (2, 5), (3, 6)))),
+    ExperimentConfig(mode="lambda", eps="11*1**", q=0.5, t=1.25, ns=(5, 12, 30), seed=3,
+                     pairing=PairPartition(((1, 5), (2, 3), (4, 6)))),
+    ExperimentConfig(mode="moment", eps="11*1**", q=0.5, t=1.25, ns=(5, 12, 30), seed=3),
+], ids=["crossing", "3-crossing", "one-crossing", "moment"])
+def test_a_crossing_class_and_a_moment_draw_their_table_once(config, monkeypatch):
+    drawn = []
+    real = coeffs.sample_packed
+    monkeypatch.setattr(coeffs, "sample_packed", lambda *law: drawn.append(law) or real(*law))
+    report = convergence_experiment(config)
+    assert drawn == [(max(config.ns), config.q, config.t, config.seed)]
+    table = sampled_table(max(config.ns), config.q, config.t, config.seed)
+    if config.mode == "moment":
+        want = [_brute.exact_moment(n, config.eps, table) for n in config.ns]
+    else:
+        want = [limit_coefficient_estimate(config.pairing, config.eps, n, table)
+                for n in config.ns]
+    assert [row.value for row in report.rows] == want
 
 
 # sha256 of the csv and json artifacts of `clt --mode lambda` runs, keyed by

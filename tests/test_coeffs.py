@@ -218,7 +218,7 @@ def test_packed_table_is_prefix_stable():
         big.packed(5)[0] = 2.0  # views of the table are read-only
 
 
-# 363 sites hold 65703 pairs, past the sampler's first chunk of 65536
+# 363 sites hold 65703 pairs, past the sampler's first four chunks
 _PAST_FIRST_CHUNK = 363
 
 
@@ -315,6 +315,22 @@ def test_sampler_chunks_cover_the_table():
             for k in range(_SAMPLE_CHUNK - 3, count)]
     got = sample_packed(_PAST_FIRST_CHUNK, 0.2, 1.1, 9)[_SAMPLE_CHUNK - 3:]
     assert got.tolist() == [1.0 if w else -1.0 for w in want]
+
+
+def _sites_past(pairs: int) -> int:
+    """The fewest sites that hold more than `pairs` pairs."""
+    return next(n for n in itertools.count(2) if n * (n - 1) // 2 > pairs)
+
+
+# q = t draws +1 everywhere (its cut is 2^53), q = -t -1 everywhere
+@pytest.mark.parametrize("ratio", [1.0, -1.0, 0.2])
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_sampler_matches_scalar_oracle_past_each_chunk(chunks, ratio):
+    n = _sites_past(chunks * _SAMPLE_CHUNK)
+    assert (n - 1) * (n - 2) // 2 <= chunks * _SAMPLE_CHUNK < n * (n - 1) // 2
+    t = 1.1
+    want = _brute.sample_base(n, ratio * t, t, 9)
+    assert sample_packed(n, ratio * t, t, 9).tolist() == list(want.values())
 
 
 def test_sampled_table_holds_one_copy():

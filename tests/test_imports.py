@@ -118,9 +118,20 @@ def _names(tree: ast.AST) -> set[str]:
     return names
 
 
+def _modules_naming(names: set[str]) -> set[str]:
+    """The package's modules that name any of names."""
+    return {path.stem for path in sorted(PACKAGE.glob("*.py"))
+            if _names(ast.parse(path.read_text())) & names}
+
+
 def test_only_coeffs_knows_the_pair_order():
     # engines read a table by pair, by prefix or as a matrix; the rank of a
     # pair and the packed length of n sites stay inside coeffs
-    knowing = {path.stem for path in sorted(PACKAGE.glob("*.py"))
-               if _names(ast.parse(path.read_text())) & {"_pair_rank", "_pair_count"}}
-    assert knowing == {"coeffs"}
+    assert _modules_naming({"_pair_rank", "_pair_count"}) == {"coeffs"}
+
+
+def test_only_coeffs_knows_how_a_table_is_drawn():
+    # an engine asks a table whether it is two-point and never forks on
+    # whether it was sampled; the sampled table and its kernel stay inside coeffs
+    drawing = {"_SampledTable", "_draw", "_derive_seeds", "_splitmix64", "_SAMPLE_CHUNK"}
+    assert _modules_naming(drawing) == {"coeffs"}
