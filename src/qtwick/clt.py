@@ -8,15 +8,14 @@ pairing class.  Both engines take two-point tables only (every base value
 +1 or -1) and are exact on them: the moment walk carries integer amplitudes
 with sqrt(t) factored out, the estimator contracts integer sign matrices,
 and each rounds its exact value once.  Experiments sample a single
-coefficient table at the largest requested size and evaluate every smaller
-size on its restriction, in one call of its engine: a moment experiment
-from one walk, whose leading creations run once at the largest size and
-serve every smaller one, and a lambda experiment from at most one read of
-the table, whose matrices are built once at the largest size (and not at
-all for a two-pair class) and contracted on their leading blocks per size.
-A sampled table is two-point by its law, so a class without crossings,
-whose estimate is a count of tuples, draws no table at all.
-Experiments return rows of numbers, which the command line renders."""
+coefficient table at the largest requested size and evaluate every size in
+one call of its engine, which reads the table at most once, at that size:
+into one edge table, whose leading rows and columns are every smaller
+size's and whose walk runs the leading creations once for every size, or
+into matrices contracted on their leading blocks per size (none for a
+two-pair class).  A sampled table is two-point by its law, so a moment
+word that cannot walk, or a class without crossings (a count of tuples),
+draws no table at all.  Experiments return rows of numbers."""
 
 from __future__ import annotations
 
@@ -46,14 +45,13 @@ MAX_SUM_LENGTH = 8
 # a moment walk that runs holds at most C(N, d) states, d the peak of the
 # popcount profile of eps (max(_popcounts(eps))), as a dense int64 vector,
 # and a step lists ranks of the smaller of its two states only; a word whose
-# walk cannot return to the vacuum is not charged.
-# `clt --mode moment` in a fresh process on a shared 2-core host:
-# 111*** at 400 sites (10.6M states), whose halves are mirrors meeting at the
-# peak, takes 0.55-0.60 s and 117 MB; 111*1*** and 1*111*** at 400 sites, whose
-# right half steps down from the peak, 0.94-1.33 s and 117 MB; 1111**** at 130
-# sites (11.4M), which holds the level-2 edges (17 MB), 0.60-0.87 s and 138 MB.
-# A run of several sizes walks the largest and reads the others off it:
-# 111*** at 10,100,200,400 sites takes 0.54-0.81 s and 117 MB
+# walk cannot return to the vacuum is not charged and draws no table.
+# `clt --mode moment` in a fresh process on a shared 2-core host, child RSS
+# from os.wait4: 111*** at 400 sites (10.6M states), mirror halves meeting at
+# the peak, 0.40-0.50 s and 116 MB; 111*1*** and 1*111*** at 400 sites, whose
+# right half steps down from the peak, 0.72-1.03 s and 117 MB; 1111**** at 130
+# sites (11.4M), holding the level-2 edges (17 MB), 0.44-0.64 s and 138 MB;
+# 111*** at 10,100,200,400 sites, all on one edge table, 0.42-0.53 s, 116 MB
 MAX_SUM_STATES = 12_000_000
 # from 3 pairs the estimator contracts [N, N] matrices in about N^n
 # multiply-adds, so the tuple count is its flop budget; with N >= n it stops at
@@ -127,59 +125,61 @@ def _check_estimate(pairing: PairPartition, eps: str, n_sites: int) -> None:
 
 
 class _EdgeTables:
-    """The edges of both letter sums by popcount k: row r of level k lists,
-    for the set S of colex rank r and each free site i in increasing order,
-    the rank of S + {i} and the product of mu(s, i) over s in S below i.
-    Level 0 is the row (i, 1); level k is read off level k - 1, held whole
-    (C(n, k-1) rows, small next to the C(n, peak) state).  With m = max S
-    and r' = r - C(m, k) the rank of S - {m}, a column c < m - k + 1 is row
-    r' at c, its key raised by C(m, k+1); a column above m, site c + k, has
-    the key r + C(c+k, k+1) and the weight at c + 1 of row r' times mu(m, c+k)."""
+    """The edges of both letter sums by popcount k on the first n sites, for
+    any n up to up's size: row r of level k lists, for the set S of colex
+    rank r and each free site i < n in increasing order, the rank of S + {i}
+    and the product of mu(s, i) over s in S below i.  Neither depends on n,
+    so width n reads the first C(n, k) rows and n - k columns of a level.
+    Level 0 is the row (i, 1); level k is read off level k - 1, and levels 1
+    to peak - 2 are built here and held whole beside it (small next to the
+    C(n, peak) state).  With m = max S and r' = r - C(m, k) the rank of
+    S - {m}, a column c < m - k + 1 is row r' at c, its key raised by
+    C(m, k+1); a column above m, site c + k, has the key r + C(c+k, k+1) and
+    the weight at c + 1 of row r' times mu(m, c+k)."""
 
-    def __init__(self, up: np.ndarray, binom: np.ndarray):
-        self.n = n = up.shape[0]
-        self.up, self.binom = up, binom
+    def __init__(self, up: np.ndarray, peak: int):
+        n = up.shape[0]
+        self.up, self.binom = up, _binomials(n, peak + 1)
         self.held = [(np.arange(n)[None, :], np.ones((1, n), dtype=np.int64))]
-
-    def chunks(self, ranks: np.ndarray, k: int):
-        """(ranks, keys, weights) of level k's rows, about _CHUNK edges at a time."""
-        for j in range(len(self.held), k):
-            keys = np.empty((int(self.binom[self.n, j]), self.n - j), dtype=np.int64)
-            weights = np.empty_like(keys)
-            for chunk, chunk_keys, chunk_weights in self.chunks(np.arange(len(keys)), j):
+        for k in range(1, peak - 1):
+            keys, weights = np.empty((2, int(self.binom[n, k]), n - k), dtype=np.int64)
+            for chunk, chunk_keys, chunk_weights in self.chunks(np.arange(len(keys)), k, n):
                 keys[chunk], weights[chunk] = chunk_keys, chunk_weights
             self.held.append((keys, weights))
-        step = max(1, _CHUNK // (self.n - k))
+
+    def chunks(self, ranks: np.ndarray, k: int, n: int):
+        """(ranks, keys, weights) of level k's rows on n sites, _CHUNK edges a time."""
+        step = max(1, _CHUNK // (n - k))
         for lo in range(0, ranks.size, step):
             chunk = ranks[lo:lo + step]
-            yield (chunk, *self._rows(chunk, k))
+            yield (chunk, *self._rows(chunk, k, n))
 
-    def _rows(self, ranks: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Level k's rows at ranks, from level k if it is held, else level k - 1."""
+    def _rows(self, ranks: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Level k's rows at ranks on n sites, from level k if held, else k - 1."""
         if k < len(self.held):
             keys, weights = self.held[k]
-            return keys[ranks], weights[ranks]
+            return keys[ranks, :n - k], weights[ranks, :n - k]
         binom, (keys, weights) = self.binom, self.held[k - 1]
         m = np.searchsorted(binom[:, k], ranks, side="right") - 1
         prev = ranks - binom[m, k]
-        keys, weights = keys[prev], weights[prev]
-        below = np.arange(self.n - k) < (m - k + 1)[:, None]
+        keys, weights = keys[prev, :n - k + 1], weights[prev, :n - k + 1]
+        below = np.arange(n - k) < (m - k + 1)[:, None]
         return (np.where(below, keys[:, :-1] + binom[m, k + 1, None],
-                         ranks[:, None] + binom[k:self.n, k + 1]),
-                np.where(below, weights[:, :-1], weights[:, 1:] * self.up[m, k:]))
+                         ranks[:, None] + binom[k:n, k + 1]),
+                np.where(below, weights[:, :-1], weights[:, 1:] * self.up[m, k:n]))
 
 
-def _apply_sum(vec: np.ndarray, k: int, letter: str, edges: _EdgeTables) -> np.ndarray:
-    """Apply the sum over all sites of the chain element (letter '1') or its
-    adjoint (letter '*'), with sqrt(t) factored out, to the popcount-k state
+def _apply_sum(vec: np.ndarray, k: int, letter: str, edges: _EdgeTables, n: int) -> np.ndarray:
+    """Apply the sum over the first n sites of the chain element (letter '1')
+    or its adjoint ('*'), with sqrt(t) factored out, to the popcount-k state
     with the given dense integer amplitudes indexed by colex rank, and return
     the result the same way.  Both read the edges out of the lower popcount: a
     creation scatters along them, an annihilation gathers back along them."""
     create = letter == "*"
     low = k if create else k - 1
-    out = np.zeros(int(edges.binom[edges.n, k + 1 if create else low]), dtype=np.int64)
+    out = np.zeros(int(edges.binom[n, k + 1 if create else low]), dtype=np.int64)
     ranks = np.flatnonzero(vec) if create else np.arange(out.size)
-    for chunk, keys, weights in edges.chunks(ranks, low):
+    for chunk, keys, weights in edges.chunks(ranks, low, n):
         if create:
             np.add.at(out, keys.ravel(), (vec[chunk, None] * weights).ravel())
         else:
@@ -187,11 +187,11 @@ def _apply_sum(vec: np.ndarray, k: int, letter: str, edges: _EdgeTables) -> np.n
     return out
 
 
-def _walk(vec: np.ndarray, steps: list[tuple[str, int]], edges: _EdgeTables) -> np.ndarray:
-    """The dense amplitudes of the letter sums of steps, (letter, popcount
-    it acts on) in the order they act, applied to vec."""
+def _walk(vec: np.ndarray, steps: list[tuple[str, int]], edges: _EdgeTables, n: int) -> np.ndarray:
+    """The dense amplitudes of the letter sums of steps on the first n sites,
+    (letter, popcount it acts on) in the order they act, applied to vec."""
     for letter, k in steps:
-        vec = _apply_sum(vec, k, letter, edges)
+        vec = _apply_sum(vec, k, letter, edges, n)
     return vec
 
 
@@ -251,23 +251,24 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
 
 def _moments(ns: Sequence[int], eps: str, table: CoefficientTable) -> list[float]:
     """partial_sum_moment at each size of ns, a nonempty sequence, from one
-    walk.  Every size is checked first, then the table is read once, at the
-    top size max(ns).  The leading creations of each half run once, from the
-    vacuum at the top size: a creation reaches a set inside the first n
-    sites only from such a set, through a site below n and with the same
-    signs, and in colex order those sets hold the first C(n, c) ranks, so
-    size n starts its half from that prefix of the vector and walks the rest
-    on the first n sites.  A word made of creations on each side, such as
-    111***, costs one walk and a dot product per size."""
+    walk.  Every size is checked first, and the table is asked at the top
+    size max(ns) whether it is two-point; a word that walks at no size
+    reads no base value.  Otherwise the table is read once, into one edge
+    table at the top size that every size reads.  The leading creations of
+    each half run once there, from the vacuum: a creation reaches a set
+    inside the first n sites only from such a set, through a site below n
+    and with the same signs, and in colex order those sets hold the first
+    C(n, c) ranks, so size n starts its half from that prefix of the vector
+    and walks the rest on the first n sites."""
     # a walk that runs at some size runs at the top size, which goes first
     sizes = sorted({n for n in ns if _check_moment(n, eps) is not None}, reverse=True)
     top = max(ns)
     table._check_two_point(top)
-    # the edges read the strict upper triangle only: up[j, i] = mu(j+1, i+1)
-    up = table.base_matrix(top).astype(np.int64)
+    if not sizes:
+        return [0.0] * len(ns)
     h = _popcounts(eps)
-    binom = _binomials(top, max(h) + 1)
-    top_edges = _EdgeTables(up, binom)
+    # the edges read the strict upper triangle only: up[j, i] = mu(j+1, i+1)
+    edges = _EdgeTables(table.base_matrix(top).astype(np.int64), max(h))
     # int64 cannot wrap.  A creation multiplies the sum of a half's
     # amplitudes' magnitudes by at most N, an annihilation by at most the
     # peak popcount p, so after c creations and a annihilations every
@@ -290,13 +291,12 @@ def _moments(ns: Sequence[int], eps: str, table: CoefficientTable) -> list[float
     t_power = sum(map(min, h, h[1:])) // 2
     moments = dict.fromkeys(ns, 0.0)
     for n in sizes:
-        edges = top_edges if n == top else _EdgeTables(up[:n, :n], binom[:n + 1])
         ends = []
         for j, steps in enumerate(halves):
             c = creations[j]
             if starts[j] is None:
-                starts[j] = _walk(np.ones(1, dtype=np.int64), steps[:c], top_edges)
-            ends.append(_walk(starts[j][:binom[n, c]], steps[c:], edges))
+                starts[j] = _walk(np.ones(1, dtype=np.int64), steps[:c], edges, top)
+            ends.append(_walk(starts[j][:edges.binom[n, c]], steps[c:], edges, n))
         moments[n] = _round_once(int(np.dot(ends[-1], ends[0])), table.t, t_power, n, half)
     return [moments[n] for n in ns]
 

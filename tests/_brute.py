@@ -8,7 +8,8 @@ walk a dict of occupation bitmasks one state and one site at a time in floats
 or exactly in integers, chain vacuum walks apply whole operators over every
 slot, normal ordering walks each partner left one
 transposition at a time instead of reading crossings and nestings, the
-chain's exchange relations compose whole operators slot by slot, the pairing
+chain's exchange relations compose whole operators slot by slot (one pair
+at a time, or every ordered pair at once as arrays), the pairing
 estimator sums the transposition walk's coefficients over every tuple as
 fractions or multiplies a fresh ones-grid by one factor at a time over
 lookup matrices filled cell by cell, and listings and clt artifacts render
@@ -524,6 +525,75 @@ def check_commutation(n: int, table, tolerance: float = 1e-12) -> CommutationRep
                     report.max_deviation = max(report.max_deviation, dev)
                     if dev > tolerance:
                         report.failures.append(CommutationCheck(i, j, e1, e2, dev))
+    return report
+
+
+def _chain_arrays(n: int, table):
+    """Every chain element and adjoint of build_jw as arrays: operator
+    2 * (site - 1) + (0 for '1', 1 for '*') takes bit b at slot s to bit
+    bits[o, s, b] with coefficient coef[o, s, b], or kills it (bit -1)."""
+    coef = np.zeros((2 * n, n, 2))
+    bits = np.full((2 * n, n, 2), -1, dtype=np.int8)
+    for o, (site, letter) in enumerate(itertools.product(range(1, n + 1), LETTERS)):
+        for s, action in enumerate(build_jw(n, site, table, adjoint=(letter == "*")).slots):
+            for b, image in enumerate(action):
+                if image is not None:
+                    coef[o, s, b], bits[o, s, b] = image
+    return coef, bits
+
+
+def _compose_arrays(coef, bits, a, b):
+    """compose() of operators a[p] and b[p], b[p] acting first, for every p:
+    the coefficients and bits of each slot's images."""
+    mid = bits[b]
+    alive = mid >= 0
+    mid = np.where(alive, mid, 0)  # a killed image reads bit 0, then is killed again
+    out = np.where(alive, np.take_along_axis(bits[a], mid, axis=2), -1)
+    return coef[b] * np.take_along_axis(coef[a], mid, axis=2), out
+
+
+def _canonical_arrays(coef, bits, scalar):
+    """canonical() of every operator p: the coefficients divided by each
+    slot's first surviving image, the scalar times those leads in slot
+    order, and whether p is the zero operator."""
+    lead = np.where(bits[:, :, 0] >= 0, coef[:, :, 0], coef[:, :, 1])
+    for s in range(coef.shape[1]):
+        scalar = scalar * lead[:, s]
+    zero = (bits < 0).all(axis=2).any(axis=1) | (scalar == 0.0)
+    return coef / lead[:, :, None], scalar, zero
+
+
+def check_commutation_arrays(n: int, table, tolerance: float = 1e-12) -> CommutationReport:
+    """check_commutation with every chain operator held as [2n, n, 2] arrays
+    of image coefficients and bits: all 4n(n-1) ordered pairs are composed
+    at once both ways, slot by slot, and compared as monomial_deviation
+    compares them, with the same float steps in the same order."""
+    coef, bits = _chain_arrays(n, table)
+    i, j, e1, e2 = (axis.ravel() for axis in np.indices((n, n, 2, 2)))
+    keep = i != j
+    left, right = 2 * i[keep] + e1[keep], 2 * j[keep] + e2[keep]
+    i, j, e1, e2 = i[keep].tolist(), j[keep].tolist(), e1[keep].tolist(), e2[keep].tolist()
+    mu = np.array([table.lookup(LETTERS[b], LETTERS[a], y + 1, x + 1)
+                   for x, y, a, b in zip(i, j, e1, e2)], dtype=float)
+    with np.errstate(all="ignore"):
+        lhs, lhs_bits = _compose_arrays(coef, bits, left, right)
+        rhs, rhs_bits = _compose_arrays(coef, bits, right, left)
+        # each product's scalar is 1.0 * 1.0, and the right one's is then times mu
+        lhs, lhs_scalar, lhs_zero = _canonical_arrays(lhs, lhs_bits, np.ones(mu.size))
+        rhs, rhs_scalar, rhs_zero = _canonical_arrays(rhs, rhs_bits, mu)
+        devs = np.abs(lhs_scalar - rhs_scalar)
+        for s in range(n):
+            for b in (0, 1):
+                # max(dev, x) keeps dev unless x > dev, so a nan stays put
+                x = np.abs(lhs[:, s, b] - rhs[:, s, b])
+                devs = np.where((lhs_bits[:, s, b] >= 0) & (x > devs), x, devs)
+    devs[(lhs_bits != rhs_bits).any(axis=(1, 2))] = math.inf
+    devs = np.where(lhs_zero | rhs_zero, np.where(lhs_zero & rhs_zero, 0.0, math.inf), devs)
+    report = CommutationReport(n=n, tolerance=tolerance, max_deviation=0.0)
+    for x, y, a, b, dev in zip(i, j, e1, e2, devs.tolist()):
+        report.max_deviation = max(report.max_deviation, dev)
+        if dev > tolerance:
+            report.failures.append(CommutationCheck(x + 1, y + 1, LETTERS[a], LETTERS[b], dev))
     return report
 
 

@@ -182,10 +182,10 @@ def test_annihilation_sum_is_the_transpose_of_the_creation_sum():
     for n in range(1, 8):
         for seed in (0, 1):
             up = sampled_table(n, 0.0, 1.25, seed).base_matrix(n).astype(np.int64)
-            edges = clt._EdgeTables(up, clt._binomials(n, n + 1))
+            edges = clt._EdgeTables(up, n)
 
             def matrix(k, letter):
-                return np.column_stack([clt._apply_sum(unit, k, letter, edges)
+                return np.column_stack([clt._apply_sum(unit, k, letter, edges, n)
                                         for unit in np.eye(math.comb(n, k), dtype=np.int64)])
 
             for k in range(n):
@@ -210,23 +210,27 @@ def _enumerated_edges(n, k, table):
 @given(signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=36, max_size=36))
 def test_edge_tables_equal_the_enumerated_edges(signs):
     table = CoefficientTable(signs, 1.25)
+
+    def listed(edges, n, k):
+        return [list(zip(keys, weights)) for _, chunk_keys, chunk_weights
+                in edges.chunks(np.arange(math.comb(n, k)), k, n)
+                for keys, weights in zip(chunk_keys.tolist(), chunk_weights.tolist())]
+
+    expected = {(n, k): _enumerated_edges(n, k, table) for n in range(1, 10) for k in range(n)}
     for n in range(1, 10):
         up = table.base_matrix(n).astype(np.int64)
-        edges = clt._EdgeTables(up, clt._binomials(n, n + 1))
-
-        def listed(k):
-            return [list(zip(keys, weights)) for _, chunk_keys, chunk_weights
-                    in edges.chunks(np.arange(math.comb(n, k)), k)
-                    for keys, weights in zip(chunk_keys.tolist(), chunk_weights.tolist())]
-
-        expected = [_enumerated_edges(n, k, table) for k in range(n)]
-        # each level sliced off the level below, which it then holds whole
-        for k in range(n):
-            assert listed(k) == expected[k], (n, k)
-        assert len(edges.held) == max(n - 1, 1)
-        # and the held levels read back
-        for k in range(len(edges.held)):
-            assert listed(k) == expected[k], (n, k)
+        # levels 0 to peak - 2 are held whole from the start, and every
+        # level, held or sliced off the level below, is the enumerated one
+        for peak in range(1, n + 1):
+            edges = clt._EdgeTables(up, peak)
+            assert len(edges.held) == max(peak - 1, 1)
+            for k in range(peak):
+                assert listed(edges, n, k) == expected[n, k], (n, peak, k)
+    # one table at 9 sites is every narrower width's: the first C(n, k) rows
+    # and the first n - k columns of each level
+    edges = clt._EdgeTables(table.base_matrix(9).astype(np.int64), 9)
+    for n, k in expected:
+        assert listed(edges, n, k) == expected[n, k], (n, k)
 
 
 @pytest.fixture
@@ -300,6 +304,19 @@ def test_one_walk_applies_the_creation_prefix_once(applied_letters):
         got = clt._moments(ns, eps, table)
         assert "".join(applied_letters) == walked, eps
         assert got == [partial_sum_moment(n, eps, table) for n in ns], eps
+
+
+def test_a_moment_experiment_builds_one_edge_table(monkeypatch):
+    # every size reads the leading rows and columns of the top size's edges
+    built = []
+    real = clt._EdgeTables
+    monkeypatch.setattr(clt, "_EdgeTables", lambda up, peak: built.append(up.shape) or real(up, peak))
+    config = ExperimentConfig("moment", "1*11**", 0.5, 1.25, (5, 9, 12), 3)
+    report = convergence_experiment(config)
+    assert built == [(12, 12)]
+    table = sampled_table(12, 0.5, 1.25, 3)
+    assert [row.value for row in report.rows] == [
+        _brute.exact_moment(n, "1*11**", table) for n in config.ns]
 
 
 def test_one_walk_checks_every_size_before_it_reads_the_table():
@@ -668,6 +685,27 @@ def test_a_crossing_free_class_on_a_sampled_table_draws_nothing(pairing, eps, mo
         for table in (sampled_table(m, -0.4, 0.8, m), CoefficientTable(signs, 0.8)):
             got = limit_coefficient_estimate(pairing, eps, m, table)
             assert got.hex() == _brute.exact_estimate(pairing, eps, m, table).hex()
+
+
+@pytest.mark.parametrize("eps, ns", [
+    ("****", (10, 400)),  # the vacuum holds nothing to annihilate
+    ("11****", (10, 400)),
+    ("*1", (2, 400)),  # a suffix with more '1' than '*'
+    ("1111****", (1, 2, 3)),  # sizes below the peak popcount hold no set
+])
+def test_a_moment_word_that_cannot_walk_draws_nothing(eps, ns, monkeypatch):
+    zeros = [0.0] * len(ns)
+    with monkeypatch.context() as patch:
+        patch.setattr(coeffs, "sample_packed", _never_drawn)
+        patch.setattr(coeffs, "_draw", _never_drawn)
+        assert clt._moments(ns, eps, sampled_table(max(ns), 0.5, 1.25, 3)) == zeros
+        config = ExperimentConfig("moment", eps, 0.5, 1.25, ns, 3)
+        assert [row.value for row in convergence_experiment(config).rows] == zeros
+    # a table built by hand that is not two-point is refused all the same
+    top = max(ns)
+    generic = CoefficientTable([1.0, -1.0, 0.5] * (top * (top - 1) // 6 + 1), 1.25)
+    with pytest.raises(ValidationError, match="two-point"):
+        clt._moments(ns, eps, generic)
 
 
 @pytest.mark.parametrize("config", [

@@ -272,12 +272,14 @@ CHAIN_GRID = [(0.5, 1.25), (0.3, 0.9), (1.0, 1.0), (-0.4, 0.8), (0.9, 2.0)]
 def test_check_commutation_equals_composition(point):
     # every n up to 48, the old composed check's cap, once, at grid point
     # n mod 5; tolerance 0 also lists the relations that hold only to
-    # rounding (sqrt(t) * sqrt(t) against t)
+    # rounding (sqrt(t) * sqrt(t) against t).  The oracle composes as
+    # arrays; test_the_array_oracle_is_the_scalar_oracle pins it to the
+    # scalar composition
     q, t = CHAIN_GRID[point]
     for n in range(1, 49):
         if n % len(CHAIN_GRID) == point:
             table = sampled_table(n, q, t, n)
-            want = _brute.check_commutation(n, table, 0.0)
+            want = _brute.check_commutation_arrays(n, table, 0.0)
             assert _report_key(check_commutation(n, table, 0.0)) == _report_key(want)
 
 
@@ -299,13 +301,13 @@ def generic_tables(draw):
     return n, CoefficientTable([a * b for a, b in zip(signs, sizes)], t)
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    case=generic_tables(),
-    tolerance=st.one_of(
-        st.just(1e-12), st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
-    ),
+_tolerances = st.one_of(
+    st.just(1e-12), st.floats(max_value=0.0, allow_nan=False, allow_infinity=False)
 )
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=generic_tables(), tolerance=_tolerances)
 def test_check_commutation_matches_oracle_property(case, tolerance):
     n, table = case
     want = _brute.check_commutation(n, table, tolerance)
@@ -313,6 +315,16 @@ def test_check_commutation_matches_oracle_property(case, tolerance):
         warnings.simplefilter("error", RuntimeWarning)
         got = check_commutation(n, table, tolerance)
     assert _report_key(got) == _report_key(want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=generic_tables(), tolerance=_tolerances)
+def test_the_array_oracle_is_the_scalar_oracle(case, tolerance):
+    # the same compositions bit for bit, where zeros, infinities and nan
+    # deviations decide the report
+    n, table = case
+    want = _brute.check_commutation(n, table, tolerance)
+    assert _report_key(_brute.check_commutation_arrays(n, table, tolerance)) == _report_key(want)
 
 
 @st.composite
