@@ -6,16 +6,17 @@ approach pairing sums weighted by q^crossings * t^nestings; the estimator
 averages the closed-form coefficient product over all index tuples in one
 pairing class.  Both engines take two-point tables only (every base value
 +1 or -1) and are exact on them: the moment walk carries integer amplitudes
-with sqrt(t) factored out, the estimator contracts integer sign matrices,
-and each rounds its exact value once.  Experiments sample a single
-coefficient table at the largest requested size and evaluate every size in
-one call of its engine, which reads the table at most once, at that size:
-into one edge table, whose leading rows and columns are every smaller
-size's and whose walk runs the leading creations once for every size, or
-into matrices contracted on their leading blocks per size (none for a
-two-pair class).  A sampled table is two-point by its law, so a moment
-word that cannot walk, or a class without crossings (a count of tuples),
-draws no table at all.  Experiments return rows of numbers."""
+with sqrt(t) factored out, the estimator counts the values of the blocks no
+crossing touches and contracts integer sign matrices over the rest, and
+each rounds its exact value once.  Experiments sample a single coefficient
+table at the largest requested size and evaluate every size in one call of
+its engine, which reads the table at most once, at that size: into one edge
+table, whose leading rows and columns are every smaller size's and whose
+walk runs the leading creations once for every size, or into matrices
+contracted on their leading blocks per size (none when the crossings join
+two blocks).  A sampled table is two-point by its law, so a moment word
+that cannot walk, or a class without crossings (a count of tuples), draws
+no table at all.  Experiments return rows of numbers."""
 
 from __future__ import annotations
 
@@ -53,11 +54,12 @@ MAX_SUM_LENGTH = 8
 # sites (11.4M), holding the level-2 edges (17 MB), 0.44-0.64 s and 138 MB;
 # 111*** at 10,100,200,400 sites, all on one edge table, 0.42-0.53 s, 116 MB
 MAX_SUM_STATES = 12_000_000
-# from 3 pairs the estimator contracts [N, N] matrices in about N^n
-# multiply-adds, so the tuple count is its flop budget; with N >= n it stops at
-# 7 pairs (8^8 > 10^7).  A class without crossings is a count of tuples and
-# reads no base value, and a 2-pair crossing sums the N(N-1)/2 base values it
-# reads and builds no matrix.  In-process per mutually crossing class at the
+# the estimator contracts [N, N] matrices over the m >= 3 blocks that crossings
+# touch in about N^m <= N^n multiply-adds, so the tuple count is its flop
+# budget; with N >= n it stops at 7 pairs (8^8 > 10^7).  A class without
+# crossings is a count of tuples and reads no base value, and one whose
+# crossings join two blocks sums the N(N-1)/2 base values it reads and builds
+# no matrix, at any pair count.  In-process per mutually crossing class at the
 # cap on a drawn table, best of 5 with OPENBLAS_NUM_THREADS=1 on a shared
 # 2-core host: 2 pairs (N = 3162) 1.3-2.0 ms, 3 (N = 215) 0.4-0.6 ms, 4 (N =
 # 56) 1.1-1.2 ms, 5 (N = 25) 6 ms, 6 (N = 14) 22-23 ms, 7 (N = 10) 75-80 ms; a
@@ -215,8 +217,9 @@ def _round_once(total: int, t: float, t_power: int, n_sites: int, n_power: int) 
 
 
 def _contract(a: dict[tuple[int, int], np.ndarray], k: int) -> float:
-    """Sum over value tuples (v_0, ..., v_{k-1}), k >= 3, of the product
-    over block pairs x < y of a[x, y][v_x, v_y], each edge an [N, N] matrix."""
+    """Sum over value tuples (v_0, ..., v_{k-1}), k >= 3, of the product over
+    block pairs x < y of a[x, y][v_x, v_y], each edge an [N, N] matrix, in
+    about N^k multiply-adds: the estimator passes the blocks crossings touch."""
     if k == 3:
         return ((a[0, 1] @ a[1, 2]) * a[0, 2]).sum()
     total = 0.0
@@ -311,18 +314,20 @@ def limit_coefficient_estimate(
     On a two-point table every factor is a base value m = +-1 times t, 1/t
     or 1 (for ('*','1'), ('1','*') and equal letters), so the estimate is
     t^E * S / N^n: E counts ('*','1') factors less ('1','*') ones, and S is
-    the integer sum over tuples of the product of the base values.  S is a
-    contraction over block pairs of the sign matrix (an odd number of
-    factors join the two blocks) or the all-ones matrix (an even number),
-    both with a zero diagonal, which keeps the values distinct.  A class
-    with no odd block pair, such as one of fewer than two pairs or one
-    without crossings, reads no base value: S counts the N!/(N-n)! tuples
-    of distinct values.  With two blocks joined oddly S is twice the sum of
-    the base values, and no matrix is built.  The edges the contraction
-    folds stay +-1 or 0, so every partial sum is an integer of magnitude at
-    most N^n <= MAX_ESTIMATE_TUPLES < 2^53: the float sums are exact in any
-    order, and the result is t^E * S / N^n rounded once.  Any other table
-    raises ValidationError, whatever the class.
+    the integer sum over tuples of the product of the base values.  Only
+    the block pairs that an odd number of factors join, the pairing's
+    crossings, weigh a tuple; a block that none of them touches only needs
+    a value apart from the rest, so with m blocks touched S is
+    (N-m)!/(N-n)! times T, the sum over distinct values of the touched
+    blocks alone.  T is 1 for m = 0 (no base value is read), twice the sum
+    of the base values for m = 2 (no matrix is built), and otherwise a
+    contraction over the touched block pairs of the sign matrix (odd pairs)
+    or the all-ones matrix (the rest), both with a zero diagonal, which
+    keeps the values distinct.  The edges it folds stay +-1 or 0, so every
+    partial sum is an integer of magnitude at most N^m <= N^n <=
+    MAX_ESTIMATE_TUPLES < 2^53: the float sums are exact in any order, and
+    the result is t^E * S / N^n rounded once.  Any other table raises
+    ValidationError, whatever the class.
     """
     return _estimates((n_sites,), pairing, eps, table)[0]
 
@@ -333,10 +338,10 @@ def _estimates(
     """limit_coefficient_estimate at each size of ns, a nonempty sequence.
     Every size is checked first, then the table is asked once, at the top
     size max(ns), whether it is two-point, which draws no sampled table.
-    Only a class with an odd block pair reads base values: two blocks sum
-    the prefix of each size, and three or more build their sign and
-    distinct matrices at the top size, and size n contracts their leading
-    [:n, :n] blocks, which are the matrices of the first n sites."""
+    Only a class with an odd block pair reads base values: two touched
+    blocks sum the prefix of each size, and three or more build their sign
+    and distinct matrices at the top size, and size n contracts their
+    leading [:n, :n] blocks, which are the matrices of the first n sites."""
     for n_sites in ns:
         _check_estimate(pairing, eps, n_sites)
     top = max(ns)
@@ -349,23 +354,23 @@ def _estimates(
         odd ^= {(block[x] - 1, block[y] - 1)}
         letters = (eps[x - 1], eps[y - 1])
         exponent += (letters == ("*", "1")) - (letters == ("1", "*"))
-    if not odd:
-        # every product is 1, so S counts the tuples of distinct values
-        sums = [math.perm(n_sites, n) for n_sites in ns]
-    elif n == 2:
-        # each pair i < j is the tuples (i, j) and (j, i)
+    # S = perm(N - m, n - m) * T, T the sum over the m touched blocks alone
+    touched = sorted({x for pair in odd for x in pair})
+    m = len(touched)
+    if m == 0:
+        sums = [1] * len(ns)
+    elif m == 2:
+        # the one odd pair's values i < j are the tuples (i, j) and (j, i)
         sums = [2 * int(table.packed(n_sites).sum()) for n_sites in ns]
     else:
-        pairs = list(itertools.combinations(range(n), 2))
+        odd = {(touched.index(x), touched.index(y)) for x, y in odd}
+        pairs = list(itertools.combinations(range(m), 2))
         sign_matrix = table.base_matrix(top)
-        distinct = None
-        if len(odd) < len(pairs):
-            distinct = np.ones((top, top))
-            np.fill_diagonal(distinct, 0.0)
+        distinct = 1.0 - np.eye(top) if len(odd) < len(pairs) else None
         a = {pair: sign_matrix if pair in odd else distinct for pair in pairs}
-        sums = [int(_contract({pair: m[:n_sites, :n_sites] for pair, m in a.items()}, n))
+        sums = [int(_contract({pair: b[:n_sites, :n_sites] for pair, b in a.items()}, m))
                 for n_sites in ns]
-    return [_round_once(total, table.t, exponent, n_sites, n)
+    return [_round_once(math.perm(n_sites - m, n - m) * total, table.t, exponent, n_sites, n)
             for total, n_sites in zip(sums, ns)]
 
 

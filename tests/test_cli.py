@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -30,6 +31,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_paths(directory, name):
+    """name-0, name-1, ... in directory, one path per write: on some file
+    systems writing over a file that holds data costs more than a run."""
+    stem, dot, suffix = name.partition(".")
+    return (directory / f"{stem}-{k}{dot}{suffix}" for k in itertools.count())
 
 
 def test_pairings_text(capsys):
@@ -262,8 +270,9 @@ def test_jw_dump_csv_lists_each_slot_and_checks(capsys, tmp_path):
     assert rows[2] == ["3", "none", "none", "1", "0"]
     assert all(row[1:3] == ["1", "0"] and row[4] == "1" for row in rows[:2])
     assert run(capsys, "--check", str(path)) == (0, f"ok: {path}\n", "")
-    path.write_text(path.read_text().replace("3,none,none,1,0", "3,none,none,1,1"))
-    code, _, err = run(capsys, "--check", str(path))
+    edited = tmp_path / "edited.csv"
+    edited.write_text(path.read_text().replace("3,none,none,1,0", "3,none,none,1,1"))
+    code, _, err = run(capsys, "--check", str(edited))
     assert code == 2 and "does not match a fresh run of jw" in err
 
 
@@ -589,12 +598,14 @@ def test_check_names_missing_or_malformed_metadata(capsys, tmp_path):
     code, _, _ = run(capsys, "coeffs", "--n", "5", *CHAIN, "--format", "csv", "--out", str(good))
     assert code == 0
     text = good.read_text()
-    broken = tmp_path / "broken.csv"
-    broken.write_text(text.replace("# n: 5\n", ""))
-    code, _, err = run(capsys, "--check", str(broken))
+    broken = fresh_paths(tmp_path, "broken.csv")
+    path = next(broken)
+    path.write_text(text.replace("# n: 5\n", ""))
+    code, _, err = run(capsys, "--check", str(path))
     assert code == 2 and "'n'" in err and "internal" not in err
-    broken.write_text(text.replace("# n: 5\n", "# n: five\n"))
-    code, _, err = run(capsys, "--check", str(broken))
+    path = next(broken)
+    path.write_text(text.replace("# n: 5\n", "# n: five\n"))
+    code, _, err = run(capsys, "--check", str(path))
     assert code == 2 and "'n'" in err and "malformed" in err
     report = tmp_path / "report.json"
     code, _, _ = run(
@@ -604,12 +615,14 @@ def test_check_names_missing_or_malformed_metadata(capsys, tmp_path):
     assert code == 0
     payload = json.loads(report.read_text())
     del payload["metadata"]["seed"]
-    broken = tmp_path / "broken.json"
-    broken.write_text(json.dumps(payload))
-    code, _, err = run(capsys, "--check", str(broken))
+    broken = fresh_paths(tmp_path, "broken.json")
+    path = next(broken)
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "--check", str(path))
     assert code == 2 and "'seed'" in err
-    broken.write_text(json.dumps({"rows": []}))
-    code, _, err = run(capsys, "--check", str(broken))
+    path = next(broken)
+    path.write_text(json.dumps({"rows": []}))
+    code, _, err = run(capsys, "--check", str(path))
     assert code == 2 and "metadata" in err
 
 
@@ -626,8 +639,9 @@ def test_clt_csv_to_file_and_check(capsys, tmp_path):
     code, out, err = run(capsys, "--check", str(target))
     assert code == 0 and out.strip() == f"ok: {target}"
 
-    target.write_text(text.replace("moment,", "moment,9", 1))
-    code, _, err = run(capsys, "--check", str(target))
+    edited = tmp_path / "edited.csv"
+    edited.write_text(text.replace("moment,", "moment,9", 1))
+    code, _, err = run(capsys, "--check", str(edited))
     assert code == 2 and "does not match" in err
 
 
@@ -705,14 +719,17 @@ def test_check_reads_only_the_json_metadata(capsys, tmp_path):
     target = tmp_path / "pairings.json"
     assert run(capsys, "pairings", "--n", "3", "--format", "json", "--out", str(target))[0] == 0
     text = target.read_text()
+    edited = fresh_paths(tmp_path, "edited.json")
     # the rows are never decoded, only compared
-    target.write_text(text.replace('"rows": [', '"rows": [[', 1))
-    code, _, err = run(capsys, "--check", str(target))
+    path = next(edited)
+    path.write_text(text.replace('"rows": [', '"rows": [[', 1))
+    code, _, err = run(capsys, "--check", str(path))
     assert code == 2 and "does not match a fresh run of pairings" in err
     for meta, why in [('"metadata": ["pairings"]', "no 'metadata' object"),
                       ('"metadata": {"command": "pairings", "n": 3}', "'n' is malformed")]:
-        target.write_text(json.dumps({"header": [], "rows": []}).replace('"rows"', meta + ', "rows"'))
-        code, _, err = run(capsys, "--check", str(target))
+        path = next(edited)
+        path.write_text(json.dumps({"header": [], "rows": []}).replace('"rows"', meta + ', "rows"'))
+        code, _, err = run(capsys, "--check", str(path))
         assert code == 2 and why in err, meta
 
 
@@ -727,8 +744,9 @@ def test_check_echoes_the_artifact_version(capsys, tmp_path, argv):
     old = text.replace(f"# version: {cli.__version__}\n", "# version: 0.0.9\n")
     target.write_text(old)
     assert run(capsys, "--check", str(target))[:2] == (0, f"ok: {target}\n")
-    target.write_text(old[:-2] + ("7" if old[-2] != "7" else "1") + "\n")
-    code, _, err = run(capsys, "--check", str(target))
+    edited = tmp_path / "edited.csv"
+    edited.write_text(old[:-2] + ("7" if old[-2] != "7" else "1") + "\n")
+    code, _, err = run(capsys, "--check", str(edited))
     assert code == 2 and "does not match" in err
     assert "version 0.0.9" in err and f"version {cli.__version__}" in err
 
@@ -819,8 +837,9 @@ def test_a_clt_artifact_is_checked_from_its_metadata_as_it_stands(capsys, tmp_pa
     assert run(capsys, *argv, "--out", str(target))[0] == 0
     text = target.read_text(encoding="utf-8")
     assert "# seed: 3\n# ns: 4,8\n# pairing: 1-3;2-4\n" in text
-    target.write_text("# note: hand-added\n" + text, encoding="utf-8")
-    assert run(capsys, "--check", str(target))[:2] == (0, f"ok: {target}\n")
+    noted = tmp_path / "noted.csv"
+    noted.write_text("# note: hand-added\n" + text, encoding="utf-8")
+    assert run(capsys, "--check", str(noted))[:2] == (0, f"ok: {noted}\n")
 
 
 def test_a_malformed_ns_is_refused_before_a_malformed_pairing(capsys):
@@ -869,12 +888,13 @@ def test_check_rejects_non_string_json_metadata(capsys, tmp_path, argv):
     assert run(capsys, *argv, "--format", "json", "--out", str(good))[0] == 0
     assert run(capsys, "--check", str(good))[0] == 0
     payload = json.loads(good.read_text())
-    broken = tmp_path / "broken.json"
+    broken = fresh_paths(tmp_path, "broken.json")
     for key in payload["metadata"]:
         for value in (5, [payload["metadata"][key]], {key: "x"}, None):
             edited = dict(payload, metadata={**payload["metadata"], key: value})
-            broken.write_text(json.dumps(edited, indent=2, sort_keys=True) + "\n")
-            code, out, err = run(capsys, "--check", str(broken))
+            path = next(broken)
+            path.write_text(json.dumps(edited, indent=2, sort_keys=True) + "\n")
+            code, out, err = run(capsys, "--check", str(path))
             assert code == 2 and out == "", (key, value)
             assert repr(key) in err and "internal" not in err, (key, value, err)
 

@@ -9,6 +9,7 @@ t = 1e-320, say, where sqrt(t) * mu underflows to zero).
 
 import contextlib
 import io
+import itertools
 import json
 import re
 import warnings
@@ -142,13 +143,16 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 @pytest.fixture(scope="module")
-def artifact_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "artifact"
+def artifact_paths(tmp_path_factory):
+    """A fresh path for every artifact: on some file systems writing over a
+    file that holds data costs far more than the run that wrote it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    return (root / f"artifact-{k}" for k in itertools.count())
 
 
 @settings(max_examples=500, deadline=None)
 @given(argv=commands, fmt=formats)
-def test_a_command_writes_finite_cells_or_exits_2(artifact_path, argv, fmt):
+def test_a_command_writes_finite_cells_or_exits_2(artifact_paths, argv, fmt):
     code, out, err = _run([*argv, "--format", fmt])
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
@@ -157,6 +161,7 @@ def test_a_command_writes_finite_cells_or_exits_2(artifact_path, argv, fmt):
     assert code == 0 and err == ""
     assert fmt != "csv" or not any("\n" in arg for arg in argv)
     if fmt != "text":
+        artifact_path = next(artifact_paths)
         artifact_path.write_text(out, encoding="utf-8", newline="")
         assert _run(["--check", str(artifact_path)]) == (0, f"ok: {artifact_path}\n", "")
     if argv[0] == "jw" and "--verify" in argv:

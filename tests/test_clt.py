@@ -687,6 +687,69 @@ def test_a_crossing_free_class_on_a_sampled_table_draws_nothing(pairing, eps, mo
             assert got.hex() == _brute.exact_estimate(pairing, eps, m, table).hex()
 
 
+def _oracle_tables(n_sites: int) -> tuple[CoefficientTable, CoefficientTable]:
+    """A sampled table and one of random signs built by hand, of n_sites."""
+    rng = random.Random(n_sites)
+    signs = [rng.choice((1.0, -1.0)) for _ in range(n_sites * (n_sites - 1) // 2)]
+    return sampled_table(n_sites, -0.4, 0.8, n_sites), CoefficientTable(signs, 0.8)
+
+
+def _no_matrix(*args):
+    raise AssertionError("a matrix was built")
+
+
+# classes whose one crossing joins two blocks that any number of others nest
+# around or sit beside: a crossing beside a nested pair, and one crossing
+# inside five nested pairs
+TWO_TOUCHED = [
+    (PairPartition(((1, 5), (2, 3), (4, 6))), "11*1**"),
+    (PairPartition(((1, 14), (2, 13), (3, 12), (4, 11), (5, 10), (6, 8), (7, 9))),
+     "1111111*******"),
+]
+
+
+@pytest.mark.parametrize("pairing, eps", TWO_TOUCHED, ids=str)
+def test_a_class_whose_crossings_join_two_blocks_builds_no_matrix(pairing, eps, monkeypatch):
+    monkeypatch.setattr(CoefficientTable, "base_matrix", _no_matrix)
+    monkeypatch.setattr(clt, "_contract", _no_matrix)
+    n = pairing.n
+    crossings, nestings = cross_nest_counts(pairing)
+    assert crossings == 1
+    top = _largest_estimate_size(n)
+    ns = sorted({n, n + 1, max(n, top // 2), top})
+    table = sampled_table(top, 0.5, 1.25, 3)
+    # the two crossing blocks take the values of a pair i < j in either
+    # order, every other block one of the N - 2 values left, and every
+    # factor of the default pattern but the crossing's is t
+    want = [float(Fraction(math.perm(m - 2, n - 2) * 2 * int(table.packed(m).sum()))
+                  * Fraction(1.25) ** (crossings + nestings) / m**n) for m in ns]
+    assert clt._estimates(ns, pairing, eps, table) == want
+    assert [limit_coefficient_estimate(pairing, eps, m, table) for m in ns] == want
+    for m in range(n, 8):
+        for small in _oracle_tables(m):
+            got = limit_coefficient_estimate(pairing, eps, m, small)
+            assert got.hex() == _brute.exact_estimate(pairing, eps, m, small).hex()
+
+
+def test_three_crossing_blocks_under_a_nesting_contract_three_blocks(monkeypatch):
+    # three mutually crossing pairs inside a fourth, which no crossing touches
+    pairing = PairPartition(((1, 8), (2, 5), (3, 6), (4, 7)))
+    blocks = []
+    real = clt._contract
+    monkeypatch.setattr(clt, "_contract", lambda a, k: blocks.append(k) or real(a, k))
+    ns = (4, 20, 56)
+    table = sampled_table(56, 0.5, 1.25, 3)
+    got = clt._estimates(ns, pairing, "1111****", table)
+    assert blocks == [3] * len(ns)
+    assert got == [limit_coefficient_estimate(pairing, "1111****", m, table) for m in ns]
+    for m in range(4, 8):
+        for small in _oracle_tables(m):
+            blocks.clear()
+            got = limit_coefficient_estimate(pairing, "1111****", m, small)
+            assert got.hex() == _brute.exact_estimate(pairing, "1111****", m, small).hex()
+            assert blocks == [3]
+
+
 @pytest.mark.parametrize("eps, ns", [
     ("****", (10, 400)),  # the vacuum holds nothing to annihilate
     ("11****", (10, 400)),
