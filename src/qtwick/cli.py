@@ -86,14 +86,14 @@ def _render(meta: Metadata, header: list[str], rows: list[list[str]], fmt: str,
             body = "\n".join(text_lines if text_lines is not None else map(" ".join, rows))
         return body + "\n"
     if fmt == "csv":
-        if rows:
-            body = "\n".join(map(",".join, rows))
         lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(header)]
-        return "\n".join(lines if body is None else lines + [body]) + "\n"
+        lines += map(",".join, rows)
+        return "\n".join(lines + ([""] if body is None else [body, ""]))
     if fmt == "json":
         text = _json({"metadata": meta, "header": header, "rows": rows})
         # a listing's body goes where its rows sort, last
-        return text if body is None else text[:-len("[]\n}\n")] + f"[\n    {body}\n  ]\n}}\n"
+        return text if body is None else "".join(
+            (text[:-len("[]\n}\n")], "[\n    ", body, "\n  ]\n}\n"))
     raise ValidationError(f"unknown format {fmt!r}")
 
 

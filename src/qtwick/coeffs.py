@@ -28,9 +28,9 @@ from .wickpoly import LETTERS, QTPolynomial, check_eps
 # the cap still bounds its n
 MAX_TABLE_SITES = 4096
 # the coeffs artifact lists one row per pair: 1024 sites are 523776 rows.
-# In a fresh process, csv (5 MB) takes 0.36-0.42 s to write or --check and
-# peaks at 54-59 MB, text (8 MB) 0.39-0.46 s at 58 MB, and json (26 MB)
-# 0.50-0.54 s to write or --check at 132 and 181 MB
+# In a fresh process, csv (5 MB) takes 0.09-0.14 s to write or --check and
+# peaks at 49-54 MB, text (8 MB) 0.09-0.10 s at 58 MB, and json (26 MB)
+# 0.11-0.13 s to write or --check at 107 and 132 MB
 MAX_LISTED_SITES = 1024
 
 _MASK64 = (1 << 64) - 1
@@ -284,10 +284,10 @@ class CoefficientTable:
     def lookup(self, left: str, right: str, i: int, j: int) -> float:
         """Coefficient mu_{left,right}(i, j) for i != j."""
         if left not in LETTERS or right not in LETTERS:
-            raise ValueError(f"letters must be '1' or '*', got ({left!r},{right!r})")
+            raise ValidationError(f"letters must be '1' or '*', got ({left!r},{right!r})")
         i, j = _check_int("i", i), _check_int("j", j)
         if i == j:
-            raise ValueError("coefficients are only defined for distinct indices")
+            raise ValidationError("coefficients are only defined for distinct indices")
         m = self.base_value(i, j) if i < j else self.base_value(j, i)
         return _coefficient(left, right, m, self.t, i < j)
 
@@ -383,7 +383,7 @@ def normal_order(
     values = tuple(values)
     check_eps(eps)
     if len(values) != len(eps):
-        raise ValueError(f"{len(values)} values but pattern of length {len(eps)}")
+        raise ValidationError(f"{len(values)} values but pattern of length {len(eps)}")
     where: dict[int, list[int]] = {}
     for pos, v in enumerate(values, start=1):
         where.setdefault(v, []).append(pos)

@@ -75,20 +75,14 @@ def _check_degree(degree: int, p: FockParams) -> None:
 
 
 def add(u: FockVector, v: FockVector) -> FockVector:
-    out = dict(u)
+    """u + v, accumulated into u: callers hand it a dict of their own."""
     for w, c in v.items():
-        s = out.get(w, 0.0) + c
+        s = u.get(w, 0.0) + c
         if s == 0.0:
-            out.pop(w, None)
+            u.pop(w, None)
         else:
-            out[w] = s
-    return out
-
-
-def scale(v: FockVector, c: float) -> FockVector:
-    if c == 0.0:
-        return {}
-    return {w: c * x for w, x in v.items()}
+            u[w] = s
+    return u
 
 
 def _check_word(w: object, p: FockParams) -> None:
@@ -189,14 +183,14 @@ _OPERATORS = {("create", 2): _create, ("annihilate", 2): _annihilate, ("field", 
 def vacuum_moment(op_seq: Sequence[OperatorKind], p: FockParams) -> float:
     """Apply a product of operators (written left to right) to the vacuum and
     return the resulting vacuum coefficient.  Every operator is checked, also
-    after the state has died; a malformed kind raises ValueError."""
+    after the state has died; a malformed kind raises ValidationError."""
     state = vacuum()
     for kind in reversed(op_seq):
         try:  # a kind that is no sequence, or whose name is unhashable, is malformed too
             apply = _OPERATORS[(*kind[:1], len(kind))]
         except (KeyError, TypeError):
-            raise ValueError(f"bad operator kind {kind!r}; use (name, letter) for create,"
-                             " annihilate or field, or ('number',)") from None
+            raise ValidationError(f"bad operator kind {kind!r}; use (name, letter) for create,"
+                                  " annihilate or field, or ('number',)") from None
         state = apply(*(_check_letter(i, p) for i in kind[1:]), state, p)
     return state.get((), 0.0)
 
@@ -245,17 +239,18 @@ def commutator_residual(f: int, g: int, p: FockParams) -> float:
     f, and with f alone at d = 1."""
     f, g = _check_letter(f, p), _check_letter(g, p)
     _check_residual_size(p)
-    delta = 1.0 if f == g else 0.0
     other = g if g != f else 2 if f == 1 else 1
     letters = (f, other) if p.d > 1 else (f,)
     worst = 0.0
     for deg in range(0, p.m - 1):
         for w in itertools.product(letters, repeat=deg):
             v = {w: 1.0}
-            lhs = _annihilate(f, _create(g, v, p), p)
-            mid = scale(_create(g, _annihilate(f, v, p), p), p.q)
-            rhs = scale(number_scale(v, p), delta)
-            resid = add(add(lhs, scale(mid, -1.0)), scale(rhs, -1.0))
+            resid = _annihilate(f, _create(g, v, p), p)
+            if p.q != 0.0:
+                mid = _create(g, _annihilate(f, v, p), p)
+                add(resid, {u: -(p.q * x) for u, x in mid.items()})
+            if f == g:
+                add(resid, {u: -x for u, x in number_scale(v, p).items()})
             norm = np.sqrt(sum(c * c for c in resid.values()))
             worst = max(worst, norm)
     return float(worst)

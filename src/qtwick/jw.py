@@ -28,6 +28,10 @@ from .wickpoly import LETTERS
 # keeps the failing ones as flat indices: n = 1024 takes about 0.3 s and
 # peaks near 150 MB, whether every relation fails or none does
 MAX_VERIFY_SITES = 1024
+# base values one vacuum_expectation reads (`jw --ops`), counted before they
+# are listed: the word that raises sites 1..1448 and lowers them reads
+# 2,095,256, taking 0.24-0.26 s and 201 MB in a fresh process
+MAX_WALK_READS = 2_097_152
 # failures a report's iterator builds per step, which bounds its temporaries
 _FAILURE_CHUNK = 1 << 16
 
@@ -59,13 +63,13 @@ class MonomialOperator:
 
     def __post_init__(self) -> None:
         if len(self.slots) != self.n:
-            raise ValueError(f"{len(self.slots)} slot actions for width {self.n}")
+            raise ValidationError(f"{len(self.slots)} slot actions for width {self.n}")
 
     def apply(self, state: SparseState) -> SparseState:
         out: SparseState = {}
         for mask, amp in state.items():
             if mask >> self.n:
-                raise ValueError(f"state mask {mask:#b} has bits outside the {self.n} slots")
+                raise ValidationError(f"state mask {mask:#b} has bits outside the {self.n} slots")
             coeff = amp * self.scalar
             new_mask = 0
             for j, action in enumerate(self.slots):
@@ -120,22 +124,24 @@ def _parse_sites(text: str) -> list[tuple[int, bool]]:
 
 def _vacuum_walk(
     op_seq: Sequence[tuple[int, bool]], n: int
-) -> Optional[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+) -> Optional[tuple[list[int], list[int], list[tuple[int, int]]]]:
     """The occupancy walk of vacuum_expectation, which reads no coefficient.
 
     From the vacuum every factor keeps one basis state, so the walk holds the
     occupied sites alone.  It returns None when a factor lowers an empty
     slot or raises an occupied one, or when the word leaves a slot occupied:
-    the vacuum coefficient is then 0.0.  Otherwise it returns the pairs
-    (slot, site), slot < site, whose base values mu(slot, site) the factors
-    read, in read order, and for each factor, rightmost first, how many of
-    those it reads and how many occupied slots lie above its site.  It
-    checks n before any site.
+    the vacuum coefficient is then 0.0.  Otherwise it returns the slots and
+    the sites of the pairs (slot, site), slot < site, whose base values
+    mu(slot, site) the factors read, in read order, and for each factor,
+    rightmost first, how many of those it reads and how many occupied slots
+    lie above its site.  It checks n before any site, and refuses a word
+    that reads more than MAX_WALK_READS base values before it lists them.
     """
     n = _check_int("n", n, 0)
     op_seq = [(_check_int("site", site, 1, n), adjoint) for site, adjoint in op_seq]
     occupied: list[int] = []  # ascending
-    pairs: list[tuple[int, int]] = []
+    slots: list[int] = []
+    sites: list[int] = []
     factors: list[tuple[int, int]] = []
     for site, adjoint in reversed(op_seq):
         k = bisect.bisect_left(occupied, site)
@@ -145,11 +151,15 @@ def _vacuum_walk(
             del occupied[k]
         # the other occupied slots: below `site` they read mu(slot, site);
         # above it they read no coefficient
-        pairs += [(slot, site) for slot in occupied[:k]]
+        if len(slots) + k > MAX_WALK_READS:
+            raise SizeLimitError("the word reads more base values than the"
+                                 f" {MAX_WALK_READS}-read cap")
+        slots += occupied[:k]
+        sites += [site] * k
         factors.append((k, len(occupied) - k))
         if adjoint:
             occupied.insert(k, site)
-    return None if occupied else (pairs, factors)
+    return None if occupied else (slots, sites, factors)
 
 
 def vacuum_expectation(
@@ -159,22 +169,22 @@ def vacuum_expectation(
 
     op_seq lists (site, adjoint) factors in product order, left to right; the
     rightmost factor acts first.  The occupancy walk (_vacuum_walk) finds the
-    base values the factors read, and only those are read from the table.
-    A factor multiplies in, in ascending slot order, the occupied-bit entries
-    of the occupied slots: sqrt(t) * mu(slot, site) below its site and
-    sqrt(t) above it.  The factors build_jw(...).apply would take at the
-    other slots are exactly 1.0, so the bits are the same as that walk's,
-    which tests/_brute.py keeps.
+    base values the factors read, and only those are read from the table,
+    in one read.  A factor multiplies in, in ascending slot order, the
+    occupied-bit entries of the occupied slots: sqrt(t) * mu(slot, site)
+    below its site and sqrt(t) above it.  The factors build_jw(...).apply
+    would take at the other slots are exactly 1.0, so the bits are the same
+    as that walk's, which tests/_brute.py keeps.
     """
     walk = _vacuum_walk(op_seq, n)
     table._check_covers(n)
     if walk is None:
         return 0.0
-    pairs, factors = walk
+    slots, sites, factors = walk
     sq = math.sqrt(table.t)
     amp = 1.0
-    slots, sites = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    values = iter(table._read(slots, sites).tolist())
+    values = iter(table._read(np.array(slots, dtype=np.int64),
+                              np.array(sites, dtype=np.int64)).tolist())
     for below, above in factors:
         for m in itertools.islice(values, below):
             entry = sq * m

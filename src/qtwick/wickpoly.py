@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import SizeLimitError
+from .errors import SizeLimitError, ValidationError
 from .floats import _check_int
 
 Scalar = Union[int, float, Fraction]
@@ -29,7 +29,7 @@ MAX_WICK_PAIRS = 12
 def check_eps(eps: str) -> str:
     """Validate a word over the alphabet {1, *} and return it unchanged."""
     if not isinstance(eps, str) or any(c not in LETTERS for c in eps):
-        raise ValueError(f"pattern {eps!r} must be a string over '1' and '*'")
+        raise ValidationError(f"pattern {eps!r} must be a string over '1' and '*'")
     return eps
 
 
@@ -156,7 +156,7 @@ def _normalize_covariance(
     out = {}
     for (e1, e2), v in cov.items():
         if e1 not in LETTERS or e2 not in LETTERS:
-            raise ValueError(f"covariance key ({e1!r},{e2!r}) not over '1'/'*'")
+            raise ValidationError(f"covariance key ({e1!r},{e2!r}) not over '1'/'*'")
         out[(e1, e2)] = Fraction(v)
     return out
 
@@ -238,7 +238,7 @@ def wick_joint(
     labels = tuple(labels)
     check_eps(eps)
     if len(labels) != len(eps):
-        raise ValueError(
+        raise ValidationError(
             f"{len(labels)} labels but pattern of length {len(eps)}"
         )
     _check_pair_count(len(eps))

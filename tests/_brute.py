@@ -26,7 +26,7 @@ import numpy as np
 from qtwick import __version__
 from qtwick.coeffs import _closed_form_factors, sampled_table
 from qtwick.floats import _fmt
-from qtwick.fock import _check_letter, add, annihilate, create, number_scale, scale
+from qtwick.fock import _check_letter, add, annihilate, create, number_scale
 from qtwick.jw import CommutationCheck, CommutationReport, MonomialOperator, build_jw
 from qtwick.pairings import PairPartition
 from qtwick.wickpoly import LETTERS
@@ -140,6 +140,13 @@ def inner_product_full_sn(u, v, q: float, t: float) -> float:
         )
         total += q**inv * t ** (top - inv)
     return total
+
+
+def scale(v, c: float):
+    """c * v, with no words at c = 0."""
+    if c == 0.0:
+        return {}
+    return {w: c * x for w, x in v.items()}
 
 
 def commutator_residual_all_words(f: int, g: int, p) -> float:

@@ -21,7 +21,7 @@ from qtwick import (
 from qtwick.cli import build_parser, main, run_check
 from qtwick.coeffs import MAX_LISTED_SITES, MAX_TABLE_SITES
 from qtwick.floats import _fmt
-from qtwick.jw import MAX_VERIFY_SITES, _parse_sites, _vacuum_walk
+from qtwick.jw import MAX_VERIFY_SITES, MAX_WALK_READS, _parse_sites, _vacuum_walk
 from qtwick.pairings import MAX_ENUMERATION_PAIRS, _parse_pairing
 
 CHAIN = ("--q", "0.5", "--t", "1.25", "--seed", "0")
@@ -581,7 +581,8 @@ def test_a_chain_word_draws_only_the_pairs_it_reads(capsys, monkeypatch):
     word = ",".join([str(s) for s in sites] + [f"{s}*" for s in reversed(sites)])
     walk = _vacuum_walk(_parse_sites(word), n)
     assert walk is not None
-    pairs, _ = walk
+    slots, sites, _ = walk
+    pairs = list(zip(slots, sites))
     code, out, _ = run(capsys, "jw", "--n", str(n), *CHAIN, "--ops", word)
     assert code == 0 and out.startswith("value = ")
     assert drawn == [len(set(pairs))] and 0 < drawn[0] < len(pairs)
@@ -591,6 +592,31 @@ def test_a_chain_word_draws_only_the_pairs_it_reads(capsys, monkeypatch):
     drawn.clear()
     code, _, _ = run(capsys, "coeffs", "--n", str(n), *CHAIN, "--lookup", "1,*,7,4000")
     assert code == 0 and drawn == [1]
+
+
+def test_jw_ops_cap_counts_the_base_values_a_word_reads(capsys, monkeypatch):
+    # raising sites 1..m and lowering them reads m(m - 1) base values; a
+    # lowering and raising of site y at the peak reads 2(y - 1) more, and
+    # 1,2,1*,2* on the vacuum reads one
+    m = 1448
+    y = (MAX_WALK_READS - m * (m - 1)) // 2 + 1
+    assert m * (m - 1) + 2 * (y - 1) == MAX_WALK_READS and 1 < y < m
+    up = [str(s) for s in range(1, m + 1)]
+    at_cap = ",".join(up + [f"{y}*", str(y)] + [f"{s}*" for s in reversed(up)])
+    past_cap = "1,2,1*,2*," + at_cap
+    # at t = 1 every factor is a sign, so the product stays finite
+    args = ("jw", "--n", str(m), "--q", "0.5", "--t", "1", "--seed", "0", "--ops")
+    code, out, _ = run(capsys, *args, at_cap)
+    assert code == 0 and out.startswith("value = ")
+
+    def no_draw(*args):
+        raise AssertionError("the table was drawn")
+
+    monkeypatch.setattr(coeffs, "_draw", no_draw)
+    code, out, err = run(capsys, *args, past_cap)
+    assert code == 2 and out == "" and f"{MAX_WALK_READS}-read cap" in err
+    with pytest.raises(SizeLimitError, match=f"{MAX_WALK_READS}-read cap"):
+        vacuum_expectation(_parse_sites(past_cap), m, sampled_table(m, 0.5, 1.0, 0))
 
 
 def test_check_names_missing_or_malformed_metadata(capsys, tmp_path):

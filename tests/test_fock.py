@@ -235,6 +235,15 @@ def test_commutator_residual_matches_the_walk_over_every_word():
     assert {"inf", "OverflowError"} <= seen
 
 
+def test_commutator_residual_forms_the_number_term_only_when_g_is_f():
+    # t^2 overflows float64: the number term t^N of a word of degree 2
+    # enters the relation only when g is f, and a_f c_f meets that power too
+    p = FockParams(2, 4, 0.5, 1e200)
+    assert commutator_residual(1, 2, p) == 0.0
+    with pytest.raises(OverflowError):
+        commutator_residual(1, 1, p)
+
+
 @pytest.mark.parametrize("qt", [(0.5, 1.25), (0.3, 0.9), (-0.4, 0.7), (1.0, 1.0), (-1.0, 1.0)])
 def test_commutator_residual_small(qt):
     q, t = qt

@@ -135,3 +135,23 @@ def test_only_coeffs_knows_how_a_table_is_drawn():
     # whether it was sampled; the sampled table and its kernel stay inside coeffs
     drawing = {"_SampledTable", "_draw", "_derive_seeds", "_splitmix64", "_SAMPLE_CHUNK"}
     assert _modules_naming(drawing) == {"coeffs"}
+
+
+def _raised_names(tree: ast.AST) -> set[str]:
+    """The names of the exception classes a module raises by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_no_module_raises_a_bare_value_error():
+    # every refusal of caller input is a ValidationError (or another
+    # subclass of ValueError from qtwick.errors), so callers can tell a
+    # refused input from an error of the program
+    raising = {path.stem for path in sorted(PACKAGE.glob("*.py"))
+               if "ValueError" in _raised_names(ast.parse(path.read_text()))}
+    assert raising == set()
