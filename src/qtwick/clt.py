@@ -6,7 +6,8 @@ approach pairing sums weighted by q^crossings * t^nestings; the estimator
 averages the closed-form coefficient product over all index tuples in one
 pairing class.  Both engines take two-point tables only (every base value
 +1 or -1) and are exact on them: the moment walk carries integer amplitudes
-with sqrt(t) factored out, the estimator counts the values of the blocks no
+with sqrt(t) factored out and meets its two halves below the peak popcount
+by the exchange relation, the estimator counts the values of the blocks no
 crossing touches and contracts integer sign matrices over the rest, and
 each rounds its exact value once.  Experiments sample a single coefficient
 table at the largest requested size and evaluate every size in one call of
@@ -15,8 +16,9 @@ table, whose leading rows and columns are every smaller size's and whose
 walk runs the leading creations once for every size, or into matrices
 contracted on their leading blocks per size (none when the crossings join
 two blocks).  A sampled table is two-point by its law, so a moment word
-that cannot walk, or a class without crossings (a count of tuples), draws
-no table at all.  Experiments return rows of numbers."""
+that cannot walk or never climbs past popcount 1, or a class without
+crossings (a count of tuples), draws no table at all.  Experiments return
+rows of numbers."""
 
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .coeffs import (
     sampled_table,
 )
 from .errors import SizeLimitError, ValidationError
-from .floats import _check_int
+from .floats import _check_int, _round_ratio
 from .pairings import PairPartition
 from .wickpoly import LETTERS, check_eps, wick_mixed
 
@@ -45,14 +47,16 @@ MAX_SUM_SIZE = 400
 MAX_SUM_LENGTH = 8
 # a moment walk that runs holds at most C(N, d) states, d the peak of the
 # popcount profile of eps (max(_popcounts(eps))), as a dense int64 vector,
-# and a step lists ranks of the smaller of its two states only; a word whose
-# walk cannot return to the vacuum is not charged and draws no table.
+# and a step lists ranks of the smaller of its two states only; its halves
+# meet at d - 1, so only a word that reaches d twice holds C(N, d).  A word
+# whose walk cannot return to the vacuum is not charged and draws no table.
 # `clt --mode moment` in a fresh process on a shared 2-core host, child RSS
-# from os.wait4: 111*** at 400 sites (10.6M states), mirror halves meeting at
-# the peak, 0.40-0.50 s and 116 MB; 111*1*** and 1*111*** at 400 sites, whose
-# right half steps down from the peak, 0.72-1.03 s and 117 MB; 1111**** at 130
-# sites (11.4M), holding the level-2 edges (17 MB), 0.44-0.64 s and 138 MB;
-# 111*** at 10,100,200,400 sites, all on one edge table, 0.42-0.53 s, 116 MB
+# from os.wait4: 111*** at 400 sites, mirror halves meeting at popcount 2,
+# 0.08 s and 42 MB; 1*111*** at 400 sites 0.08-0.12 s and 43 MB; 111*1***
+# at 400 sites, whose right half climbs to the 10.6M states of popcount 3,
+# 0.48-0.51 s and 119 MB; 1111**** at 130 sites, holding the level-2 edges
+# with their sites (26 MB), 0.09-0.11 s and 84 MB; 111*** at
+# 10,100,200,400 sites, all on one edge table, 0.08-0.10 s and 42 MB
 MAX_SUM_STATES = 12_000_000
 # the estimator contracts [N, N] matrices over the m >= 3 blocks that crossings
 # touch in about N^m <= N^n multiply-adds, so the tuple count is its flop
@@ -128,26 +132,31 @@ def _check_estimate(pairing: PairPartition, eps: str, n_sites: int) -> None:
 
 class _EdgeTables:
     """The edges of both letter sums by popcount k on the first n sites, for
-    any n up to up's size: row r of level k lists, for the set S of colex
-    rank r and each free site i < n in increasing order, the rank of S + {i}
-    and the product of mu(s, i) over s in S below i.  Neither depends on n,
-    so width n reads the first C(n, k) rows and n - k columns of a level.
-    Level 0 is the row (i, 1); level k is read off level k - 1, and levels 1
-    to peak - 2 are built here and held whole beside it (small next to the
-    C(n, peak) state).  With m = max S and r' = r - C(m, k) the rank of
-    S - {m}, a column c < m - k + 1 is row r' at c, its key raised by
-    C(m, k+1); a column above m, site c + k, has the key r + C(c+k, k+1) and
-    the weight at c + 1 of row r' times mu(m, c+k)."""
+    any n up to the table's size: row r of level k lists, for the set S of
+    colex rank r and each free site i < n in increasing order, the rank of
+    S + {i}, the product of mu(s, i) over s in S below i, and i.  None
+    depends on n, so width n reads the first C(n, k) rows and n - k columns
+    of a level.  Level 0 is the row (i, 1, i); level k is read off level
+    k - 1, and levels 1 to peak - 2 are built here and held whole beside it.
+    With m = max S and r' = r - C(m, k) the rank of S - {m}, a column
+    c < m - k + 1 is row r' at c, its key raised by C(m, k+1); a column
+    above m, site c + k, has the key r + C(c+k, k+1) and the weight at c + 1
+    of row r' times mu(m, c+k).  Only levels 1 and up read mu, up's strict
+    upper triangle, so a walk below popcount 2 takes up=None and reads no
+    table."""
 
-    def __init__(self, up: np.ndarray, peak: int):
-        n = up.shape[0]
+    def __init__(self, n: int, peak: int, up: Optional[np.ndarray]):
         self.up, self.binom = up, _binomials(n, peak + 1)
-        self.held = [(np.arange(n)[None, :], np.ones((1, n), dtype=np.int64))]
+        first = np.arange(n)[None, :]
+        self.held = [(first, np.ones((1, n), dtype=np.int64), first)]
         for k in range(1, peak - 1):
-            keys, weights = np.empty((2, int(self.binom[n, k]), n - k), dtype=np.int64)
-            for chunk, chunk_keys, chunk_weights in self.chunks(np.arange(len(keys)), k, n):
+            ranks = np.arange(int(self.binom[n, k]))
+            keys, weights, sites = level = np.empty((3, ranks.size, n - k), dtype=np.int64)
+            for chunk, chunk_keys, chunk_weights in self.chunks(ranks, k, n):
                 keys[chunk], weights[chunk] = chunk_keys, chunk_weights
-            self.held.append((keys, weights))
+                _, prev, below = self._parents(chunk, k, n)
+                sites[chunk] = np.where(below, self.held[k - 1][2][prev, :-1], np.arange(k, n))
+            self.held.append(level)
 
     def chunks(self, ranks: np.ndarray, k: int, n: int):
         """(ranks, keys, weights) of level k's rows on n sites, _CHUNK edges a time."""
@@ -156,18 +165,22 @@ class _EdgeTables:
             chunk = ranks[lo:lo + step]
             yield (chunk, *self._rows(chunk, k, n))
 
+    def _parents(self, ranks: np.ndarray, k: int, n: int) -> tuple[np.ndarray, ...]:
+        """m = max S, the rank r' of S - {m}, and which of the n - k columns
+        lie below m, for the popcount-k sets S at ranks."""
+        m = np.searchsorted(self.binom[:, k], ranks, side="right") - 1
+        return m, ranks - self.binom[m, k], np.arange(n - k) < (m - k + 1)[:, None]
+
     def _rows(self, ranks: np.ndarray, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Level k's rows at ranks on n sites, from level k if held, else k - 1."""
         if k < len(self.held):
-            keys, weights = self.held[k]
+            keys, weights, _ = self.held[k]
             return keys[ranks, :n - k], weights[ranks, :n - k]
-        binom, (keys, weights) = self.binom, self.held[k - 1]
-        m = np.searchsorted(binom[:, k], ranks, side="right") - 1
-        prev = ranks - binom[m, k]
+        m, prev, below = self._parents(ranks, k, n)
+        keys, weights, _ = self.held[k - 1]
         keys, weights = keys[prev, :n - k + 1], weights[prev, :n - k + 1]
-        below = np.arange(n - k) < (m - k + 1)[:, None]
-        return (np.where(below, keys[:, :-1] + binom[m, k + 1, None],
-                         ranks[:, None] + binom[k:n, k + 1]),
+        return (np.where(below, keys[:, :-1] + self.binom[m, k + 1, None],
+                         ranks[:, None] + self.binom[k:n, k + 1]),
                 np.where(below, weights[:, :-1], weights[:, 1:] * self.up[m, k:n]))
 
 
@@ -197,6 +210,34 @@ def _walk(vec: np.ndarray, steps: list[tuple[str, int]], edges: _EdgeTables, n: 
     return vec
 
 
+def _annihilations(vec: np.ndarray, k: int, edges: _EdgeTables, n: int) -> np.ndarray:
+    """X[T, i] = (a_i vec)[T] for the popcount-k amplitudes vec on the first
+    n sites, k >= 1, as float64: one row per set T of popcount k - 1, and
+    level k - 1's edges out of T gathered from vec and placed at their sites."""
+    keys, weights, sites = (a[:edges.binom[n, k - 1], :n - k + 1] for a in edges.held[k - 1])
+    values = vec[keys]
+    values *= weights
+    out = np.zeros((len(keys), n))
+    np.put_along_axis(out, sites, values, axis=1)
+    return out
+
+
+def _meet(left: np.ndarray, right: np.ndarray, k: int, edges: _EdgeTables,
+          mu: Optional[np.ndarray], n: int) -> int:
+    """<left, A C right> for popcount-k amplitudes on the first n sites, A
+    the sum of '1' and C of '*', by the exchange relation: a_i c_i is the
+    identity on the n - k sets without i, and a_j c_i = mu c_i a_j for
+    i != j, so the meet is (n - k) left . right plus the sum over i != j of
+    mu(i, j) <a_i left, a_j right>, one matrix product through mu's
+    leading [:n, :n] block (none at k = 0, where every a_i is zero)."""
+    total = (n - k) * int(np.dot(left, right))
+    if k:
+        x_right = _annihilations(right, k, edges, n)
+        x_left = x_right if left is right else _annihilations(left, k, edges, n)
+        total += int(np.vdot(x_left @ mu[:n, :n], x_right))
+    return total
+
+
 def _binomials(n: int, cols: int) -> np.ndarray:
     """binom[x, j] = C(x, j) for x <= n and j < cols, by Pascal's rule
     C(x, j) = sum_{y < x} C(y, j-1): a cumulative sum down each column."""
@@ -210,10 +251,8 @@ def _binomials(n: int, cols: int) -> np.ndarray:
 def _round_once(total: int, t: float, t_power: int, n_sites: int, n_power: int) -> float:
     """total * t^t_power / n_sites^n_power, rounded once to float64; inf with
     the sign of total past its range."""
-    try:
-        return float(Fraction(total) * Fraction(t) ** t_power / n_sites**n_power)
-    except OverflowError:
-        return math.copysign(math.inf, total)
+    value = Fraction(total) * Fraction(t) ** t_power / n_sites**n_power
+    return _round_ratio(value.numerator, value.denominator)
 
 
 def _contract(a: dict[tuple[int, int], np.ndarray], k: int) -> float:
@@ -242,12 +281,17 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
     the same power, so the walk runs on integer amplitudes and a word that
     returns to the vacuum carries t^E, E the sum of k over its creations.
     Both sums weigh S -> S + {i} by the product of mu(s, i) over s in S
-    below i, so the annihilation sum is the transpose of the creation sum,
-    and with eps = L R the vacuum amplitude is M = <L^T|0>, R|0>>: the walk
-    of R from the vacuum, dotted with the walk of L read backwards with its
-    letters swapped.  When the two half-words are equal, one walk serves
-    both.  The moment is M * t^E / N^(r/2), rounded once.  Any other table
-    raises ValidationError.
+    below i, so the annihilation sum is the transpose of the creation sum.
+    The word is cut at a '1*' where its popcount profile peaks at p, eps =
+    L' 1* R', and with k = p - 1 the vacuum amplitude is M = <l, A C r>:
+    r the walk of R' from the vacuum to popcount k, l the walk of L' read
+    backwards with its letters swapped, and A C the sum of '1' after the
+    sum of '*'.  The exchange relation a_j c_i = mu(i, j) c_i a_j (i != j)
+    makes that (N - k) l . r plus the sum over i != j of
+    mu(i, j) <a_i l, a_j r>, one matrix product, so the state at the peak
+    is never built unless a half passes through it.  When the two halves
+    are equal, one walk serves both.  The moment is M * t^E / N^(r/2),
+    rounded once.  Any other table raises ValidationError.
     """
     return _moments((n_sites,), eps, table)[0]
 
@@ -255,36 +299,52 @@ def partial_sum_moment(n_sites: int, eps: str, table: CoefficientTable) -> float
 def _moments(ns: Sequence[int], eps: str, table: CoefficientTable) -> list[float]:
     """partial_sum_moment at each size of ns, a nonempty sequence, from one
     walk.  Every size is checked first, and the table is asked at the top
-    size max(ns) whether it is two-point; a word that walks at no size
-    reads no base value.  Otherwise the table is read once, into one edge
-    table at the top size that every size reads.  The leading creations of
-    each half run once there, from the vacuum: a creation reaches a set
-    inside the first n sites only from such a set, through a site below n
-    and with the same signs, and in colex order those sets hold the first
-    C(n, c) ranks, so size n starts its half from that prefix of the vector
-    and walks the rest on the first n sites."""
+    size max(ns) whether it is two-point; a word that walks at no size, or
+    whose profile peaks at 1, reads no base value.  Otherwise the table is
+    read once, at the top size, into one edge table that every size reads
+    and the matrix every meet reads the leading [:n, :n] block of.  The
+    leading creations of each half run once there, from the vacuum: a
+    creation reaches a set inside the first n sites only from such a set,
+    through a site below n and with the same signs, and in colex order
+    those sets hold the first C(n, c) ranks, so size n starts its half from
+    that prefix of the vector and walks the rest on the first n sites.  The
+    cut is the '1*' at the peak nearest the middle, so a word whose middle
+    is its peak can have equal halves."""
     # a walk that runs at some size runs at the top size, which goes first
     sizes = sorted({n for n in ns if _check_moment(n, eps) is not None}, reverse=True)
     top = max(ns)
     table._check_two_point(top)
     if not sizes:
         return [0.0] * len(ns)
+    if not eps:  # the vacuum's own amplitude, 1
+        return [1.0] * len(ns)
     h = _popcounts(eps)
+    peak = max(h)
+    # cut at the '1*' nearest the middle that the profile peaks at: eps[cut]
+    # creates the peak from k and eps[cut - 1] annihilates it back to k
+    cut = min((j for j in range(1, len(eps)) if h[j] == peak),
+              key=lambda j: abs(2 * j - len(eps)))
+    k = peak - 1
+    # a word below popcount 2 reads no base value: its steps and its meet
+    # take every site with weight 1
+    mu = table.base_matrix(top) if peak > 1 else None
     # the edges read the strict upper triangle only: up[j, i] = mu(j+1, i+1)
-    edges = _EdgeTables(table.base_matrix(top).astype(np.int64), max(h))
-    # int64 cannot wrap.  A creation multiplies the sum of a half's
-    # amplitudes' magnitudes by at most N, an annihilation by at most the
-    # peak popcount p, so after c creations and a annihilations every
-    # amplitude and partial sum of a half is at most N^c * p^a.  Counting
-    # paths backwards, every amplitude of the right half is at most
-    # p^c * N^a (a creation added one of the set's sites, an annihilation
-    # removed any of the N), and |u . v| <= |u|_1 * max|v|.  Within the caps
-    # the worst words, 111*1*** and three more at N = 400, reach
-    # 400^4 * 3^4 < 2.1e12 < 2^53
+    edges = _EdgeTables(top, peak, None if mu is None else mu.astype(np.int64))
+    # int64 cannot wrap and the meet's float64 sums are exact.  A creation
+    # multiplies the sum of a half's amplitudes' magnitudes by at most N, an
+    # annihilation by at most the peak popcount p, so after c creations and
+    # a annihilations every amplitude and partial sum of a half is at most
+    # N^c * p^a.  Counting paths backwards, every amplitude of the right
+    # half r is at most p^c * N^a (a creation added one of the set's sites,
+    # an annihilation removed any of the N).  Each amplitude of the left
+    # half l sits k times in its X, and a row of X holds N - k + 1 sites, so
+    # every partial sum of the meet is at most
+    # (k (N - k + 1) + N - k) * |l|_1 * max|r|.  Within the caps the worst
+    # words, 111*1*** and four more at N = 400, reach
+    # 1196 * 400^3 * 3^3 < 2.1e12 < 2^53
     # (test_moment_amplitudes_stay_below_2_53_within_the_caps)
-    half = len(eps) // 2
-    right = list(zip(reversed(eps[half:]), reversed(h[half + 1:])))
-    left = list(zip(eps[:half].translate(_SWAP), h))
+    right = list(zip(reversed(eps[cut + 1:]), reversed(h[cut + 2:])))
+    left = list(zip(eps[:cut - 1].translate(_SWAP), h))
     halves = [right] if left == right else [right, left]
     creations = [next((j for j, (letter, _) in enumerate(steps) if letter == "1"), len(steps))
                  for steps in halves]
@@ -300,7 +360,10 @@ def _moments(ns: Sequence[int], eps: str, table: CoefficientTable) -> list[float
             if starts[j] is None:
                 starts[j] = _walk(np.ones(1, dtype=np.int64), steps[:c], edges, top)
             ends.append(_walk(starts[j][:edges.binom[n, c]], steps[c:], edges, n))
-        moments[n] = _round_once(int(np.dot(ends[-1], ends[0])), table.t, t_power, n, half)
+        if n == sizes[-1]:  # the last size to start from them, so they go
+            starts = []
+        total = _meet(ends[-1], ends[0], k, edges, mu, n)
+        moments[n] = _round_once(total, table.t, t_power, n, len(eps) // 2)
     return [moments[n] for n in ns]
 
 

@@ -1,5 +1,6 @@
-"""The one float rendering and the parameter refusals every artifact and
-engine share.  Numpy-free, so that the command-line front end loads none."""
+"""The one float rendering, the one rounding and the parameter refusals
+every artifact and engine share.  Numpy-free, so that the command-line
+front end loads none."""
 
 import math
 import operator
@@ -10,6 +11,17 @@ from .errors import ValidationError
 def _fmt(x: float) -> str:
     """17 significant digits: enough to read back the same float."""
     return format(float(x), ".17g")
+
+
+def _round_ratio(num: int, den: int) -> float:
+    """num / den for integers, den > 0, rounded once to float64 (Python's
+    integer division rounds correctly); inf with the sign of num past
+    float64's range.  Every exact value an engine or a polynomial writes is
+    rounded here."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _check_finite(name: str, x: float) -> float:

@@ -12,13 +12,15 @@ annihilators (Bozejko-Speicher), not as a sum over S_n.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .errors import SizeLimitError, TruncationError, ValidationError
 from .floats import _check_finite, _check_int, _check_scale
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Word = tuple[int, ...]
 FockVector = dict[Word, float]
@@ -251,9 +253,9 @@ def commutator_residual(f: int, g: int, p: FockParams) -> float:
                 add(resid, {u: -(p.q * x) for u, x in mid.items()})
             if f == g:
                 add(resid, {u: -x for u, x in number_scale(v, p).items()})
-            norm = np.sqrt(sum(c * c for c in resid.values()))
+            norm = math.sqrt(sum(c * c for c in resid.values()))
             worst = max(worst, norm)
-    return float(worst)
+    return worst
 
 
 def gram_matrix(n: int, p: FockParams) -> np.ndarray:
@@ -262,8 +264,11 @@ def gram_matrix(n: int, p: FockParams) -> np.ndarray:
     It follows the factorization G_n = (I_d (x) G_{n-1}) A_n, where the
     annihilation matrix A_n has, in the column of the word v, the weight
     q^k * t^(n-1-k) in the row of (v_k, v without position k).  The upper
-    triangle is mirrored, so the result is exactly symmetric.
+    triangle is mirrored, so the result is exactly symmetric.  The one
+    numpy user in this module, so that only `fock --gram` loads numpy.
     """
+    import numpy as np
+
     n = _check_int("n", n, 0)
     _check_degree(n, p)
     count = p.d**n

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import SizeLimitError, ValidationError
-from .floats import _check_int
+from .floats import _check_finite, _check_int, _round_ratio
 
 Scalar = Union[int, float, Fraction]
 
@@ -108,11 +108,23 @@ class QTPolynomial:
         return QTPolynomial({(b, a): c for (a, b), c in self.terms.items()})
 
     def evaluate(self, q: float, t: float) -> float:
-        """Evaluate at floats, summing terms in a fixed sorted order."""
-        total = 0.0
-        for (a, b), c in sorted(self.terms.items()):
-            total += float(c) * q**a * t**b
-        return total
+        """The exact value at finite q and t, rounded once to float64 (inf
+        with its sign past float64's range).  q = n_q / d_q and t = n_t / d_t
+        exactly, so over the common denominator L * d_q^A * d_t^B, L the lcm
+        of the coefficients' denominators and A, B the largest degrees, the
+        value is one integer."""
+        nq, dq = _check_finite("q", q).as_integer_ratio()
+        nt, dt = _check_finite("t", t).as_integer_ratio()
+        if not self.terms:
+            return 0.0
+        top_q = max(a for a, _ in self.terms)
+        top_t = max(b for _, b in self.terms)
+        lcm = math.lcm(*(c.denominator for c in self.terms.values()))
+        q_powers = [nq**a * dq ** (top_q - a) for a in range(top_q + 1)]
+        t_powers = [nt**b * dt ** (top_t - b) for b in range(top_t + 1)]
+        total = sum(c.numerator * (lcm // c.denominator) * q_powers[a] * t_powers[b]
+                    for (a, b), c in self.terms.items())
+        return _round_ratio(total, lcm * dq**top_q * dt**top_t)
 
     def _sorted_terms(self) -> list[tuple[tuple[int, int], Fraction]]:
         # graded order, q-heavy first inside each total degree

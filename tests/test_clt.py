@@ -141,38 +141,68 @@ def test_both_engines_refuse_other_tables_with_one_message():
     assert len(messages) == 1
 
 
+def _meet_cut(eps):
+    """Where _moments cuts eps: the '1*' at the peak popcount nearest the
+    middle, the first of two as near."""
+    h = clt._popcounts(eps)
+    return min((j for j in range(1, len(eps)) if h[j] == max(h)),
+               key=lambda j: abs(2 * j - len(eps)))
+
+
 def test_moment_amplitudes_stay_below_2_53_within_the_caps():
     # each half of the walk keeps the sum of its int64 amplitudes' magnitudes
     # below N^c * p^a after c creations and a annihilations, p the peak
     # popcount; counting paths backwards bounds every amplitude of the right
-    # half v by p^c * N^a, so the meet |u . v| <= |u|_1 * max|v|.  Evaluate
-    # those bounds for every word the caps admit that reaches a walk (balanced,
-    # no suffix with more '1' than '*'), at the largest N they admit, without
+    # half r by p^c * N^a.  The halves stop at k = p - 1, below the cut's
+    # '1*', and every partial sum of the meet, (N - k) l . r plus the float
+    # sum over the sets T of popcount k - 1 of X_l[T] mu X_r[T], is at most
+    # (k (N - k + 1) + N - k) * |l|_1 * max|r|: each amplitude of l sits k
+    # times in X_l and a row of X_r holds N - k + 1 sites.  Evaluate those
+    # bounds for every word the caps admit that reaches a walk (balanced, no
+    # suffix with more '1' than '*'), at the largest N they admit, without
     # any walk
-    worst = 0
-    for length in range(0, MAX_SUM_LENGTH + 1, 2):
+    worst, worst_words = 0, set()
+    for length in range(2, MAX_SUM_LENGTH + 1, 2):
         for word in itertools.product("1*", repeat=length):
             eps = "".join(word)
             excess = [eps[j:].count("*") - eps[j:].count("1") for j in range(length)]
-            if min(excess, default=0) < 0 or eps.count("1") != length // 2:
+            if min(excess) < 0 or eps.count("1") != length // 2:
                 continue  # partial_sum_moment returns 0.0 before walking
             p = max(clt._popcounts(eps))
             n = MAX_SUM_SIZE
             while math.comb(n, p) > MAX_SUM_STATES:
                 n -= 1
-            half = length // 2
-            right = eps[half:]
-            left = "".join("*" if letter == "1" else "1" for letter in eps[:half])[::-1]
+            cut, k = _meet_cut(eps), p - 1
+            assert eps[cut - 1:cut + 1] == "1*"
+            right = eps[cut + 1:]
+            left = "".join("*" if letter == "1" else "1" for letter in eps[:cut - 1])[::-1]
+            bounds = []
             for walked in (left, right):
                 bound = 1
                 for letter in reversed(walked):
                     bound *= n if letter == "*" else p
-                    worst = max(worst, bound)
+                    bounds.append(bound)
             left_sum = math.prod(n if letter == "*" else p for letter in left)
             right_max = math.prod(p if letter == "*" else n for letter in right)
-            worst = max(worst, left_sum * right_max)
+            bounds.append((k * (n - k + 1) + n - k) * left_sum * right_max)
+            if max(bounds) > worst:
+                worst, worst_words = max(bounds), set()
+            if max(bounds) == worst:
+                worst_words.add(eps)
     assert worst < 2**53
-    assert worst == 400**4 * 3**4
+    assert worst == (2 * 399 + 398) * 400**2 * 3**3 * 400
+    assert worst_words == {"111*1***", "1*111***", "111**1**", "111***1*", "11*11***"}
+
+
+def _letter_matrix(edges, n, k, letter):
+    """The int64 matrix of the sum of letter from popcount k on n sites,
+    column by column from unit vectors."""
+    return np.column_stack([clt._apply_sum(unit, k, letter, edges, n)
+                            for unit in np.eye(math.comb(n, k), dtype=np.int64)])
+
+
+def _colex_rank(sites):
+    return sum(math.comb(x, r + 1) for r, x in enumerate(sorted(sites)))
 
 
 def test_annihilation_sum_is_the_transpose_of_the_creation_sum():
@@ -182,14 +212,36 @@ def test_annihilation_sum_is_the_transpose_of_the_creation_sum():
     for n in range(1, 8):
         for seed in (0, 1):
             up = sampled_table(n, 0.0, 1.25, seed).base_matrix(n).astype(np.int64)
-            edges = clt._EdgeTables(up, n)
+            edges = clt._EdgeTables(n, n, up)
+            for k in range(n):
+                assert np.array_equal(_letter_matrix(edges, n, k + 1, "1"),
+                                      _letter_matrix(edges, n, k, "*").T), (n, seed, k)
 
-            def matrix(k, letter):
-                return np.column_stack([clt._apply_sum(unit, k, letter, edges, n)
-                                        for unit in np.eye(math.comb(n, k), dtype=np.int64)])
+
+def test_creation_then_annihilation_is_the_exchange_relation():
+    # the identity the meet rests on: on popcount k the sum of '1' after the
+    # sum of '*' is (n - k) I plus the sum over sites i != j of mu(i, j)
+    # c_i a_j, with c_i a_j taking S to S - {j} + {i} by the product of the
+    # signs of j and of i over S - {j}, listed here set by set
+    for n in range(1, 8):
+        for seed in (0, 1):
+            mu = sampled_table(n, 0.0, 1.25, seed).base_matrix(n).astype(np.int64)
+            edges = clt._EdgeTables(n, n, mu)
+
+            def sign(rest, i):
+                return math.prod(int(mu[s, i]) for s in rest if s < i)
 
             for k in range(n):
-                assert np.array_equal(matrix(k + 1, "1"), matrix(k, "*").T), (n, seed, k)
+                want = (n - k) * np.eye(math.comb(n, k), dtype=np.int64)
+                for s in itertools.combinations(range(n), k):
+                    for j in s:
+                        rest = set(s) - {j}
+                        for i in set(range(n)) - rest - {j}:
+                            want[_colex_rank(rest | {i}), _colex_rank(s)] += (
+                                mu[i, j] * sign(rest, j) * sign(rest, i))
+                got = _letter_matrix(edges, n, k + 1, "1") @ _letter_matrix(edges, n, k, "*")
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (n, seed, k)
 
 
 def _enumerated_edges(n, k, table):
@@ -222,15 +274,21 @@ def test_edge_tables_equal_the_enumerated_edges(signs):
         # levels 0 to peak - 2 are held whole from the start, and every
         # level, held or sliced off the level below, is the enumerated one
         for peak in range(1, n + 1):
-            edges = clt._EdgeTables(up, peak)
+            edges = clt._EdgeTables(n, peak, up)
             assert len(edges.held) == max(peak - 1, 1)
             for k in range(peak):
                 assert listed(edges, n, k) == expected[n, k], (n, peak, k)
     # one table at 9 sites is every narrower width's: the first C(n, k) rows
     # and the first n - k columns of each level
-    edges = clt._EdgeTables(table.base_matrix(9).astype(np.int64), 9)
+    edges = clt._EdgeTables(9, 9, table.base_matrix(9).astype(np.int64))
     for n, k in expected:
         assert listed(edges, n, k) == expected[n, k], (n, k)
+    # and each held level lists the free site of every edge, for the meet
+    for n, k in expected:
+        if k < len(edges.held):
+            sets = sorted(itertools.combinations(range(n), k), key=_colex_rank)
+            sites = [sorted(set(range(n)) - set(s)) for s in sets]
+            assert edges.held[k][2][:math.comb(n, k), :n - k].tolist() == sites, (n, k)
 
 
 @pytest.fixture
@@ -266,9 +324,12 @@ def test_the_state_cap_charges_only_a_walk_that_runs(applied_letters):
 
 def test_a_mirror_word_walks_one_half(applied_letters):
     table = sampled_table(12, 0.5, 1.25, 0)
-    # the right half's letters right to left, then a left half that differs
-    for eps, walked in (("111***", "***"), ("11*1**", "**1"), ("1*1*", "*1"),
-                        ("1*11**", "**1*1*"), ("11**1*", "*1***1")):
+    # the word is cut at the '1*' at its peak nearest the middle, and each
+    # half stops below it: the right half's letters right to left, then a
+    # left half that differs
+    for eps, walked in (("11**", "*"), ("111***", "**"), ("1111****", "***"),
+                        ("11*1*1**", "**1"), ("11*1**", "**1" + "*"), ("1*1*", "*1"),
+                        ("1*11**", "*" + "*1*"), ("11**1*", "*1*" + "*")):
         applied_letters.clear()
         assert partial_sum_moment(12, eps, table) == _brute.exact_moment(12, eps, table)
         assert "".join(applied_letters) == walked, eps
@@ -294,12 +355,13 @@ def test_one_walk_equals_the_oracle_at_every_size(eps, ns, seed, ratio, t):
 def test_one_walk_applies_the_creation_prefix_once(applied_letters):
     table = sampled_table(60, 0.5, 1.25, 0)
     ns = (20, 40, 60)
-    # 111*** is all creations: one walk at 60 sites and a dot product per
-    # size; 11*1** walks ** once and its tail 1 at each size; 1*11** walks
-    # both halves at 60 sites (**1, then *1*), then the tails 1 and 1* at 40
-    # and at 20
-    for eps, walked in (("111***", "***"), ("11*1**", "**111"),
-                        ("1*11**", "**1*1*" + "11*" * 2)):
+    # the halves stop below the cut's '1*'.  111*** is all creations: one
+    # walk of ** at 60 sites and a meet per size; 11*1** walks both halves'
+    # creations at 60 sites (**, then *) and the right half's tail 1 at each
+    # size; 1*11** walks * and * at 60 sites, then the left half's tail 1*
+    # at each size
+    for eps, walked in (("111***", "**"), ("11*1**", "**1*" + "11"),
+                        ("1*11**", "**1*" + "1*" * 2)):
         applied_letters.clear()
         got = clt._moments(ns, eps, table)
         assert "".join(applied_letters) == walked, eps
@@ -310,10 +372,10 @@ def test_a_moment_experiment_builds_one_edge_table(monkeypatch):
     # every size reads the leading rows and columns of the top size's edges
     built = []
     real = clt._EdgeTables
-    monkeypatch.setattr(clt, "_EdgeTables", lambda up, peak: built.append(up.shape) or real(up, peak))
+    monkeypatch.setattr(clt, "_EdgeTables", lambda n, peak, up: built.append(n) or real(n, peak, up))
     config = ExperimentConfig("moment", "1*11**", 0.5, 1.25, (5, 9, 12), 3)
     report = convergence_experiment(config)
-    assert built == [(12, 12)]
+    assert built == [12]
     table = sampled_table(12, 0.5, 1.25, 3)
     assert [row.value for row in report.rows] == [
         _brute.exact_moment(n, "1*11**", table) for n in config.ns]
@@ -330,27 +392,31 @@ def test_one_walk_checks_every_size_before_it_reads_the_table():
 
 
 def test_a_step_down_from_the_peak_holds_one_peak_vector():
-    # 111*1*** and 1*111*** step down from popcount 3: the annihilation
-    # gathers into the lower vector, so nothing but the dense C(200, 3)
-    # amplitudes (10.5 MB), the held level-1 edges (0.6 MB) and a chunk's
-    # temporaries is alive at the peak
+    # 111*1*** peaks twice, and the half cut off at one peak steps down from
+    # the other: the annihilation gathers into the lower vector, so nothing
+    # but the dense C(200, 3) amplitudes (10.5 MB), the held level-1 edges
+    # (0.6 MB) and a chunk's temporaries is alive at the peak.  1*111***
+    # peaks once, where it is cut, so its halves stop at popcount 2 and no
+    # popcount-3 vector is built
     table = sampled_table(200, 0.5, 1.25, 0)
     table.packed(200)  # the draw happens on the first bulk read
-    for eps in ("1*111***", "111*1***"):
+    for eps, bound in (("1*111***", 0.5), ("111*1***", 1.5)):
         tracemalloc.start()
         try:
             partial_sum_moment(200, eps, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * math.comb(200, 3), (eps, peak)
+        assert peak <= bound * 8 * math.comb(200, 3), (eps, peak)
 
 
-def test_a_peak_4_word_holds_one_peak_vector_and_the_level_2_edges():
-    # 1111**** climbs to popcount 4 from the edges of level 3, sliced off
-    # the level-2 edges held whole (keys and weights, C(80, 2) rows of 78):
-    # beside those two, only the level-3 amplitudes, their nonzero ranks
-    # and a chunk's temporaries are alive at the peak
+def test_a_peak_4_word_meets_below_its_peak_on_the_level_2_edges():
+    # 1111**** is cut at its middle, its peak: one walk of *** climbs to
+    # popcount 3 on the level-2 edges held whole (keys, weights and sites,
+    # C(80, 2) rows of 78), and the meet places the level-3 amplitudes into
+    # two [C(80, 2), 80] matrices.  Beside those, only the level-3
+    # amplitudes, mu (float64 and int64) and a chunk's temporaries are
+    # alive; the C(80, 4) state, which would take 12.7 MB, is never built
     n = 80
     table = sampled_table(n, 0.5, 1.25, 0)
     table.packed(n)  # the draw happens on the first bulk read
@@ -360,9 +426,11 @@ def test_a_peak_4_word_holds_one_peak_vector_and_the_level_2_edges():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    held = 2 * 8 * math.comb(n, 2) * (n - 2)
+    held = 3 * 8 * math.comb(n, 2) * (n - 2)
+    meet = 2 * 8 * math.comb(n, 2) * n
     below = 2 * 8 * math.comb(n, 3)
-    assert peak <= 8 * math.comb(n, 4) + held + below + 32 * 8 * clt._CHUNK, peak
+    assert peak <= held + meet + below + 2 * 8 * n * n + 32 * 8 * clt._CHUNK, peak
+    assert peak < 8 * math.comb(n, 4)
 
 
 def test_binomials_equal_math_comb():
@@ -764,6 +832,31 @@ def test_a_moment_word_that_cannot_walk_draws_nothing(eps, ns, monkeypatch):
         assert clt._moments(ns, eps, sampled_table(max(ns), 0.5, 1.25, 3)) == zeros
         config = ExperimentConfig("moment", eps, 0.5, 1.25, ns, 3)
         assert [row.value for row in convergence_experiment(config).rows] == zeros
+    # a table built by hand that is not two-point is refused all the same
+    top = max(ns)
+    generic = CoefficientTable([1.0, -1.0, 0.5] * (top * (top - 1) // 6 + 1), 1.25)
+    with pytest.raises(ValidationError, match="two-point"):
+        clt._moments(ns, eps, generic)
+
+
+@pytest.mark.parametrize("eps, ns", [
+    ("", (1, 7)),
+    ("1*", (1, 200)),
+    ("1*1*", (3, 50, 200)),
+    ("1*1*1*", (4, 90)),
+    ("1*1*1*1*", (2, 32, 400)),
+])
+def test_a_peak_1_word_draws_no_table(eps, ns, monkeypatch):
+    # its steps and its meet at popcount 0 take every site with weight 1
+    want = [_brute.exact_moment(n, eps, sampled_table(n, 0.5, 1.25, 3)) for n in ns]
+    with monkeypatch.context() as patch:
+        patch.setattr(coeffs, "sample_packed", _never_drawn)
+        patch.setattr(coeffs, "_draw", _never_drawn)
+        patch.setattr(CoefficientTable, "base_matrix", _no_matrix)
+        assert clt._moments(ns, eps, sampled_table(max(ns), 0.5, 1.25, 3)) == want
+        if eps:  # an experiment needs a nonempty word
+            config = ExperimentConfig("moment", eps, 0.5, 1.25, ns, 3)
+            assert [row.value for row in convergence_experiment(config).rows] == want
     # a table built by hand that is not two-point is refused all the same
     top = max(ns)
     generic = CoefficientTable([1.0, -1.0, 0.5] * (top * (top - 1) // 6 + 1), 1.25)

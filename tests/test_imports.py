@@ -49,6 +49,8 @@ def test_import_leaves_numpy_out(statement):
     (["wick", "--eps", "1x"], 2),
     (["wick", "--eps", "11**", "--q", "nan", "--t", "1"], 2),
     ([], 2),
+    (["fock", "--d", "2", "--m", "4", "--q", "0.5", "--t", "1.25", "--ops", "s1,s1"], 0),
+    (["fock", "--d", "2", "--m", "4", "--q", "0.5", "--t", "1.25", "--residual"], 0),
 ])
 def test_numpy_free_commands_leave_numpy_out(argv, code):
     assert not _numpy_loaded("-c", COMMAND_PROBE, *argv, code=code)

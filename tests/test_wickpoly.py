@@ -68,6 +68,52 @@ def test_evaluate():
     assert wick_mixed("11**").evaluate(0.5, 1.25) == 1.75
 
 
+def _exact_value(poly, q, t):
+    """The Fraction sum of the terms at q and t, rounded once; inf with its
+    sign past float64."""
+    value = sum((c * Fraction(q) ** a * Fraction(t) ** b for (a, b), c in poly.terms.items()),
+                Fraction(0))
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 40), st.integers(0, 40)),
+        st.fractions(max_denominator=10**6).filter(bool), max_size=12),
+    q=st.floats(-1e10, 1e10),
+    t=st.floats(-1e10, 1e10),
+)
+def test_evaluate_rounds_the_exact_value_once(terms, q, t):
+    poly = QTPolynomial(terms)
+    assert poly.evaluate(q, t).hex() == _exact_value(poly, q, t).hex()
+
+
+def test_evaluate_is_the_exact_value_where_the_float_sum_drifts():
+    # 2278 terms with negative q cancel down to about 1.8: the term-by-term
+    # float sum gave 1.8206471193501157
+    field = wick_field(12)
+    assert field.evaluate(-0.99, 1.0) == 1.8206572307132558 == _exact_value(field, -0.99, 1.0)
+    for n, q, t in ((10, -0.7, 0.9), (12, -0.5, 1.25), (8, 0.5, 1.25)):
+        assert wick_field(n).evaluate(q, t).hex() == _exact_value(wick_field(n), q, t).hex()
+    # past float64 the value is inf with its sign, and q and t must be finite
+    big = QTPolynomial({(40, 0): 1, (41, 0): -1})
+    assert big.evaluate(1e10, 1.0) == -math.inf == _exact_value(big, 1e10, 1.0)
+    assert big.evaluate(-1e10, 1.0) == math.inf == _exact_value(big, -1e10, 1.0)
+    assert QTPolynomial.zero().evaluate(1e300, 1e300) == 0.0
+    for q, t in ((math.inf, 1.0), (0.5, math.nan)):
+        with pytest.raises(ValidationError, match="finite"):
+            field.evaluate(q, t)
+
+
+def test_wick_writes_the_value_rounded_once(capsys):
+    assert main(["wick", "--field", "12", "--q", "-0.99", "--t", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "value = 1.8206572307132558"
+
+
 def test_rendering():
     assert str(QTPolynomial.zero()) == "0"
     assert str(QTPolynomial.one()) == "1"
